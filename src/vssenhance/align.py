@@ -21,7 +21,6 @@ from scipy import sparse
 
 from . import tensor as T
 from .layers import Conv2d, Module
-from .ss2d import FeatureMap
 from .tensor import DimensionError, Tensor, _node, _wrap, concat, gelu
 
 __all__ = [
@@ -43,25 +42,23 @@ class FramePyramid:
     """Feature maps from fine (full resolution) to coarse, each level half the
     previous (ceil division); all levels share a channel count."""
 
-    levels: list[FeatureMap]
+    levels: list[Tensor]  # (C, H, W) each
 
     def __post_init__(self):
-        chans = {f.channels for f in self.levels}
+        if any(f.ndim != 3 for f in self.levels):
+            raise DimensionError("pyramid levels must be (C, H, W) feature maps")
+        chans = {f.shape[0] for f in self.levels}
         if len(chans) != 1:
             raise DimensionError("pyramid levels must share a channel count")
         for fine, coarse in zip(self.levels, self.levels[1:]):
-            want = (-(-fine.height // 2), -(-fine.width // 2))
-            if (coarse.height, coarse.width) != want:
+            want = (-(-fine.shape[1] // 2), -(-fine.shape[2] // 2))
+            if coarse.shape[1:] != want:
                 raise DimensionError(
-                    f"pyramid level {coarse.values.shape} does not halve {fine.values.shape}"
+                    f"pyramid level {coarse.shape} does not halve {fine.shape}"
                 )
 
-    @property
-    def channels(self) -> int:
-        return self.levels[0].channels
-
     def shapes(self):
-        return [f.values.shape for f in self.levels]
+        return [f.shape for f in self.levels]
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +141,9 @@ def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
     return _node(out, (f, ys_t, xs_t), grad_fn)
 
 
-def bilinear_sample(f: FeatureMap, y: float, x: float) -> Tensor:
-    """Interpolated (C,) read of one continuous position."""
-    return bilinear_gather(f.values, np.array([float(y)]), np.array([float(x)])).reshape(
-        f.channels
-    )
+def bilinear_sample(f: Tensor, y: float, x: float) -> Tensor:
+    """Interpolated (C,) read of one continuous position of (C, H, W) values."""
+    return bilinear_gather(f, np.array([float(y)]), np.array([float(x)])).reshape(f.shape[0])
 
 
 def resize_bilinear(f: Tensor, out_h: int, out_w: int) -> Tensor:
@@ -169,7 +164,7 @@ def resize_bilinear(f: Tensor, out_h: int, out_w: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def deformable_conv2d(f: FeatureMap, offsets: Tensor, w: Tensor) -> FeatureMap:
+def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
     """Stride-1 deformable convolution with per-position, per-tap offsets.
 
     At each output position p the k x k taps sample ``f`` at
@@ -178,13 +173,15 @@ def deformable_conv2d(f: FeatureMap, offsets: Tensor, w: Tensor) -> FeatureMap:
     zero offset field reproduces ``conv2d(f, w, stride=1, pad=(k-1)/2)``
     bitwise.
     """
-    values = f.values
+    f = _wrap(f)
     offsets = _wrap(offsets)
     w = _wrap(w)
     C_out, C_in, k, k2 = w.shape
     if k != k2 or k % 2 != 1:
         raise DimensionError("deformable kernels must be square with odd size")
-    C, H, W = values.shape
+    if f.ndim != 3:
+        raise DimensionError(f"deformable_conv2d expects (C, H, W) features, got {f.shape}")
+    C, H, W = f.shape
     if C != C_in:
         raise DimensionError(f"input has {C} channels, kernel expects {C_in}")
     if offsets.shape != (2 * k * k, H, W):
@@ -205,10 +202,10 @@ def deformable_conv2d(f: FeatureMap, offsets: Tensor, w: Tensor) -> FeatureMap:
     ys = off[:, 0] + Tensor(base_y.astype(np.float64))
     xs = off[:, 1] + Tensor(base_x.astype(np.float64))
 
-    sampled = bilinear_gather(values, ys.reshape(-1), xs.reshape(-1))  # (C, k*k*H*W)
+    sampled = bilinear_gather(f, ys.reshape(-1), xs.reshape(-1))  # (C, k*k*H*W)
     cols = sampled.reshape(C, k * k, H * W).transpose(2, 0, 1).reshape(H * W, C * k * k)
     out = T.matmul(cols, w.reshape(C_out, C_in * k * k).transpose(1, 0))
-    return FeatureMap(out.transpose(1, 0).reshape(C_out, H, W))
+    return out.transpose(1, 0).reshape(C_out, H, W)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +227,11 @@ class FeatureExtractor(Module):
 
     def __call__(self, frame: Tensor) -> FramePyramid:
         feat = gelu(self.conv_b(gelu(self.conv_a(frame))))
-        levels = [FeatureMap(feat)]
+        levels = [feat]
         for i in range(0, len(self.down), 2):
             feat = gelu(self.down[i](feat))
             feat = gelu(self.down[i + 1](feat))
-            levels.append(FeatureMap(feat))
+            levels.append(feat)
         return FramePyramid(levels)
 
 
@@ -270,18 +267,17 @@ class PCDAlign(Module):
         self.cas_head = Conv2d(channels, off_ch, 3, rng, zero_init=True)
         self.cas_dcn = Conv2d(channels, channels, 3, rng)
 
-    def __call__(self, neighbor: FramePyramid, reference: FramePyramid) -> FeatureMap:
+    def __call__(self, neighbor: FramePyramid, reference: FramePyramid) -> Tensor:
         return pcd_align(neighbor, reference, self)
 
 
-def _dcn_apply(conv: Conv2d, f: FeatureMap, offsets: Tensor) -> FeatureMap:
-    out = deformable_conv2d(f, offsets, conv.weight)
-    return FeatureMap(out.values + conv.bias.reshape(-1, 1, 1))
+def _dcn_apply(conv: Conv2d, f: Tensor, offsets: Tensor) -> Tensor:
+    return deformable_conv2d(f, offsets, conv.weight) + conv.bias.reshape(-1, 1, 1)
 
 
 def pcd_align(
     neighbor: FramePyramid, reference: FramePyramid, weights: PCDAlign
-) -> FeatureMap:
+) -> Tensor:
     """Align ``neighbor`` features onto ``reference``, returning a map at the
     finest (level 1) resolution."""
     if neighbor.shapes() != reference.shapes():
@@ -295,8 +291,8 @@ def pcd_align(
     for lvl in range(n_levels - 1, -1, -1):
         nbr = neighbor.levels[lvl]
         ref = reference.levels[lvl]
-        H, W = nbr.height, nbr.width
-        parts = [nbr.values, ref.values]
+        H, W = nbr.shape[1:]
+        parts = [nbr, ref]
         if offsets_up is not None:
             parts.append(resize_bilinear(offsets_up, H, W) * 2.0)
         feat = gelu(weights.off_a[lvl](concat(parts, axis=0)))
@@ -304,18 +300,15 @@ def pcd_align(
         offsets = weights.off_head[lvl](feat)
         moved = _dcn_apply(weights.dcn[lvl], nbr, offsets)
         if lvl == n_levels - 1:
-            aligned = FeatureMap(gelu(moved.values))
+            aligned = gelu(moved)
         else:
-            stacked = concat(
-                [moved.values, resize_bilinear(aligned_up.values, H, W)], axis=0
-            )
+            stacked = concat([moved, resize_bilinear(aligned_up, H, W)], axis=0)
             fused = weights.fuse[lvl](stacked)
-            aligned = FeatureMap(gelu(fused) if lvl > 0 else fused)
+            aligned = gelu(fused) if lvl > 0 else fused
         offsets_up = offsets
         aligned_up = aligned
 
-    ref1 = reference.levels[0]
-    feat = gelu(weights.cas_a(concat([aligned.values, ref1.values], axis=0)))
+    feat = gelu(weights.cas_a(concat([aligned, reference.levels[0]], axis=0)))
     feat = gelu(weights.cas_b(feat))
     cas_offsets = weights.cas_head(feat)
     return _dcn_apply(weights.cas_dcn, aligned, cas_offsets)

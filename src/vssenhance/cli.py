@@ -13,13 +13,13 @@ import numpy as np
 
 from .color import D65_WHITE_RGB, Illuminant, chromatic_adapt, psnr, ssim
 from .config import load_config
-from .enhance import VideoEnhancer, temporal_window, training_step
+from .enhance import TrainingDiverged, VideoEnhancer, temporal_window, training_step
 from .imageio import IngestionError, load_clip, write_image
 from .layers import load_checkpoint, save_checkpoint
 from .optim import AdamW
 from .seeding import derive_rng
 from .ssm import discretize_zoh, random_ssm, scan_convolutional, scan_parallel, scan_sequential
-from .tensor import DimensionError, Tensor, no_grad
+from .tensor import ConfigurationError, ContractError, DimensionError, Tensor, no_grad
 
 SCAN_MODES = {
     "sequential": scan_sequential,
@@ -27,6 +27,10 @@ SCAN_MODES = {
     "convolutional": scan_convolutional,
 }
 BENCH_TOLERANCE = 1e-8
+# library errors a user can cause (bad input, config, checkpoint, divergence):
+# reported as one ``error:`` line and exit code 1 instead of a traceback
+USER_ERRORS = (ConfigurationError, ContractError, DimensionError, IngestionError,
+               TrainingDiverged)
 
 
 def _fail(message: str) -> int:
@@ -56,10 +60,7 @@ def _paired_frames(low_dir: str, gt_dir: str):
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    try:
-        low, gt = _paired_frames(cfg.data.low_dir, cfg.data.gt_dir)
-    except IngestionError as exc:
-        return _fail(str(exc))
+    low, gt = _paired_frames(cfg.data.low_dir, cfg.data.gt_dir)
 
     model = VideoEnhancer(cfg.model, derive_rng(cfg.train.seed, "model"))
     optimizer = AdamW(
@@ -116,10 +117,7 @@ def cmd_enhance(args) -> int:
         if not candidates:
             return _fail(f"no checkpoint found under {ckpt}")
         ckpt = candidates[-1].parent
-    try:
-        clip = load_clip(args.input)
-    except IngestionError as exc:
-        return _fail(str(exc))
+    clip = load_clip(args.input)
 
     model = VideoEnhancer(cfg.model, derive_rng(0, "model"))
     load_checkpoint(model, ckpt)
@@ -151,20 +149,14 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    try:
-        ref = load_clip(args.ref)
-        test = load_clip(args.test)
-    except IngestionError as exc:
-        return _fail(str(exc))
+    ref = load_clip(args.ref)
+    test = load_clip(args.test)
     if len(ref) != len(test):
         return _fail(f"clip lengths differ: {len(ref)} reference vs {len(test)} test")
-    try:
-        rows = [
-            [i, repr(psnr(a, b, peak=args.peak)), repr(ssim(a, b, peak=args.peak))]
-            for i, (a, b) in enumerate(zip(ref.frames, test.frames))
-        ]
-    except DimensionError as exc:
-        return _fail(str(exc))
+    rows = [
+        [i, repr(psnr(a, b, peak=args.peak)), repr(ssim(a, b, peak=args.peak))]
+        for i, (a, b) in enumerate(zip(ref.frames, test.frames))
+    ]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame_index", "psnr_db", "ssim"])
@@ -266,7 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except USER_ERRORS as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

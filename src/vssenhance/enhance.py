@@ -18,7 +18,6 @@ from . import tensor as T
 from .align import FeatureExtractor, PCDAlign, pcd_align
 from .layers import Conv2d, ConvTranspose2d, Module
 from .optim import AdamW
-from .ss2d import FeatureMap
 from .tensor import ConfigurationError, DimensionError, Tensor, concat, pad2d_edges
 from .vss import VSSBlock
 
@@ -115,13 +114,14 @@ class EnhanceNet(Module):
         return enhance_forward(aligned, center_rgb, self, clamp_output=clamp_output)
 
 
-def enhance_forward(aligned: list[FeatureMap], center_rgb: Tensor, net: EnhanceNet,
+def enhance_forward(aligned: list[Tensor], center_rgb: Tensor, net: EnhanceNet,
                     clamp_output: bool = False) -> Tensor:
     """Enhance one frame from its window of aligned feature maps.
 
-    ``aligned`` must hold ``input_frames`` maps of identical shape; the output
-    is the zero-initialized RGB projection plus the center frame, cropped back
-    to the input resolution after reflection padding to a multiple of 2^S.
+    ``aligned`` must hold ``input_frames`` (C, H, W) maps of identical shape;
+    the output is the zero-initialized RGB projection plus the center frame,
+    cropped back to the input resolution after reflection padding to a
+    multiple of 2^S.
     Clamping to [0, 1] is inference-only behavior.
     """
     cfg = net.cfg
@@ -129,16 +129,18 @@ def enhance_forward(aligned: list[FeatureMap], center_rgb: Tensor, net: EnhanceN
         raise DimensionError(
             f"expected {cfg.input_frames} aligned maps, got {len(aligned)}"
         )
-    shapes = {f.values.shape for f in aligned}
+    shapes = {f.shape for f in aligned}
     if len(shapes) != 1:
         raise DimensionError(f"aligned maps disagree in shape: {sorted(shapes)}")
-    H, W = aligned[0].height, aligned[0].width
+    if aligned[0].ndim != 3:
+        raise DimensionError(f"aligned maps must be (C, H, W), got {aligned[0].shape}")
+    H, W = aligned[0].shape[1:]
     if center_rgb.shape != (3, H, W):
         raise DimensionError(
             f"center frame must be (3, {H}, {W}), got {center_rgb.shape}"
         )
 
-    x = concat([f.values for f in aligned], axis=0)
+    x = concat(aligned, axis=0)
     multiple = 1 << cfg.num_scales
     pad_b = (-H) % multiple
     pad_r = (-W) % multiple
@@ -150,12 +152,12 @@ def enhance_forward(aligned: list[FeatureMap], center_rgb: Tensor, net: EnhanceN
     skips = []
     for stage, down in zip(net.encoder_stages, net.downs):
         for block in stage:
-            feat = block(FeatureMap(feat)).values
+            feat = block(feat)
         skips.append(feat)
         feat = down(feat)
 
     for block in net.bottleneck:
-        feat = block(FeatureMap(feat)).values
+        feat = block(feat)
 
     for up, project, stage, skip in zip(
         net.ups, net.skip_projects, net.decoder_stages, reversed(skips)
@@ -163,7 +165,7 @@ def enhance_forward(aligned: list[FeatureMap], center_rgb: Tensor, net: EnhanceN
         feat = up(feat)
         feat = project(concat([feat, skip], axis=0))
         for block in stage:
-            feat = block(FeatureMap(feat)).values
+            feat = block(feat)
 
     residual = net.out_project(feat)
     if pad_b or pad_r:

@@ -1,6 +1,9 @@
 """2D selective scanning: unfold a feature grid along four traversal paths,
 run a selective state-space scan over each, and merge the results back.
 
+A grid travels as its row-major (H*W, C) token matrix plus (H, W); every
+function here takes and returns tokens in that layout.
+
 Directions and their orderings:
 
     LR: row-major, left to right then top to bottom
@@ -9,62 +12,21 @@ Directions and their orderings:
     DT: exact reversal of TD
 
 The merge scatters each processed sequence back through the inverse of its
-traversal permutation and sums the four grids, so identity processing
+traversal permutation and sums the four results, so identity processing
 returns exactly 4x the input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .layers import Module, param
-from .ssm import SelectiveHead, linear_recurrence
+from .ssm import SelectiveHead, linear_recurrence, selective_zoh
 from .tensor import DimensionError, Tensor, _wrap, concat, gather_rows, matmul, softplus
 
 DIRECTIONS = ("lr", "td", "rl", "dt")
-
-
-@dataclass
-class FeatureMap:
-    """A (C, H, W) spatial feature grid."""
-
-    values: Tensor
-
-    def __post_init__(self):
-        if self.values.ndim != 3:
-            raise DimensionError("FeatureMap expects (C, H, W) values")
-        if self.height * self.width < 1:
-            raise DimensionError("FeatureMap must contain at least one position")
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
-
-
-@dataclass
-class DirectionalSequences:
-    """The four (L, C) unfoldings of one grid, L = H*W."""
-
-    lr: Tensor
-    td: Tensor
-    rl: Tensor
-    dt: Tensor
-    height: int
-    width: int
-
-    def __iter__(self):
-        return iter((self.lr, self.td, self.rl, self.dt))
 
 
 @lru_cache(maxsize=128)
@@ -82,29 +44,24 @@ def traversal_permutations(H: int, W: int):
     return perms, invs
 
 
-def _tokens(f: FeatureMap) -> Tensor:
-    """(C, H, W) -> row-major token matrix (L, C)."""
-    C = f.channels
-    return f.values.reshape(C, f.height * f.width).transpose(1, 0)
+def cross_scan(tokens: Tensor, H: int, W: int) -> tuple[Tensor, ...]:
+    """Unfold row-major (H*W, C) tokens along the four traversal paths, in
+    ``DIRECTIONS`` order (values copied)."""
+    if H < 1 or W < 1:
+        raise DimensionError(f"grid must contain at least one position, got {H}x{W}")
+    if tokens.ndim != 2 or tokens.shape[0] != H * W:
+        raise DimensionError(
+            f"expected ({H * W}, C) tokens for a {H}x{W} grid, got {tokens.shape}"
+        )
+    perms, invs = traversal_permutations(H, W)
+    return tuple(gather_rows(tokens, perms[k], inverse=invs[k]) for k in DIRECTIONS)
 
 
-def _to_grid(tokens: Tensor, C: int, H: int, W: int) -> FeatureMap:
-    return FeatureMap(tokens.transpose(1, 0).reshape(C, H, W))
-
-
-def cross_scan(f: FeatureMap) -> DirectionalSequences:
-    """Unfold the grid along the four traversal paths (values copied)."""
-    perms, invs = traversal_permutations(f.height, f.width)
-    tok = _tokens(f)
-    seqs = {
-        k: gather_rows(tok, perms[k], inverse=invs[k]) for k in DIRECTIONS
-    }
-    return DirectionalSequences(height=f.height, width=f.width, **seqs)
-
-
-def cross_merge(seqs: DirectionalSequences) -> FeatureMap:
-    """Scatter each sequence back through its inverse traversal and sum."""
-    H, W = seqs.height, seqs.width
+def cross_merge(seqs, H: int, W: int) -> Tensor:
+    """Scatter each (H*W, C) sequence back through its inverse traversal and
+    sum, giving row-major tokens."""
+    if len(seqs) != len(DIRECTIONS):
+        raise DimensionError(f"cross_merge needs {len(DIRECTIONS)} sequences, got {len(seqs)}")
     L = H * W
     perms, invs = traversal_permutations(H, W)
     total = None
@@ -116,8 +73,7 @@ def cross_merge(seqs: DirectionalSequences) -> FeatureMap:
             )
         back = gather_rows(seq, invs[name], inverse=perms[name])
         total = back if total is None else total + back
-    C = total.shape[1]
-    return _to_grid(total, C, H, W)
+    return total
 
 
 class SS2D(Module):
@@ -138,25 +94,23 @@ class SS2D(Module):
         )
         self.skip = param(np.ones(channels))
 
-    def __call__(self, f: FeatureMap) -> FeatureMap:
-        return ss2d_forward(f, self)
+    def __call__(self, tokens: Tensor, H: int, W: int) -> Tensor:
+        return ss2d_forward(tokens, H, W, self)
 
 
-def ss2d_forward(f: FeatureMap, weights: SS2D, mode: str = "auto") -> FeatureMap:
-    """cross-scan -> per-direction selective scan -> cross-merge.
+def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
+    """cross-scan -> per-direction selective scan -> cross-merge, on the
+    row-major (H*W, C) tokens of an H x W grid.
 
     All four directional recurrences run as one (L, 4*C*d) batch of lanes;
     per-channel state transitions are shared across directions while each
     direction's head supplies its own B/C/delta.
     """
-    if f.channels != weights.channels:
-        raise DimensionError(
-            f"feature map has {f.channels} channels, SS2D expects {weights.channels}"
-        )
-    C, H, W = f.channels, f.height, f.width
-    L = H * W
+    seqs = cross_scan(tokens, H, W)
+    L, C = seqs[0].shape
+    if C != weights.channels:
+        raise DimensionError(f"tokens have {C} channels, SS2D expects {weights.channels}")
     d = weights.state_dim
-    seqs = cross_scan(f)
     a_neg = -weights.a_log.exp()  # (C, d), strictly negative
 
     # batch the four directions: (L, 4, C) sequences, (L, 4, d) projections
@@ -171,15 +125,14 @@ def ss2d_forward(f: FeatureMap, weights: SS2D, mode: str = "auto") -> FeatureMap
         axis=1,
     )
 
-    a_bar = (delta_all * a_neg.reshape(1, 1, C, d)).exp()  # (L, 4, C, d)
-    b_scale = (a_bar - 1.0) / a_neg.reshape(1, 1, C, d)
-    u = b_scale * b_all.reshape(L, 4, 1, d) * seq_all.reshape(L, 4, C, 1)
-
+    a_bar, u = selective_zoh(  # (L, 4, C, d)
+        delta_all, a_neg.reshape(1, 1, C, d), b_all.reshape(L, 4, 1, d),
+        seq_all.reshape(L, 4, C, 1),
+    )
     h_all = linear_recurrence(
-        a_bar.reshape(L, 4 * C * d), u.reshape(L, 4 * C * d), mode=mode
+        a_bar.reshape(L, 4 * C * d), u.reshape(L, 4 * C * d), mode="auto"
     ).reshape(L, 4, C, d)
     y_all = (h_all * c_all.reshape(L, 4, 1, d)).sum(axis=3)  # (L, 4, C)
     y_all = y_all + seq_all * weights.skip.reshape(1, 1, C)
 
-    outputs = [y_all[:, r] for r in range(4)]
-    return cross_merge(DirectionalSequences(*outputs, height=H, width=W))
+    return cross_merge([y_all[:, r] for r in range(4)], H, W)

@@ -48,6 +48,7 @@ __all__ = [
     "causal_convolve",
     "lti_kernel",
     "selective_parameterize",
+    "selective_zoh",
     "linear_recurrence",
     "sequential_recurrence_data",
     "parallel_recurrence_data",
@@ -117,7 +118,6 @@ class SelectiveParams:
     delta_t: Tensor
     a_diag: Tensor  # (d,)
     d: float
-    head: "SelectiveHead | None" = None
 
     @property
     def length(self) -> int:
@@ -223,6 +223,18 @@ def discretize_zoh(params: SSMParams, delta: float, b_mode: str = "exact") -> Di
         state_dim=params.state_dim,
         diagonal=params.diagonal,
     )
+
+
+def selective_zoh(delta: Tensor, a: Tensor, b: Tensor, x: Tensor):
+    """Per-step zero-order-hold terms of a selective scan, broadcast over the
+    operands: a_bar = exp(delta*a) and u = (a_bar - 1)/a * b * x.
+
+    This is the exact hold integral with no series guard; selective state
+    matrices are strictly negative by construction, so a == 0 never occurs.
+    """
+    a_bar = (delta * a).exp()
+    u = (a_bar - 1.0) / a * b * x
+    return a_bar, u
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +350,10 @@ def _per_step_terms(ssm: DiscreteSSM | SelectiveParams, x: Tensor):
             raise DimensionError(
                 f"selective parameters cover {ssm.length} steps, input has {L}"
             )
-        d = ssm.state_dim
-        delta = ssm.delta_t.reshape(L, 1)
-        a = ssm.a_diag.reshape(1, d)
-        a_bar = (delta * a).exp()
-        # exact per-step hold integral; a_diag is strictly negative by
-        # construction so the series guard never bites here
-        b_scale = (a_bar - 1.0) / a
-        u = b_scale * ssm.b_t * x.reshape(L, 1)
+        a_bar, u = selective_zoh(
+            ssm.delta_t.reshape(L, 1), ssm.a_diag.reshape(1, ssm.state_dim),
+            ssm.b_t, x.reshape(L, 1),
+        )
         return a_bar, u, ssm.c_t, ssm.d
     if not ssm.diagonal:
         raise ContractError("scans operate on diagonal-mode systems")
@@ -451,4 +459,4 @@ def selective_parameterize(
     b_t = matmul(x, head.w_b)
     c_t = matmul(x, head.w_c)
     delta_t = softplus(matmul(x, head.w_delta) + head.b_delta).reshape(x.shape[0])
-    return SelectiveParams(b_t=b_t, c_t=c_t, delta_t=delta_t, a_diag=_wrap(a_diag), d=float(d), head=head)
+    return SelectiveParams(b_t=b_t, c_t=c_t, delta_t=delta_t, a_diag=_wrap(a_diag), d=float(d))

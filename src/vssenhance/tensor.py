@@ -9,6 +9,7 @@ heavy lifting.  Gradients accumulate into ``.grad`` until explicitly zeroed.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 
@@ -750,11 +751,17 @@ def load_tensor(path) -> Tensor:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ContractError(f"{path}: not a tensor file (bad magic)")
+    if len(blob) < 8:
+        raise ContractError(f"{path}: truncated tensor header")
     (rank,) = struct.unpack_from("<I", blob, 4)
-    dims = struct.unpack_from(f"<{rank}Q", blob, 8)
     offset = 8 + 8 * rank
-    count = int(np.prod(dims)) if rank else 1
+    if len(blob) < offset:
+        raise ContractError(f"{path}: truncated tensor header")
+    dims = struct.unpack_from(f"<{rank}Q", blob, 8)
+    count = math.prod(dims)
+    expected = offset + 8 * count
+    if len(blob) != expected:
+        what = "truncated tensor payload" if len(blob) < expected else "trailing bytes"
+        raise ContractError(f"{path}: {what} ({len(blob)} bytes, shape {dims} needs {expected})")
     payload = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    if payload.size != count:
-        raise ContractError(f"{path}: truncated tensor payload")
     return Tensor(payload.reshape(dims).copy())

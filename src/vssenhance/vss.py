@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import LayerNorm, Linear, Module
-from .ss2d import SS2D, FeatureMap, _to_grid, _tokens
+from .ss2d import SS2D
 from .tensor import DimensionError, Tensor, gelu
 
 
@@ -39,25 +39,26 @@ class VSSBlock(Module):
         self.norm2 = LayerNorm(channels)
         self.ffn = FeedForward(channels, rng, ratio=ffn_ratio)
 
-    def __call__(self, f: FeatureMap) -> FeatureMap:
-        return vss_forward(f, self)
+    def __call__(self, x: Tensor) -> Tensor:
+        return vss_forward(x, self)
 
 
-def vss_forward(h_in: FeatureMap, block: VSSBlock) -> FeatureMap:
-    """Token-space evaluation of the two pre-norm residual branches.
+def vss_forward(h_in: Tensor, block: VSSBlock) -> Tensor:
+    """Token-space evaluation of the two pre-norm residual branches on a
+    (C, H, W) feature grid.
 
-    Layer norm acts over channels at each spatial position (channels-last
-    token layout); the scan branch output goes through the zero-initialized
+    The grid becomes row-major (H*W, C) tokens once on the way in and goes
+    back once on the way out; layer norm acts over channels at each spatial
+    position, and the scan branch output goes through the zero-initialized
     channel projection before the residual add.
     """
-    if h_in.channels != block.channels:
-        raise DimensionError(
-            f"input has {h_in.channels} channels, block expects {block.channels}"
-        )
-    C, H, W = h_in.channels, h_in.height, h_in.width
-    tokens = _tokens(h_in)  # (L, C)
+    if h_in.ndim != 3:
+        raise DimensionError(f"VSS block expects a (C, H, W) grid, got {h_in.shape}")
+    C, H, W = h_in.shape
+    if C != block.channels:
+        raise DimensionError(f"input has {C} channels, block expects {block.channels}")
+    tokens = h_in.reshape(C, H * W).transpose(1, 0)  # (L, C)
 
-    scanned = _tokens(block.ss2d(_to_grid(block.norm1(tokens), C, H, W)))
-    mid = block.scan_project(scanned) + tokens
+    mid = block.scan_project(block.ss2d(block.norm1(tokens), H, W)) + tokens
     out = block.ffn(block.norm2(mid)) + mid
-    return _to_grid(out, C, H, W)
+    return out.transpose(1, 0).reshape(C, H, W)

@@ -32,7 +32,7 @@ from vssenhance.enhance import (
 )
 from vssenhance.imageio import write_image
 from vssenhance.optim import AdamW
-from vssenhance.ss2d import SS2D, FeatureMap, cross_merge, cross_scan, ss2d_forward
+from vssenhance.ss2d import SS2D, cross_merge, cross_scan, ss2d_forward
 from vssenhance.ssm import (
     DiscreteSSM,
     SelectiveHead,
@@ -109,8 +109,9 @@ def test_03_cross_scan_round_trip():
                 grid = np.arange(2 * H * W, dtype=np.float64).reshape(2, H, W)
                 grid += counter
                 counter += 1
-                out = cross_merge(cross_scan(FeatureMap(Tensor(grid))))
-                assert np.array_equal(out.values.data, 4.0 * grid)
+                tokens = Tensor(grid.reshape(2, H * W).T)
+                out = cross_merge(cross_scan(tokens, H, W), H, W)
+                assert np.array_equal(out.data.T.reshape(2, H, W), 4.0 * grid)
 
 
 def test_04_gradient_suite():
@@ -147,7 +148,7 @@ def test_04_gradient_suite():
         dmix = rng.normal(size=(2, 3, 3))
         check_gradients(
             lambda ts: (
-                deformable_conv2d(FeatureMap(ts[0]), ts[1], ts[2]).values * Tensor(dmix)
+                deformable_conv2d(ts[0], ts[1], ts[2]) * Tensor(dmix)
             ).sum(),
             [
                 rng.normal(size=(2, 3, 3)),
@@ -214,7 +215,9 @@ def test_04_gradient_suite():
                 head.w_delta, head.b_delta = next(it), next(it)
             probe.a_log = next(it)
             probe.skip = next(it)
-            return (ss2d_forward(FeatureMap(ts[0]), probe).values * Tensor(ssmix)).sum()
+            tokens = ts[0].reshape(C, H * W).transpose(1, 0)
+            out = ss2d_forward(tokens, H, W, probe).transpose(1, 0).reshape(C, H, W)
+            return (out * Tensor(ssmix)).sum()
 
         check_gradients(ss2d_loss, ss2d_arrays)
 
@@ -238,7 +241,7 @@ def test_04_gradient_suite():
                 for part in path:
                     obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
                 setattr(obj, leaf, t)
-            return (vss_forward(FeatureMap(ts[0]), probe).values * Tensor(vmix)).sum()
+            return (vss_forward(ts[0], probe) * Tensor(vmix)).sum()
 
         check_gradients(vss_loss, vss_arrays)
 
@@ -256,7 +259,7 @@ def test_04_gradient_suite():
         emix = rng.normal(size=(3, 4, 4))
         check_gradients(
             lambda ts: (
-                enhance_forward([FeatureMap(ts[0])], ts[1], net) * Tensor(emix)
+                enhance_forward([ts[0]], ts[1], net) * Tensor(emix)
             ).sum(),
             [rng.normal(size=(2, 4, 4)), rng.uniform(size=(3, 4, 4))],
         )

@@ -14,7 +14,6 @@ from vssenhance.align import (
     resize_bilinear,
 )
 from vssenhance.optim import AdamW
-from vssenhance.ss2d import FeatureMap
 from vssenhance.tensor import DimensionError, Tensor, conv2d
 
 from helpers import check_gradients
@@ -25,8 +24,8 @@ def rng():
     return np.random.default_rng(4242)
 
 
-def fmap(arr) -> FeatureMap:
-    return FeatureMap(Tensor(np.asarray(arr, dtype=np.float64)))
+def fmap(arr) -> Tensor:
+    return Tensor(np.asarray(arr, dtype=np.float64))
 
 
 class TestBilinearSample:
@@ -35,7 +34,7 @@ class TestBilinearSample:
         for y in range(4):
             for x in range(5):
                 v = bilinear_sample(f, float(y), float(x))
-                assert np.array_equal(v.data, f.values.data[:, y, x])
+                assert np.array_equal(v.data, f.data[:, y, x])
 
     def test_midpoint_of_four_values(self):
         f = fmap(np.array([[[0.0, 0.0], [0.0, 4.0]]]))
@@ -100,17 +99,17 @@ class TestDeformableConv:
         w = Tensor(rng.normal(size=(4, 3, 3, 3)))
         offsets = Tensor(np.zeros((18, 6, 7)))
         out = deformable_conv2d(f, offsets, w)
-        ref = conv2d(f.values, w, stride=1, pad=1)
-        assert np.array_equal(out.values.data, ref.data)
+        ref = conv2d(f, w, stride=1, pad=1)
+        assert np.array_equal(out.data, ref.data)
 
     def test_constant_integer_shift(self, rng):
         # offset (0, 1) with a 1x1 identity kernel shifts content left
         f = fmap(rng.normal(size=(2, 3, 4)))
         offsets = Tensor(np.stack([np.zeros((3, 4)), np.ones((3, 4))]))
         w = Tensor(np.eye(2).reshape(2, 2, 1, 1))
-        out = deformable_conv2d(f, offsets, w).values.data
-        expected = np.zeros_like(f.values.data)
-        expected[:, :, :-1] = f.values.data[:, :, 1:]
+        out = deformable_conv2d(f, offsets, w).data
+        expected = np.zeros_like(f.data)
+        expected[:, :, :-1] = f.data[:, :, 1:]
         assert np.allclose(out, expected, atol=1e-14)
 
     def test_half_integer_offsets_match_bilinear_oracle(self, rng):
@@ -119,7 +118,7 @@ class TestDeformableConv:
         off_x = rng.uniform(-0.8, -0.2, size=(5, 5))
         offsets = Tensor(np.stack([off_y, off_x]))
         w = Tensor(np.eye(2).reshape(2, 2, 1, 1))
-        out = deformable_conv2d(f, offsets, w).values.data
+        out = deformable_conv2d(f, offsets, w).data
         for i in range(5):
             for j in range(5):
                 v = bilinear_sample(f, i + off_y[i, j], j + off_x[i, j]).data
@@ -137,7 +136,7 @@ class TestDeformableConv:
         mix = rng.normal(size=(2, 4, 4))
         check_gradients(
             lambda ts: (
-                deformable_conv2d(FeatureMap(ts[0]), ts[1], ts[2]).values * Tensor(mix)
+                deformable_conv2d(ts[0], ts[1], ts[2]) * Tensor(mix)
             ).sum(),
             [f, offsets, w],
             rtol=1e-3,
@@ -148,7 +147,7 @@ class TestPyramid:
     def test_extractor_builds_three_halving_levels(self, rng):
         ex = FeatureExtractor(3, 8, rng)
         pyr = ex(Tensor(rng.normal(size=(3, 16, 16))))
-        assert [f.values.shape for f in pyr.levels] == [
+        assert [f.shape for f in pyr.levels] == [
             (8, 16, 16),
             (8, 8, 8),
             (8, 4, 4),
@@ -157,7 +156,7 @@ class TestPyramid:
     def test_odd_sizes_use_ceil(self, rng):
         ex = FeatureExtractor(3, 4, rng)
         pyr = ex(Tensor(rng.normal(size=(3, 13, 9))))
-        assert [f.values.shape for f in pyr.levels] == [
+        assert [f.shape for f in pyr.levels] == [
             (4, 13, 9),
             (4, 7, 5),
             (4, 4, 3),
@@ -188,7 +187,7 @@ class TestPCDAlign:
         pcd = PCDAlign(C, rng)
         nbr = self.make_pyramid(rng.normal(size=(C, 8, 8)))
         ref = self.make_pyramid(rng.normal(size=(C, 8, 8)))
-        out = pcd_align(nbr, ref, pcd).values.data
+        out = pcd_align(nbr, ref, pcd).data
 
         # independent reduction: replace every deformable step with conv2d
         def plain_conv(conv, x):
@@ -196,7 +195,7 @@ class TestPCDAlign:
 
         aligned_up = None
         for lvl in (2, 1, 0):
-            n, r = nbr.levels[lvl].values, ref.levels[lvl].values
+            n, r = nbr.levels[lvl], ref.levels[lvl]
             moved = plain_conv(pcd.dcn[lvl], n)
             if lvl == 2:
                 aligned = gelu(moved)
@@ -212,15 +211,15 @@ class TestPCDAlign:
         C = 3
         pcd = PCDAlign(C, rng)
         ref = self.make_pyramid(rng.normal(size=(C, 8, 8)))
-        out1 = pcd_align(ref, ref, pcd).values.data
-        out2 = pcd_align(ref, ref, pcd).values.data
+        out1 = pcd_align(ref, ref, pcd).data
+        out2 = pcd_align(ref, ref, pcd).data
         assert np.array_equal(out1, out2)
 
     def test_output_resolution_is_level_one(self, rng):
         pcd = PCDAlign(2, rng)
         nbr = self.make_pyramid(rng.normal(size=(2, 11, 7)))
         ref = self.make_pyramid(rng.normal(size=(2, 11, 7)))
-        assert pcd_align(nbr, ref, pcd).values.shape == (2, 11, 7)
+        assert pcd_align(nbr, ref, pcd).shape == (2, 11, 7)
 
     def test_shape_mismatch_rejected(self, rng):
         pcd = PCDAlign(2, rng)
@@ -250,7 +249,7 @@ class TestPCDAlign:
         for step in range(200):
             opt.zero_grad()
             out = pcd_align(nbr_pyr, ref_pyr, pcd)
-            err = out.values - target
+            err = out - target
             loss = (err * err + 1e-8).sqrt().mean()
             if first_loss is None:
                 first_loss = loss.item()
@@ -267,6 +266,6 @@ class TestPCDAlign:
         nbr = self.make_pyramid(rng.normal(size=(C, 8, 8)))
         ref = self.make_pyramid(rng.normal(size=(C, 8, 8)))
         out = pcd_align(nbr, ref, pcd)
-        (out.values * out.values).sum().backward()
+        (out * out).sum().backward()
         for name, p in pcd.named_parameters():
             assert p.grad is not None, name

@@ -15,7 +15,6 @@ from vssenhance.enhance import (
 )
 from vssenhance.layers import load_checkpoint, save_checkpoint
 from vssenhance.optim import AdamW
-from vssenhance.ss2d import FeatureMap
 from vssenhance.tensor import ConfigurationError, DimensionError, Tensor
 
 from helpers import check_gradients
@@ -40,7 +39,7 @@ def rng():
 
 def make_aligned(cfg, H, W, rng):
     return [
-        FeatureMap(Tensor(rng.normal(size=(cfg.feature_channels, H, W))))
+        Tensor(rng.normal(size=(cfg.feature_channels, H, W)))
         for _ in range(cfg.input_frames)
     ]
 
@@ -117,7 +116,7 @@ class TestEnhanceForward:
         mix = rng.normal(size=(3, 4, 4))
         check_gradients(
             lambda ts: (
-                enhance_forward([FeatureMap(ts[0])], ts[1], net) * Tensor(mix)
+                enhance_forward([ts[0]], ts[1], net) * Tensor(mix)
             ).sum(),
             [aligned, center],
             rtol=1e-4,

@@ -269,6 +269,29 @@ class TestCLI:
             "--input", str(low_dir), "--output", str(tmp_path / "o"),
         ]) == 1
 
+    def test_enhance_missing_config_fails(self, tmp_path, rng, capsys):
+        _, low_dir, _, _ = self._setup_run(tmp_path, rng)
+        assert main([
+            "enhance", "--config", str(tmp_path / "absent.cfg"),
+            "--input", str(low_dir), "--output", str(tmp_path / "o"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.cfg" in err
+
+    def test_enhance_mismatched_checkpoint_fails(self, tmp_path, rng, capsys):
+        config, low_dir, _, _ = self._setup_run(tmp_path, rng)
+        config.write_text(config.read_text().replace("steps = 2", "steps = 0"))
+        assert main(["train", "--config", str(config)]) == 0
+        config.write_text(
+            config.read_text().replace("bottleneck_depth = 1", "bottleneck_depth = 2")
+        )
+        assert main([
+            "enhance", "--config", str(config),
+            "--input", str(low_dir), "--output", str(tmp_path / "o"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint does not match the model")
+
     def test_train_unpaired_frames_fail_listing_orphans(self, tmp_path, rng, capsys):
         config, low_dir, gt_dir, _ = self._setup_run(tmp_path, rng)
         (gt_dir / "0003.png").rename(gt_dir / "0009.png")

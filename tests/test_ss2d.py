@@ -5,8 +5,6 @@ import pytest
 
 from vssenhance.ss2d import (
     DIRECTIONS,
-    DirectionalSequences,
-    FeatureMap,
     SS2D,
     cross_merge,
     cross_scan,
@@ -24,46 +22,53 @@ def rng():
     return np.random.default_rng(31337)
 
 
-def grid(values) -> FeatureMap:
-    arr = np.asarray(values, dtype=np.float64)
+def tokens(grid) -> tuple[Tensor, int, int]:
+    """(C, H, W) or (H, W) values -> row-major (H*W, C) tokens plus H, W."""
+    arr = np.asarray(grid, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[None]
-    return FeatureMap(Tensor(arr))
+    C, H, W = arr.shape
+    return Tensor(arr.reshape(C, H * W).T), H, W
 
 
 class TestCrossScan:
     def test_two_by_two(self):
-        f = grid([[1.0, 2.0], [3.0, 4.0]])  # p00..p11 = 1..4
-        seqs = cross_scan(f)
-        assert seqs.lr.data[:, 0].tolist() == [1, 2, 3, 4]
-        assert seqs.td.data[:, 0].tolist() == [1, 3, 2, 4]
-        assert seqs.rl.data[:, 0].tolist() == [4, 3, 2, 1]
-        assert seqs.dt.data[:, 0].tolist() == [4, 2, 3, 1]
+        lr, td, rl, dt = cross_scan(*tokens([[1.0, 2.0], [3.0, 4.0]]))  # p00..p11 = 1..4
+        assert lr.data[:, 0].tolist() == [1, 2, 3, 4]
+        assert td.data[:, 0].tolist() == [1, 3, 2, 4]
+        assert rl.data[:, 0].tolist() == [4, 3, 2, 1]
+        assert dt.data[:, 0].tolist() == [4, 2, 3, 1]
 
     def test_single_cell(self):
-        seqs = cross_scan(grid([[7.0]]))
+        seqs = cross_scan(*tokens([[7.0]]))
         for seq in seqs:
             assert seq.data.tolist() == [[7.0]]
 
     def test_single_row(self, rng):
         row = rng.normal(size=(1, 1, 5))
-        seqs = cross_scan(FeatureMap(Tensor(row)))
-        assert np.array_equal(seqs.lr.data[:, 0], row[0, 0])
-        assert np.array_equal(seqs.td.data, seqs.lr.data)
-        assert np.array_equal(seqs.rl.data[:, 0], row[0, 0][::-1])
-        assert np.array_equal(seqs.dt.data, seqs.rl.data)
+        lr, td, rl, dt = cross_scan(*tokens(row))
+        assert np.array_equal(lr.data[:, 0], row[0, 0])
+        assert np.array_equal(td.data, lr.data)
+        assert np.array_equal(rl.data[:, 0], row[0, 0][::-1])
+        assert np.array_equal(dt.data, rl.data)
 
     def test_reversal_structure(self, rng):
-        f = FeatureMap(Tensor(rng.normal(size=(3, 4, 6))))
-        seqs = cross_scan(f)
-        assert np.array_equal(seqs.rl.data, seqs.lr.data[::-1])
-        assert np.array_equal(seqs.dt.data, seqs.td.data[::-1])
+        lr, td, rl, dt = cross_scan(*tokens(rng.normal(size=(3, 4, 6))))
+        assert np.array_equal(rl.data, lr.data[::-1])
+        assert np.array_equal(dt.data, td.data[::-1])
 
     def test_sequences_are_copies(self, rng):
-        f = FeatureMap(Tensor(rng.normal(size=(2, 3, 3))))
-        seqs = cross_scan(f)
-        seqs.lr.data[0, 0] = 1e9
-        assert f.values.data[0, 0, 0] != 1e9
+        tok, H, W = tokens(rng.normal(size=(2, 3, 3)))
+        lr = cross_scan(tok, H, W)[0]
+        lr.data[0, 0] = 1e9
+        assert tok.data[0, 0] != 1e9
+
+    def test_token_count_must_match_grid(self, rng):
+        tok = Tensor(rng.normal(size=(6, 2)))
+        with pytest.raises(DimensionError):
+            cross_scan(tok, 2, 2)
+        with pytest.raises(DimensionError):
+            cross_scan(Tensor(rng.normal(size=(2, 2, 3))), 2, 3)  # a grid, not tokens
 
     def test_permutations_are_bijections(self):
         for H in range(1, 17):
@@ -84,24 +89,22 @@ class TestCrossScan:
 
 class TestCrossMerge:
     def test_identity_processing_is_four_times_input(self, rng):
-        f = FeatureMap(Tensor(rng.normal(size=(3, 3, 3))))
-        out = cross_merge(cross_scan(f))
-        assert np.array_equal(out.values.data, 4.0 * f.values.data)
+        tok, H, W = tokens(rng.normal(size=(3, 3, 3)))
+        out = cross_merge(cross_scan(tok, H, W), H, W)
+        assert np.array_equal(out.data, 4.0 * tok.data)
 
     def test_single_branch_passthrough(self, rng):
-        f = FeatureMap(Tensor(rng.normal(size=(2, 2, 3))))
-        seqs = cross_scan(f)
-        zero = Tensor(np.zeros_like(seqs.lr.data))
-        out = cross_merge(
-            DirectionalSequences(seqs.lr, zero, zero, zero, height=2, width=3)
-        )
-        assert np.allclose(out.values.data, f.values.data)
+        tok, H, W = tokens(rng.normal(size=(2, 2, 3)))
+        lr = cross_scan(tok, H, W)[0]
+        zero = Tensor(np.zeros_like(lr.data))
+        out = cross_merge([lr, zero, zero, zero], H, W)
+        assert np.allclose(out.data, tok.data)
 
     def test_roundtrip_by_brute_force_enumeration(self, rng):
         # independently scatter each traversal with explicit python loops
         H, W, C = 3, 3, 2
         f = rng.normal(size=(C, H, W))
-        out = cross_merge(cross_scan(FeatureMap(Tensor(f)))).values.data
+        out = cross_merge(cross_scan(*tokens(f)), H, W).data.T.reshape(C, H, W)
         expected = np.zeros_like(f)
         orders = {
             "lr": [(r, c) for r in range(H) for c in range(W)],
@@ -116,24 +119,38 @@ class TestCrossMerge:
         assert np.array_equal(out, expected)
 
     def test_length_mismatch_rejected(self, rng):
-        f = FeatureMap(Tensor(rng.normal(size=(1, 2, 2))))
-        seqs = cross_scan(f)
+        seqs = cross_scan(*tokens(rng.normal(size=(1, 2, 2))))
         bad = Tensor(np.zeros((3, 1)))
         with pytest.raises(DimensionError):
-            cross_merge(DirectionalSequences(bad, seqs.td, seqs.rl, seqs.dt, 2, 2))
+            cross_merge([bad, *seqs[1:]], 2, 2)
+        with pytest.raises(DimensionError):
+            cross_merge(seqs[:3], 2, 2)
 
 
 class TestSS2DForward:
     def test_zero_input_gives_zero_output(self, rng):
         ss2d = SS2D(channels=3, state_dim=4, rng=rng)
-        out = ss2d(FeatureMap(Tensor(np.zeros((3, 4, 5)))))
-        assert np.array_equal(out.values.data, np.zeros((3, 4, 5)))
+        out = ss2d(*tokens(np.zeros((3, 4, 5))))
+        assert np.array_equal(out.data, np.zeros((20, 3)))
+
+    def test_token_count_mismatch_rejected(self, rng):
+        ss2d = SS2D(channels=3, state_dim=2, rng=rng)
+        with pytest.raises(DimensionError):
+            ss2d(Tensor(rng.normal(size=(11, 3))), 3, 4)
+        with pytest.raises(DimensionError):
+            ss2d_forward(Tensor(rng.normal(size=(0, 3))), 0, 4, ss2d)
+
+    def test_channel_mismatch_rejected(self, rng):
+        ss2d = SS2D(channels=3, state_dim=2, rng=rng)
+        with pytest.raises(DimensionError):
+            ss2d(Tensor(rng.normal(size=(12, 4))), 3, 4)
 
     def test_shape_preserved(self, rng):
         for shape in [(1, 1, 1), (2, 3, 5), (4, 7, 2)]:
             ss2d = SS2D(channels=shape[0], state_dim=3, rng=rng)
-            out = ss2d(FeatureMap(Tensor(rng.normal(size=shape))))
-            assert out.values.shape == shape
+            C, H, W = shape
+            out = ss2d(*tokens(rng.normal(size=shape)))
+            assert out.shape == (H * W, C)
 
     def test_single_cell_closed_form(self, rng):
         # 1x1 grid, one channel: every branch sees the same single-step scan
@@ -144,7 +161,7 @@ class TestSS2DForward:
             head.w_delta.data = ss2d.heads[0].w_delta.data.copy()
             head.b_delta.data = ss2d.heads[0].b_delta.data.copy()
         x = float(rng.normal())
-        out = ss2d(FeatureMap(Tensor([[[x]]]))).values.data[0, 0, 0]
+        out = ss2d(*tokens([[[x]]])).data[0, 0]
 
         head = ss2d.heads[0]
         a = -np.exp(ss2d.a_log.data[0])
@@ -161,10 +178,10 @@ class TestSS2DForward:
         # oracle: cross_scan -> per-channel SISO sequential selective scan -> cross_merge
         C, H, W, d = 2, 2, 3, 3
         ss2d = SS2D(channels=C, state_dim=d, rng=rng)
-        f = FeatureMap(Tensor(rng.normal(size=(C, H, W))))
-        fused = ss2d(f).values.data
+        tok = tokens(rng.normal(size=(C, H, W)))[0]
+        fused = ss2d(tok, H, W).data
 
-        seqs = cross_scan(f)
+        seqs = cross_scan(tok, H, W)
         processed = []
         for head, seq in zip(ss2d.heads, seqs):
             cols = []
@@ -174,9 +191,7 @@ class TestSS2DForward:
                 )
                 cols.append(scan_sequential(params, seq[:, c]).data)
             processed.append(Tensor(np.stack(cols, axis=1)))
-        expected = cross_merge(
-            DirectionalSequences(*processed, height=H, width=W)
-        ).values.data
+        expected = cross_merge(processed, H, W).data
         assert np.abs(fused - expected).max() < 1e-10
 
     def test_gradients(self, rng):
@@ -194,15 +209,17 @@ class TestSS2DForward:
                 head.w_delta, head.b_delta = next(it), next(it)
             probe.a_log = next(it)
             probe.skip = next(it)
-            return (ss2d_forward(FeatureMap(ts[0]), probe).values * Tensor(mix)).sum()
+            tok = ts[0].reshape(C, H * W).transpose(1, 0)
+            out = ss2d_forward(tok, H, W, probe).transpose(1, 0).reshape(C, H, W)
+            return (out * Tensor(mix)).sum()
 
         check_gradients(loss, arrays, rtol=1e-4)
 
     def test_gradient_reaches_every_head(self, rng):
         ss2d = SS2D(channels=2, state_dim=2, rng=rng)
-        f = FeatureMap(Tensor(rng.normal(size=(2, 2, 2)), requires_grad=True))
-        out = ss2d(f)
-        (out.values * out.values).sum().backward()
+        f = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        out = ss2d(f, 2, 2)
+        (out * out).sum().backward()
         for name, p in ss2d.named_parameters():
             assert p.grad is not None, name
             assert np.abs(p.grad).max() > 0, name

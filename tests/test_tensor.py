@@ -358,6 +358,23 @@ class TestPersistence:
         with pytest.raises(ContractError):
             T.load_tensor(path)
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda b: b[:6],  # header cut inside the rank
+            lambda b: b[:16],  # header cut inside the dims
+            lambda b: b[:-8],  # payload one element short
+            lambda b: b + b"\x00",  # trailing byte
+        ],
+        ids=["truncated-rank", "truncated-dims", "truncated-payload", "trailing-bytes"],
+    )
+    def test_wrong_file_size_rejected(self, tmp_path, damage):
+        path = tmp_path / "t.vsst"
+        T.save_tensor(Tensor(np.arange(6.0).reshape(2, 3)), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ContractError, match="t.vsst"):
+            T.load_tensor(path)
+
 
 class TestNoGrad:
     def test_no_graph_is_built(self):

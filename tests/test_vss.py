@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vssenhance.ss2d import FeatureMap, _to_grid, _tokens
+import vssenhance.tensor as T
 from vssenhance.tensor import DimensionError, Tensor, gelu, matmul
 from vssenhance.vss import VSSBlock, vss_forward
 
@@ -27,8 +27,8 @@ class TestVSSForward:
     def test_identity_at_init_bitwise(self, rng):
         block = VSSBlock(channels=4, state_dim=3, rng=rng)
         x = rng.normal(size=(4, 3, 5))
-        out = vss_forward(FeatureMap(Tensor(x)), block)
-        assert np.array_equal(out.values.data, x)
+        out = vss_forward(Tensor(x), block)
+        assert np.array_equal(out.data, x)
 
     def test_zero_input_zero_output(self, rng):
         block = VSSBlock(channels=3, state_dim=2, rng=rng)
@@ -39,20 +39,36 @@ class TestVSSForward:
         block.ffn.expand.bias.data[:] = 0.0
         block.ffn.project.bias.data[:] = 0.0
         block.scan_project.bias.data[:] = 0.0
-        out = vss_forward(FeatureMap(Tensor(np.zeros((3, 4, 4)))), block)
-        assert np.array_equal(out.values.data, np.zeros((3, 4, 4)))
+        out = vss_forward(Tensor(np.zeros((3, 4, 4))), block)
+        assert np.array_equal(out.data, np.zeros((3, 4, 4)))
 
     def test_shape_preserved(self, rng):
         block = VSSBlock(channels=2, state_dim=2, rng=rng)
         randomize_projections(block, rng)
         for shape in [(2, 1, 1), (2, 5, 3), (2, 2, 7)]:
-            out = vss_forward(FeatureMap(Tensor(rng.normal(size=shape))), block)
-            assert out.values.shape == shape
+            out = vss_forward(Tensor(rng.normal(size=shape)), block)
+            assert out.shape == shape
 
     def test_channel_mismatch_rejected(self, rng):
         block = VSSBlock(channels=4, state_dim=2, rng=rng)
         with pytest.raises(DimensionError):
-            vss_forward(FeatureMap(Tensor(np.zeros((3, 2, 2)))), block)
+            vss_forward(Tensor(np.zeros((3, 2, 2))), block)
+
+    def test_non_grid_input_rejected(self, rng):
+        block = VSSBlock(channels=4, state_dim=2, rng=rng)
+        with pytest.raises(DimensionError):
+            vss_forward(Tensor(np.zeros((4, 4))), block)  # tokens, not a grid
+
+    def test_one_layout_change_each_way(self, rng, monkeypatch):
+        # grid -> tokens on entry, tokens -> grid on exit, nothing in between
+        block = VSSBlock(channels=3, state_dim=2, rng=rng)
+        calls = []
+        transpose = T.transpose
+        monkeypatch.setattr(
+            T, "transpose", lambda a, *axes: calls.append(axes) or transpose(a, *axes)
+        )
+        vss_forward(Tensor(rng.normal(size=(3, 4, 5))), block)
+        assert len(calls) == 2
 
     def test_matches_manual_composition(self, rng):
         # the four sub-operations applied one by one, sharing the block weights
@@ -60,16 +76,16 @@ class TestVSSForward:
         block = VSSBlock(channels=C, state_dim=2, rng=rng)
         randomize_projections(block, rng)
         x = rng.normal(size=(C, H, W))
-        out = vss_forward(FeatureMap(Tensor(x)), block).values.data
+        out = vss_forward(Tensor(x), block).data
 
-        tokens = _tokens(FeatureMap(Tensor(x)))
+        tokens = Tensor(x.reshape(C, H * W).T)
         normed = block.norm1(tokens)
-        scanned = _tokens(block.ss2d(_to_grid(normed, C, H, W)))
+        scanned = block.ss2d(normed, H, W)
         mid = matmul(scanned, block.scan_project.weight) + block.scan_project.bias + tokens
         normed2 = block.norm2(mid)
         hidden = gelu(matmul(normed2, block.ffn.expand.weight) + block.ffn.expand.bias)
         final = matmul(hidden, block.ffn.project.weight) + block.ffn.project.bias + mid
-        expected = _to_grid(final, C, H, W).values.data
+        expected = final.data.T.reshape(C, H, W)
         assert np.abs(out - expected).max() < 1e-12
 
     def test_gradients(self, rng):
@@ -88,15 +104,15 @@ class TestVSSForward:
                 for part in path:
                     obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
                 setattr(obj, leafname, t)
-            return (vss_forward(FeatureMap(ts[0]), probe).values * Tensor(mix)).sum()
+            return (vss_forward(ts[0], probe) * Tensor(mix)).sum()
 
         check_gradients(loss, arrays, rtol=1e-4)
 
     def test_gradient_reaches_all_parameters(self, rng):
         block = VSSBlock(channels=3, state_dim=2, rng=rng)
         randomize_projections(block, rng)
-        f = FeatureMap(Tensor(rng.normal(size=(3, 3, 3)), requires_grad=True))
+        f = Tensor(rng.normal(size=(3, 3, 3)), requires_grad=True)
         out = vss_forward(f, block)
-        (out.values * out.values).sum().backward()
+        (out * out).sum().backward()
         for name, p in block.named_parameters():
             assert p.grad is not None, name
