@@ -52,6 +52,7 @@ from .ssm import (
     scan_parallel,
     scan_sequential,
     selective_parameterize,
+    selective_readout,
     selective_zoh,
 )
 from .tensor import (

@@ -88,8 +88,13 @@ def _corner_pieces(H: int, W: int, ys: np.ndarray, xs: np.ndarray):
     return corners, wy, wx
 
 
-def _gather_data(fdata: np.ndarray, ys: np.ndarray, xs: np.ndarray):
-    """Zero-outside bilinear reads of (C, H, W) data at flat coordinate arrays."""
+def _gather_data(fdata: np.ndarray, ys: np.ndarray, xs: np.ndarray, coord_coeffs: bool):
+    """Zero-outside bilinear reads of (C, H, W) data at flat coordinate arrays.
+
+    Returns the (C, M) samples, the four corners' (flat index, masked weight,
+    in-bounds mask) and, when ``coord_coeffs``, the (C, M) derivatives of the
+    samples along y and x (else None).
+    """
     C, H, W = fdata.shape
     M = ys.size
     flat = fdata.reshape(C, H * W)
@@ -103,7 +108,12 @@ def _gather_data(fdata: np.ndarray, ys: np.ndarray, xs: np.ndarray):
     out = np.zeros((C, M))
     for (idx, w, valid), cv in zip(corners, corner_vals):
         out += w * cv
-    return out, corners, corner_vals, wy, wx
+    dy = dx = None
+    if coord_coeffs:
+        v00, v01, v10, v11 = corner_vals
+        dy = (1 - wx) * (v10 - v00) + wx * (v11 - v01)
+        dx = (1 - wy) * (v01 - v00) + wy * (v11 - v10)
+    return out, corners, dy, dx
 
 
 def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
@@ -112,6 +122,10 @@ def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
     Positions outside [0, H-1] x [0, W-1] contribute zeros corner-by-corner.
     Differentiable in the values and, when ``ys``/``xs`` are tensors, in the
     coordinates (piecewise, with kinks at integer coordinates).
+
+    Backward keeps the corner indices, weights and masks, plus the two (C, M)
+    coordinate derivatives when the coordinates need a gradient; the (C, 4M)
+    corner reads themselves are not retained.
     """
     f = _wrap(f)
     if f.data.ndim != 3:
@@ -119,7 +133,8 @@ def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
     ys_t, xs_t = _wrap(ys), _wrap(xs)
     ya, xa = ys_t.data.reshape(-1), xs_t.data.reshape(-1)
     C, H, W = f.data.shape
-    out, corners, corner_vals, wy, wx = _gather_data(f.data, ya, xa)
+    coord_grad = T.grad_enabled() and (ys_t.requires_grad or xs_t.requires_grad)
+    out, corners, dy, dx = _gather_data(f.data, ya, xa, coord_grad)
     M = ya.size
 
     def grad_fn(g):
@@ -131,11 +146,10 @@ def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
             (w4, idx4, np.arange(4 * M + 1)), shape=(4 * M, H * W)
         )
         gf = (np.tile(g, (1, 4)) @ scatter).reshape(C, H, W)
-
-        v00, v01, v10, v11 = corner_vals
-        gsum = lambda arr: (g * arr).sum(axis=0)  # noqa: E731
-        gy = gsum((1 - wx) * (v10 - v00) + wx * (v11 - v01))
-        gx = gsum((1 - wy) * (v01 - v00) + wy * (v11 - v10))
+        if not coord_grad:
+            return gf, None, None
+        gy = (g * dy).sum(axis=0)
+        gx = (g * dx).sum(axis=0)
         return gf, gy.reshape(ys_t.data.shape), gx.reshape(xs_t.data.shape)
 
     return _node(out, (f, ys_t, xs_t), grad_fn)

@@ -136,7 +136,11 @@ def save_checkpoint(module: Module, directory) -> None:
 
 
 def load_checkpoint(module: Module, directory) -> None:
-    """Load parameters saved by :func:`save_checkpoint` into ``module`` in place."""
+    """Load parameters saved by :func:`save_checkpoint` into ``module`` in place.
+
+    Every tensor is read and shape-checked before any parameter is assigned,
+    so a checkpoint that fails to load leaves ``module`` unchanged.
+    """
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
@@ -155,11 +159,14 @@ def load_checkpoint(module: Module, directory) -> None:
             f"checkpoint does not match the model (missing {missing[:4]}, "
             f"unexpected {extra[:4]})"
         )
+    loaded = {}
     for name, (fname, shape) in entries.items():
-        loaded = T.load_tensor(directory / fname)
+        tensor = T.load_tensor(directory / fname)
         expect = params[name].shape
-        if loaded.shape != expect:
+        if tensor.shape != expect:
             raise ContractError(
-                f"parameter {name}: checkpoint shape {loaded.shape}, model {expect}"
+                f"parameter {name}: checkpoint shape {tensor.shape}, model {expect}"
             )
-        params[name].data = loaded.data
+        loaded[name] = tensor.data
+    for name, data in loaded.items():
+        params[name].data = data

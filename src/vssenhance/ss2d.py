@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .layers import Module, param
-from .ssm import SelectiveHead, linear_recurrence, selective_zoh
+from .ssm import SelectiveHead, linear_recurrence, selective_readout, selective_zoh
 from .tensor import DimensionError, Tensor, _wrap, concat, gather_rows, matmul, softplus
 
 DIRECTIONS = ("lr", "td", "rl", "dt")
@@ -132,7 +132,7 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
     h_all = linear_recurrence(
         a_bar.reshape(L, 4 * C * d), u.reshape(L, 4 * C * d), mode="auto"
     ).reshape(L, 4, C, d)
-    y_all = (h_all * c_all.reshape(L, 4, 1, d)).sum(axis=3)  # (L, 4, C)
+    y_all = selective_readout(h_all, c_all.reshape(L, 4, 1, d), axis=3)  # (L, 4, C)
     y_all = y_all + seq_all * weights.skip.reshape(1, 1, C)
 
     return cross_merge([y_all[:, r] for r in range(4)], H, W)

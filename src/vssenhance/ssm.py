@@ -28,6 +28,7 @@ from .tensor import (
     DimensionError,
     Tensor,
     _node,
+    _unbroadcast,
     _wrap,
     matmul,
     softplus,
@@ -49,6 +50,7 @@ __all__ = [
     "lti_kernel",
     "selective_parameterize",
     "selective_zoh",
+    "selective_readout",
     "linear_recurrence",
     "sequential_recurrence_data",
     "parallel_recurrence_data",
@@ -231,10 +233,50 @@ def selective_zoh(delta: Tensor, a: Tensor, b: Tensor, x: Tensor):
 
     This is the exact hold integral with no series guard; selective state
     matrices are strictly negative by construction, so a == 0 never occurs.
+
+    Each output is one graph node whose backward keeps only its operands:
+    the full-size intermediates of u are recomputed there, in the forward's
+    op order, so neither outputs nor gradients differ from the generic-op
+    chain they replace.
     """
-    a_bar = (delta * a).exp()
-    u = (a_bar - 1.0) / a * b * x
-    return a_bar, u
+    delta, a, b, x = _wrap(delta), _wrap(a), _wrap(b), _wrap(x)
+    a_bar_data = np.exp(delta.data * a.data)
+
+    def a_bar_grad(g):
+        gz = g * a_bar_data
+        return _unbroadcast(gz * a.data, delta.shape), _unbroadcast(gz * delta.data, a.shape)
+
+    a_bar = _node(a_bar_data, (delta, a), a_bar_grad)
+    u_data = (a_bar_data - 1.0) / a.data * b.data * x.data
+
+    def u_grad(g):
+        ab, av, bv, xv = a_bar.data, a.data, b.data, x.data
+        p = ab - 1.0
+        q = p / av
+        gx = _unbroadcast(g * (q * bv), xv.shape)
+        g = g * xv
+        gb = _unbroadcast(g * q, bv.shape)
+        g = g * bv
+        ga = _unbroadcast(-g * p / (av * av), av.shape)
+        return _unbroadcast(g / av, ab.shape), ga, gb, gx
+
+    return a_bar, _node(u_data, (a_bar, a, b, x), u_grad)
+
+
+def selective_readout(h: Tensor, c: Tensor, axis: int) -> Tensor:
+    """Scan output contraction (h * c).sum(axis) as one graph node.
+
+    Backward reads ``h`` and ``c`` only; ``h`` is the recurrence's own
+    output, so the node keeps no array of its own beyond the result.
+    """
+    h, c = _wrap(h), _wrap(c)
+    data = (h.data * c.data).sum(axis=axis)
+
+    def grad_fn(g):
+        g = np.expand_dims(g, axis)
+        return _unbroadcast(g * c.data, h.shape), _unbroadcast(g * h.data, c.shape)
+
+    return _node(data, (h, c), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +413,7 @@ def _scan(ssm, x, mode: str) -> Tensor:
         return Tensor(np.empty(0))
     a_bar, u, c_t, skip = _per_step_terms(ssm, x)
     h = linear_recurrence(a_bar, u, mode=mode)
-    return (c_t * h).sum(axis=1) + x * float(skip)
+    return selective_readout(h, c_t, axis=1) + x * float(skip)
 
 
 def scan_sequential(ssm: DiscreteSSM | SelectiveParams, x: Tensor) -> Tensor:

@@ -50,3 +50,49 @@ def check_gradients(build_loss, arrays, rtol=1e-4, step=1e-6, atol=1e-7):
             f"exceeds {rtol:.1e}"
         )
     return worst
+
+
+def retained_arrays(root: Tensor) -> list:
+    """Arrays the autograd graph under ``root`` keeps alive for backward.
+
+    Walks the interior nodes and collects their outputs plus the arrays their
+    backward closures capture (directly, or inside lists/tuples/closures),
+    each memory buffer once; leaf storage (parameters, inputs) is excluded.
+    """
+    seen, stack, interior, leaves = set(), [root], [], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._grad_fn is None:
+            leaves.add(id(_owner(node.data)))
+            continue
+        interior.append(node)
+        stack.extend(node._parents)
+
+    buffers = {}
+
+    def collect(obj, depth):
+        if isinstance(obj, np.ndarray):
+            owner = _owner(obj)
+            buffers[id(owner)] = owner
+        elif depth < 4 and isinstance(obj, (list, tuple)):
+            for item in obj:
+                collect(item, depth + 1)
+        elif depth < 4 and getattr(obj, "__closure__", None):
+            for cell in obj.__closure__:
+                try:
+                    contents = cell.cell_contents
+                except ValueError:  # empty cell
+                    continue
+                collect(contents, depth + 1)
+
+    for node in interior:
+        collect(node.data, 0)
+        collect(node._grad_fn, 0)
+    return [b for k, b in buffers.items() if k not in leaves]
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    return arr.base if isinstance(arr.base, np.ndarray) else arr

@@ -14,9 +14,9 @@ from vssenhance.align import (
     resize_bilinear,
 )
 from vssenhance.optim import AdamW
-from vssenhance.tensor import DimensionError, Tensor, conv2d
+from vssenhance.tensor import DimensionError, Tensor, conv2d, no_grad
 
-from helpers import check_gradients
+from helpers import check_gradients, retained_arrays
 
 
 @pytest.fixture
@@ -71,6 +71,31 @@ class TestBilinearSample:
             [f, ys, xs],
             rtol=1e-3,
         )
+
+    def test_no_grad_output_is_bitwise_equal(self, rng):
+        f = rng.normal(size=(3, 5, 6))
+        ys, xs = rng.uniform(-1.5, 5.5, size=40), rng.uniform(-1.5, 6.5, size=40)
+        with_grad = bilinear_gather(
+            Tensor(f, requires_grad=True), Tensor(ys, requires_grad=True),
+            Tensor(xs, requires_grad=True),
+        )
+        with no_grad():
+            without = bilinear_gather(Tensor(f), Tensor(ys), Tensor(xs))
+        assert with_grad.requires_grad and not without.requires_grad
+        assert np.array_equal(with_grad.data, without.data)
+
+    def test_backward_keeps_no_corner_reads(self, rng):
+        C, M = 3, 10
+        f = Tensor(rng.normal(size=(C, 4, 5)), requires_grad=True)
+        ys = Tensor(rng.uniform(0, 3, size=M), requires_grad=True)
+        xs = Tensor(rng.uniform(0, 4, size=M), requires_grad=True)
+        kept = retained_arrays(bilinear_gather(f, ys, xs))
+        assert not [arr for arr in kept if arr.size == C * 4 * M]
+        # the output plus the y and x derivatives
+        assert sum(arr.shape == (C, M) for arr in kept) == 3
+        # constant coordinates need no derivatives: only the output remains
+        kept = retained_arrays(bilinear_gather(f, ys.data, xs.data))
+        assert sum(arr.shape == (C, M) for arr in kept) == 1
 
 
 class TestResize:

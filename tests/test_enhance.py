@@ -15,7 +15,7 @@ from vssenhance.enhance import (
 )
 from vssenhance.layers import load_checkpoint, save_checkpoint
 from vssenhance.optim import AdamW
-from vssenhance.tensor import ConfigurationError, DimensionError, Tensor
+from vssenhance.tensor import ConfigurationError, ContractError, DimensionError, Tensor
 
 from helpers import check_gradients
 
@@ -140,6 +140,17 @@ class TestVideoEnhancer:
         for (n1, p1), (n2, p2) in zip(model.named_parameters(), model2.named_parameters()):
             assert n1 == n2
             assert np.array_equal(p1.data, p2.data)
+
+    def test_failed_checkpoint_load_leaves_model_unchanged(self, rng, tmp_path):
+        # same parameter names, but the U-Net widths differ: the extractor and
+        # PCD tensors fit and come first, the net's embedding does not
+        save_checkpoint(VideoEnhancer(EnhanceNetConfig(**TINY), rng), tmp_path / "ck")
+        model = VideoEnhancer(EnhanceNetConfig(**{**TINY, "base_channels": 8}), rng)
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        with pytest.raises(ContractError, match="net.embed.weight"):
+            load_checkpoint(model, tmp_path / "ck")
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.data, before[name]), name
 
 
 class TestTemporalWindow:

@@ -130,6 +130,59 @@ class TestImageIO:
             expected.reshape(H, W, 3).transpose(2, 0, 1),
         )
 
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_png_average_and_paeth_rows_decode(self, tmp_path, rng, bit_depth):
+        # hand-filter an RGB image per RFC 2083 section 6 (filter types 3 and
+        # 4, first row included) and check the decoded samples bit for bit
+        import struct
+
+        W, H = 6, 5
+        maxval = (1 << bit_depth) - 1
+        samples = rng.integers(0, maxval + 1, size=(H, W, 3))
+        samples[1] = maxval - samples[0]  # large steps between rows
+        # a paeth tie between up and upper-left (a=110, b=80, c=100 in every
+        # byte at row 2, column 1), which the predictor must resolve to up
+        unit = maxval // 255
+        samples[1, 0], samples[1, 1], samples[2, 0] = 100 * unit, 80 * unit, 110 * unit
+        dtype = ">u2" if bit_depth == 16 else np.uint8
+        raw_rows = [bytes(samples[r].astype(dtype).tobytes()) for r in range(H)]
+        bpp = 3 * bit_depth // 8
+
+        def paeth(a, b, c):
+            p = a + b - c
+            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+            if pa <= pb and pa <= pc:
+                return a
+            return b if pb <= pc else c
+
+        payload = bytearray()
+        prior = bytes(len(raw_rows[0]))
+        for r, row in enumerate(raw_rows):
+            ftype = 4 if r % 2 == 0 else 3
+            payload.append(ftype)
+            for i, x in enumerate(row):
+                a = row[i - bpp] if i >= bpp else 0
+                b = prior[i]
+                c = prior[i - bpp] if i >= bpp else 0
+                pred = paeth(a, b, c) if ftype == 4 else (a + b) // 2
+                payload.append((x - pred) % 256)
+            prior = row
+
+        def chunk(tag, body):
+            crc = zlib.crc32(tag + body) & 0xFFFFFFFF
+            return struct.pack(">I", len(body)) + tag + body + struct.pack(">I", crc)
+
+        path = tmp_path / "avg_paeth.png"
+        path.write_bytes(
+            b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", W, H, bit_depth, 2, 0, 0, 0))
+            + chunk(b"IDAT", zlib.compress(bytes(payload)))
+            + chunk(b"IEND", b"")
+        )
+        frame, depth = read_image(path)
+        assert depth == bit_depth
+        assert np.array_equal(frame, samples.transpose(2, 0, 1).astype(np.float64) / maxval)
+
     def test_unreadable_file_names_the_file(self, tmp_path):
         bad = tmp_path / "broken.png"
         bad.write_bytes(b"\x89PNG\r\n\x1a\n garbage")

@@ -14,7 +14,7 @@ from vssenhance.ss2d import (
 from vssenhance.ssm import scan_sequential, selective_parameterize
 from vssenhance.tensor import DimensionError, Tensor
 
-from helpers import check_gradients
+from helpers import check_gradients, retained_arrays
 
 
 @pytest.fixture
@@ -223,3 +223,12 @@ class TestSS2DForward:
         for name, p in ss2d.named_parameters():
             assert p.grad is not None, name
             assert np.abs(p.grad).max() > 0, name
+
+    def test_graph_keeps_three_scan_sized_arrays(self, rng):
+        # backward of the ZOH, the recurrence and the readout reads only
+        # a_bar, u and h; no other (L, 4, C, d) intermediate may be retained
+        C, H, W, d = 3, 3, 4, 2
+        ss2d = SS2D(channels=C, state_dim=d, rng=rng)
+        f = Tensor(rng.normal(size=(H * W, C)), requires_grad=True)
+        kept = retained_arrays(ss2d(f, H, W).sum())
+        assert sum(arr.size == H * W * 4 * C * d for arr in kept) <= 3

@@ -21,6 +21,8 @@ from vssenhance.ssm import (
     scan_parallel,
     scan_sequential,
     selective_parameterize,
+    selective_readout,
+    selective_zoh,
     sequential_recurrence_data,
     stable_diagonal_init,
 )
@@ -384,3 +386,79 @@ class TestGradients:
             return (scan_parallel(params, ts[6]) * Tensor(mix)).sum()
 
         check_gradients(loss, [feat, w_b, w_c, w_d, b_d, a_diag, x])
+
+
+# Broadcast shapes of (delta, a, b, x) as ss2d_forward (L=5, C=3, d=2) and
+# _per_step_terms (L=6, d=3) pass them, and of (h, c, axis) for the readout.
+ZOH_SHAPES = {
+    "ss2d": ((5, 4, 1, 1), (1, 1, 3, 2), (5, 4, 1, 2), (5, 4, 3, 1)),
+    "per_step": ((6, 1), (1, 3), (6, 3), (6, 1)),
+}
+READOUT_SHAPES = {
+    "ss2d": ((5, 4, 3, 2), (5, 4, 1, 2), 3),
+    "per_step": ((6, 3), (6, 3), 1),
+}
+
+
+def zoh_operands(shapes, rng):
+    delta_s, a_s, b_s, x_s = shapes
+    return [
+        rng.uniform(0.05, 0.8, size=delta_s),
+        -rng.uniform(0.5, 3.0, size=a_s),  # selective state matrices are negative
+        rng.normal(size=b_s),
+        rng.normal(size=x_s),
+    ]
+
+
+def zoh_composed(delta, a, b, x):
+    """The generic-op composition ``selective_zoh`` replaced."""
+    a_bar = (delta * a).exp()
+    return a_bar, (a_bar - 1.0) / a * b * x
+
+
+class TestSelectiveNodes:
+    @pytest.mark.parametrize("site", sorted(ZOH_SHAPES))
+    def test_zoh_gradients(self, rng, site):
+        delta, a, b, x = zoh_operands(ZOH_SHAPES[site], rng)
+        a_bar, u = selective_zoh(delta, a, b, x)
+        mix_a, mix_u = rng.normal(size=a_bar.shape), rng.normal(size=u.shape)
+        # a_bar depends on (delta, a) only
+        check_gradients(
+            lambda ts: (selective_zoh(ts[0], ts[1], b, x)[0] * Tensor(mix_a)).sum(),
+            [delta, a],
+        )
+        check_gradients(
+            lambda ts: (selective_zoh(*ts)[1] * Tensor(mix_u)).sum(), [delta, a, b, x]
+        )
+
+    @pytest.mark.parametrize("site", sorted(READOUT_SHAPES))
+    def test_readout_gradients(self, rng, site):
+        h_s, c_s, axis = READOUT_SHAPES[site]
+        arrays = [rng.normal(size=h_s), rng.normal(size=c_s)]
+        mix = rng.normal(size=selective_readout(Tensor(arrays[0]), Tensor(arrays[1]), axis).shape)
+        check_gradients(
+            lambda ts: (selective_readout(ts[0], ts[1], axis) * Tensor(mix)).sum(), arrays
+        )
+
+    @pytest.mark.parametrize("site", sorted(ZOH_SHAPES))
+    def test_matches_composed_ops(self, rng, site):
+        arrays = zoh_operands(ZOH_SHAPES[site], rng)
+        h_s, c_s, axis = READOUT_SHAPES[site]
+        c = rng.normal(size=c_s)
+
+        def run(zoh, readout):
+            leaves = [Tensor(v, requires_grad=True) for v in arrays + [c]]
+            a_bar, u = zoh(*leaves[:4])
+            h = a_bar * u  # any use of both outputs; stands in for the recurrence
+            y = readout(h, leaves[4], axis)
+            mix = np.linspace(-1.0, 1.0, y.size).reshape(y.shape)
+            ((y * Tensor(mix)).sum() + (a_bar * a_bar).sum()).backward()
+            return (a_bar.data, u.data, y.data), [t.grad for t in leaves]
+
+        fused_out, fused_grads = run(selective_zoh, selective_readout)
+        ref_out, ref_grads = run(zoh_composed, lambda h, c, axis: (h * c).sum(axis=axis))
+        for got, want in zip(fused_out, ref_out):
+            assert np.array_equal(got, want)
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
