@@ -66,54 +66,19 @@ class FramePyramid:
 # ---------------------------------------------------------------------------
 
 
-def _corner_pieces(H: int, W: int, ys: np.ndarray, xs: np.ndarray):
-    """Floor corners, interpolation weights and in-bounds masks for sampling."""
-    y0 = np.floor(ys)
-    x0 = np.floor(xs)
-    wy = ys - y0
-    wx = xs - x0
-    corners = []
-    for dy, dx, w in (
-        (0.0, 0.0, (1 - wy) * (1 - wx)),
-        (0.0, 1.0, (1 - wy) * wx),
-        (1.0, 0.0, wy * (1 - wx)),
-        (1.0, 1.0, wy * wx),
-    ):
-        cy = y0 + dy
-        cx = x0 + dx
-        valid = (cy >= 0) & (cy <= H - 1) & (cx >= 0) & (cx <= W - 1)
-        iy = np.clip(cy, 0, H - 1).astype(np.intp)
-        ix = np.clip(cx, 0, W - 1).astype(np.intp)
-        corners.append((iy * W + ix, w * valid, valid))
-    return corners, wy, wx
+# corner order in a row of the read operator: (y0, x0), (y0, x0+1), (y0+1, x0), (y0+1, x0+1)
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _gather_data(fdata: np.ndarray, ys: np.ndarray, xs: np.ndarray, coord_coeffs: bool):
-    """Zero-outside bilinear reads of (C, H, W) data at flat coordinate arrays.
-
-    Returns the (C, M) samples, the four corners' (flat index, masked weight,
-    in-bounds mask) and, when ``coord_coeffs``, the (C, M) derivatives of the
-    samples along y and x (else None).
-    """
-    C, H, W = fdata.shape
-    M = ys.size
-    flat = fdata.reshape(C, H * W)
-    corners, wy, wx = _corner_pieces(H, W, ys, xs)
-    # one gather for all four corners, then mask out-of-bounds reads to zero
-    all_idx = np.concatenate([idx for idx, _, _ in corners])
-    all_valid = np.concatenate([valid for _, _, valid in corners])
-    vals = np.take(flat, all_idx, axis=1)
-    vals *= all_valid
-    corner_vals = [vals[:, i * M : (i + 1) * M] for i in range(4)]
-    out = np.zeros((C, M))
-    for (idx, w, valid), cv in zip(corners, corner_vals):
-        out += w * cv
-    dy = dx = None
-    if coord_coeffs:
-        v00, v01, v10, v11 = corner_vals
-        dy = (1 - wx) * (v10 - v00) + wx * (v11 - v01)
-        dx = (1 - wy) * (v01 - v00) + wy * (v11 - v10)
-    return out, corners, dy, dx
+def _axis_corners(coords: np.ndarray, n: int):
+    """The floor and next grid line of each coordinate on an axis of n cells:
+    their indices (clamped, NaN to 0), zero-outside weights and weight slopes."""
+    c0 = np.floor(coords)
+    frac = coords - c0
+    near = (c0 >= 0) & (c0 <= n - 1)
+    far = (c0 >= -1) & (c0 <= n - 2)
+    index = [np.fmin(np.fmax(c, 0), n - 1).astype(np.intp) for c in (c0, c0 + 1)]
+    return index, ((1 - frac) * near, frac * far), (-1.0 * near, 1.0 * far)
 
 
 def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
@@ -123,29 +88,40 @@ def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
     Differentiable in the values and, when ``ys``/``xs`` are tensors, in the
     coordinates (piecewise, with kinks at integer coordinates).
 
-    Backward keeps the corner indices, weights and masks, plus the two (C, M)
-    coordinate derivatives when the coordinates need a gradient; the (C, 4M)
-    corner reads themselves are not retained.
+    The read is one sparse (M, H*W) operator: forward applies it, backward its
+    transpose.  Backward keeps the operator's arrays, plus the two (C, M)
+    coordinate derivatives when the coordinates need a gradient.
     """
     f = _wrap(f)
     if f.data.ndim != 3:
         raise DimensionError("bilinear_gather expects (C, H, W) values")
     ys_t, xs_t = _wrap(ys), _wrap(xs)
-    ya, xa = ys_t.data.reshape(-1), xs_t.data.reshape(-1)
     C, H, W = f.data.shape
+    M = ys_t.data.size
     coord_grad = T.grad_enabled() and (ys_t.requires_grad or xs_t.requires_grad)
-    out, corners, dy, dx = _gather_data(f.data, ya, xa, coord_grad)
-    M = ya.size
+    iy, ry, sy = _axis_corners(ys_t.data.reshape(-1), H)
+    ix, rx, sx = _axis_corners(xs_t.data.reshape(-1), W)
+    cols = np.stack([iy[a] * W + ix[b] for a, b in _CORNERS], axis=1).reshape(-1)
+    indptr = np.arange(0, 4 * M + 1, 4)
+
+    def corners(fy, fx):  # fy * fx at each corner, in CSR entry order
+        return np.stack([fy[a] * fx[b] for a, b in _CORNERS], axis=1).reshape(-1)
+
+    def operator(data):  # the (M, H*W) CSR matrix holding ``data`` at the corners
+        return sparse.csr_matrix((data, cols, indptr), shape=(M, H * W))
+
+    def apply(data):  # (C, M); one channel at a time, so neither side is transposed
+        op = operator(data)
+        return np.stack([op @ row for row in f.data.reshape(C, H * W)])
+
+    weights = corners(ry, rx)
+    out = apply(weights)
+    dy = dx = None
+    if coord_grad:
+        dy, dx = apply(corners(sy, rx)), apply(corners(ry, sx))
 
     def grad_fn(g):
-        # values: scatter all four corners at once through a 1-nnz-per-row
-        # sparse matrix (rows = samples, columns = grid cells)
-        idx4 = np.concatenate([idx for idx, _, _ in corners])
-        w4 = np.concatenate([w for _, w, _ in corners])
-        scatter = sparse.csr_matrix(
-            (w4, idx4, np.arange(4 * M + 1)), shape=(4 * M, H * W)
-        )
-        gf = (np.tile(g, (1, 4)) @ scatter).reshape(C, H, W)
+        gf = (g @ operator(weights)).reshape(C, H, W)
         if not coord_grad:
             return gf, None, None
         gy = (g * dy).sum(axis=0)
@@ -217,9 +193,9 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
     xs = off[:, 1] + Tensor(base_x.astype(np.float64))
 
     sampled = bilinear_gather(f, ys.reshape(-1), xs.reshape(-1))  # (C, k*k*H*W)
-    cols = sampled.reshape(C, k * k, H * W).transpose(2, 0, 1).reshape(H * W, C * k * k)
-    out = T.matmul(cols, w.reshape(C_out, C_in * k * k).transpose(1, 0))
-    return out.transpose(1, 0).reshape(C_out, H, W)
+    # conv2d's (C*k*k, H*W) patch layout and GEMM: zero offsets must match it bitwise
+    out = T.matmul(w.reshape(C_out, C_in * k * k), sampled.reshape(C * k * k, H * W))
+    return out.reshape(C_out, H, W)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ optimizer key on.
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -123,16 +124,31 @@ def save_checkpoint(module: Module, directory) -> None:
     """Write every parameter as ``<directory>/<index>.vsst`` plus a manifest.
 
     Manifest lines are tab-separated: name, file, shape (comma-joined), stage.
+    The files go to a sibling temporary directory that is renamed into place,
+    so ``directory`` never holds a partial checkpoint; an existing one is
+    moved aside first, so old and new tensors never mix.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for i, (name, p) in enumerate(module.named_parameters()):
-        fname = f"{i:04d}.vsst"
-        T.save_tensor(p, directory / fname)
-        shape = ",".join(str(s) for s in p.shape)
-        lines.append(f"{name}\t{fname}\t{shape}\t{_stage_of(name)}")
-    (directory / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
+    staging = directory.with_name(f".{directory.name}.partial")
+    retired = directory.with_name(f".{directory.name}.old")
+    for leftover in (staging, retired):  # from an earlier interrupted save
+        shutil.rmtree(leftover, ignore_errors=True)
+    staging.mkdir(parents=True)
+    try:
+        lines = []
+        for i, (name, p) in enumerate(module.named_parameters()):
+            fname = f"{i:04d}.vsst"
+            T.save_tensor(p, staging / fname)
+            shape = ",".join(str(s) for s in p.shape)
+            lines.append(f"{name}\t{fname}\t{shape}\t{_stage_of(name)}")
+        (staging / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    if directory.exists():
+        directory.rename(retired)
+    staging.rename(directory)
+    shutil.rmtree(retired, ignore_errors=True)
 
 
 def load_checkpoint(module: Module, directory) -> None:
@@ -146,11 +162,15 @@ def load_checkpoint(module: Module, directory) -> None:
     if not manifest.exists():
         raise ContractError(f"no checkpoint manifest at {manifest}")
     entries = {}
-    for line in manifest.read_text().splitlines():
+    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        name, fname, shape, _stage = line.split("\t")
-        entries[name] = (fname, shape)
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise ContractError(
+                f"{manifest}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
+            )
+        entries[fields[0]] = (fields[1], lineno)
     params = dict(module.named_parameters())
     missing = sorted(set(params) - set(entries))
     extra = sorted(set(entries) - set(params))
@@ -160,8 +180,13 @@ def load_checkpoint(module: Module, directory) -> None:
             f"unexpected {extra[:4]})"
         )
     loaded = {}
-    for name, (fname, shape) in entries.items():
-        tensor = T.load_tensor(directory / fname)
+    for name, (fname, lineno) in entries.items():
+        try:
+            tensor = T.load_tensor(directory / fname)
+        except OSError as exc:
+            raise ContractError(
+                f"{manifest}:{lineno}: cannot read {fname} for {name} ({exc.strerror})"
+            ) from None
         expect = params[name].shape
         if tensor.shape != expect:
             raise ContractError(

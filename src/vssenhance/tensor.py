@@ -628,21 +628,19 @@ def _conv_out_size(n: int, k: int, stride: int, pad: int) -> int:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(C, H, W) -> patch matrix (Ho*Wo, C*k*k) with (c, ky, kx) ordering."""
+    """(C, H, W) -> patch matrix (C*k*k, Ho*Wo), rows in (c, ky, kx) order."""
     C, H, W = x.shape
     Ho = _conv_out_size(H, k, stride, pad)
     Wo = _conv_out_size(W, k, stride, pad)
     if Ho == 0 or Wo == 0 or C == 0:
-        return np.zeros((Ho * Wo, C * k * k)), Ho, Wo
+        return np.zeros((C * k * k, Ho * Wo)), Ho, Wo
     xp = x
     if pad > 0:
         xp = np.zeros((C, H + 2 * pad, W + 2 * pad))
         xp[:, pad : pad + H, pad : pad + W] = x
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
     win = win[:, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).reshape(
-        Ho * Wo, C * k * k
-    )
+    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(C * k * k, Ho * Wo)
     return cols, Ho, Wo
 
 
@@ -655,12 +653,12 @@ def _col2im(
     buf = np.zeros((C, H + 2 * pad, W + 2 * pad))
     if Ho == 0 or Wo == 0 or C == 0:
         return buf[:, pad : pad + H, pad : pad + W]
-    patches = cols.reshape(Ho, Wo, C, k, k).transpose(2, 0, 1, 3, 4)
+    patches = cols.reshape(C, k, k, Ho, Wo)
     for ky in range(k):
         ys = slice(ky, ky + (Ho - 1) * stride + 1, stride)
         for kx in range(k):
             xs = slice(kx, kx + (Wo - 1) * stride + 1, stride)
-            buf[:, ys, xs] += patches[:, :, :, ky, kx]
+            buf[:, ys, xs] += patches[:, ky, kx]
     return np.ascontiguousarray(buf[:, pad : pad + H, pad : pad + W])
 
 
@@ -681,16 +679,12 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
     C, H, W = x.data.shape
     cols, Ho, Wo = _im2col(x.data, k, stride, pad)
     w_mat = w.data.reshape(C_out, C_in * k * k)
-    # contiguous transpose: keeps this contraction bitwise-reproducible by
-    # other patch-matrix producers (the deformable path) hitting the same gemm
-    out_mat = cols @ np.ascontiguousarray(w_mat.T)
-    data = out_mat.T.reshape(C_out, Ho, Wo)
+    data = (w_mat @ cols).reshape(C_out, Ho, Wo)
 
     def grad_fn(g):
-        g_mat = g.reshape(C_out, Ho * Wo).T
-        gw = (g_mat.T @ cols).reshape(w.data.shape)
-        gcols = g_mat @ w_mat
-        gx = _col2im(gcols, C, H, W, k, stride, pad)
+        g_mat = g.reshape(C_out, Ho * Wo)
+        gw = (g_mat @ cols.T).reshape(w.data.shape)
+        gx = _col2im(w_mat.T @ g_mat, C, H, W, k, stride, pad)
         return gx, gw
 
     return _node(data, (x, w), grad_fn)
@@ -717,16 +711,15 @@ def conv_transpose2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
     W_out = (W - 1) * stride - 2 * pad + k
     if H_out < 0 or W_out < 0:
         raise ConfigurationError("transposed convolution output size is negative")
-    x_mat = x.data.reshape(C_in, H * W).T
+    x_mat = x.data.reshape(C_in, H * W)
     w_mat = w.data.reshape(C_in, C_out * k * k)
-    cols = x_mat @ w_mat
-    data = _col2im(cols, C_out, H_out, W_out, k, stride, pad)
+    data = _col2im(w_mat.T @ x_mat, C_out, H_out, W_out, k, stride, pad)
 
     def grad_fn(g):
         gcols, _, _ = _im2col(g, k, stride, pad)
-        gx = (gcols @ w_mat.T).T.reshape(C_in, H, W)
-        gw = (x_mat.T @ gcols).reshape(w.data.shape)
-        return np.ascontiguousarray(gx), gw
+        gx = (w_mat @ gcols).reshape(C_in, H, W)
+        gw = (x_mat @ gcols.T).reshape(w.data.shape)
+        return gx, gw
 
     return _node(data, (x, w), grad_fn)
 

@@ -13,6 +13,7 @@ from vssenhance.align import (
     pcd_align,
     resize_bilinear,
 )
+from vssenhance import tensor as T
 from vssenhance.optim import AdamW
 from vssenhance.tensor import DimensionError, Tensor, conv2d, no_grad
 
@@ -98,6 +99,80 @@ class TestBilinearSample:
         assert sum(arr.shape == (C, M) for arr in kept) == 1
 
 
+def corner_formula(f, ys, xs):
+    """Reference bilinear read by explicit corner reads: the (C, M) samples,
+    the four corners' (flat index, masked weight) and the (C, M) y and x
+    derivatives of the samples."""
+    C, H, W = f.shape
+    flat = f.reshape(C, H * W)
+    y0, x0 = np.floor(ys), np.floor(xs)
+    wy, wx = ys - y0, xs - x0
+    out = np.zeros((C, ys.size))
+    corners, reads = [], []
+    for dy, dx, w in (
+        (0.0, 0.0, (1 - wy) * (1 - wx)),
+        (0.0, 1.0, (1 - wy) * wx),
+        (1.0, 0.0, wy * (1 - wx)),
+        (1.0, 1.0, wy * wx),
+    ):
+        cy, cx = y0 + dy, x0 + dx
+        valid = (cy >= 0) & (cy <= H - 1) & (cx >= 0) & (cx <= W - 1)
+        idx = np.clip(cy, 0, H - 1).astype(np.intp) * W + np.clip(cx, 0, W - 1).astype(np.intp)
+        read = flat[:, idx] * valid
+        out += (w * valid) * read
+        corners.append((idx, w * valid))
+        reads.append(read)
+    v00, v01, v10, v11 = reads
+    d_y = (1 - wx) * (v10 - v00) + wx * (v11 - v01)
+    d_x = (1 - wy) * (v01 - v00) + wy * (v11 - v10)
+    return out, corners, d_y, d_x
+
+
+class TestSamplingOperator:
+    """``bilinear_gather`` against explicit corner reads."""
+
+    @pytest.mark.parametrize("where", ["interior", "partly_outside", "fully_outside"])
+    def test_matches_corner_formula(self, rng, where):
+        C, H, W, M = 3, 5, 6, 60
+        lo, hi = {
+            "interior": ((0.0, 0.0), (H - 1.0, W - 1.0)),
+            "partly_outside": ((-0.9, -0.9), (H - 0.1, W - 0.1)),
+            "fully_outside": ((-4.0, W + 1.0), (-1.01, W + 4.0)),
+        }[where]
+        f = rng.normal(size=(C, H, W))
+        ys = rng.uniform(lo[0], hi[0], size=M)
+        xs = rng.uniform(lo[1], hi[1], size=M)
+        ys[:4] = np.round(ys[:4])  # integer coordinates sit on the kinks
+        g = rng.normal(size=(C, M))
+        ref, corners, d_y, d_x = corner_formula(f, ys, xs)
+        ft = Tensor(f, requires_grad=True)
+        yt, xt = Tensor(ys, requires_grad=True), Tensor(xs, requires_grad=True)
+        out = bilinear_gather(ft, yt, xt)
+        assert np.array_equal(out.data, ref)
+        (out * Tensor(g)).sum().backward()
+
+        gf = np.zeros((C, H * W))
+        for idx, w in corners:
+            np.add.at(gf, (slice(None), idx), g * w)
+        for got, want in (
+            (ft.grad, gf.reshape(C, H, W)),
+            (yt.grad, (g * d_y).sum(axis=0)),
+            (xt.grad, (g * d_x).sum(axis=0)),
+        ):
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+        if where == "fully_outside":
+            assert not out.data.any() and not ft.grad.any()
+
+    def test_non_finite_coordinates_read_nan(self, rng):
+        # a non-finite position must not become an out-of-range column
+        f = Tensor(rng.normal(size=(2, 5, 7)), requires_grad=True)
+        with np.errstate(invalid="ignore"):
+            out = bilinear_gather(f, np.array([np.nan, 1.5, np.inf]), np.array([2.0, np.nan, 3.0]))
+        assert np.isnan(out.data).all()
+        columns = [arr for arr in retained_arrays(out) if arr.dtype.kind == "i"]
+        assert columns and all(0 <= arr.min() and arr.max() < 5 * 7 for arr in columns)
+
+
 class TestResize:
     def test_constant_preserved(self):
         f = Tensor(np.full((2, 3, 3), 1.5))
@@ -148,6 +223,22 @@ class TestDeformableConv:
             for j in range(5):
                 v = bilinear_sample(f, i + off_y[i, j], j + off_x[i, j]).data
                 assert np.allclose(out[:, i, j], v, atol=1e-12)
+
+    def test_one_sample_buffer_and_no_transpose(self, rng, monkeypatch):
+        # the samples are already in the patch layout: no transpose, no copy
+        C, H, W, k = 3, 4, 5, 3
+        calls = []
+        transpose = T.transpose
+        monkeypatch.setattr(
+            T, "transpose", lambda a, *axes: calls.append(axes) or transpose(a, *axes)
+        )
+        f = Tensor(rng.normal(size=(C, H, W)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, C, k, k)), requires_grad=True)
+        offsets = Tensor(rng.uniform(-1, 1, size=(2 * k * k, H, W)))
+        out = deformable_conv2d(f, offsets, w)
+        assert calls == []
+        kept = retained_arrays(out)
+        assert sum(arr.size == C * k * k * H * W for arr in kept) == 1
 
     def test_offset_shape_mismatch(self, rng):
         f = fmap(rng.normal(size=(1, 4, 4)))

@@ -13,6 +13,7 @@ from vssenhance.enhance import (
     temporal_window,
     training_step,
 )
+from vssenhance import tensor as T
 from vssenhance.layers import load_checkpoint, save_checkpoint
 from vssenhance.optim import AdamW
 from vssenhance.tensor import ConfigurationError, ContractError, DimensionError, Tensor
@@ -151,6 +152,38 @@ class TestVideoEnhancer:
             load_checkpoint(model, tmp_path / "ck")
         for name, p in model.named_parameters():
             assert np.array_equal(p.data, before[name]), name
+
+    def test_interrupted_overwrite_keeps_old_checkpoint(self, rng, tmp_path, monkeypatch):
+        cfg = EnhanceNetConfig(**TINY)
+        old = VideoEnhancer(cfg, rng)
+        target = tmp_path / "step-000001"
+        save_checkpoint(old, target)
+        old_bytes = {f.name: f.read_bytes() for f in target.iterdir()}
+        save_tensor, written = T.save_tensor, []
+
+        def failing_save(t, path):
+            if len(written) == 5:
+                raise OSError("disk full")
+            written.append(path)
+            save_tensor(t, path)
+
+        monkeypatch.setattr(T, "save_tensor", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(VideoEnhancer(cfg, np.random.default_rng(99)), target)
+        monkeypatch.undo()
+        assert [d.name for d in tmp_path.iterdir()] == ["step-000001"]
+        assert {f.name: f.read_bytes() for f in target.iterdir()} == old_bytes
+        restored = VideoEnhancer(cfg, np.random.default_rng(5))
+        load_checkpoint(restored, target)
+        for (_, p1), (_, p2) in zip(old.named_parameters(), restored.named_parameters()):
+            assert np.array_equal(p1.data, p2.data)
+        # a completed overwrite replaces every file and leaves nothing beside it
+        new = VideoEnhancer(cfg, np.random.default_rng(99))
+        save_checkpoint(new, target)
+        assert [d.name for d in tmp_path.iterdir()] == ["step-000001"]
+        load_checkpoint(restored, target)
+        for (_, p1), (_, p2) in zip(new.named_parameters(), restored.named_parameters()):
+            assert np.array_equal(p1.data, p2.data)
 
 
 class TestTemporalWindow:

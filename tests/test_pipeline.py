@@ -345,6 +345,26 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint does not match the model")
 
+    @pytest.mark.parametrize("damage", ["short_line", "missing_tensor"])
+    def test_enhance_damaged_checkpoint_fails(self, tmp_path, rng, capsys, damage):
+        config, low_dir, _, ckpt = self._setup_run(tmp_path, rng)
+        config.write_text(config.read_text().replace("steps = 2", "steps = 0"))
+        assert main(["train", "--config", str(config)]) == 0
+        manifest = ckpt / "step-000000" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        if damage == "short_line":
+            lines[2] = lines[2].rsplit("\t", 1)[0]
+            manifest.write_text("\n".join(lines) + "\n")
+        else:
+            (ckpt / "step-000000" / lines[2].split("\t")[1]).unlink()
+        capsys.readouterr()
+        assert main([
+            "enhance", "--config", str(config),
+            "--input", str(low_dir), "--output", str(tmp_path / "o"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "manifest.txt:3:" in err
+
     def test_train_unpaired_frames_fail_listing_orphans(self, tmp_path, rng, capsys):
         config, low_dir, gt_dir, _ = self._setup_run(tmp_path, rng)
         (gt_dir / "0003.png").rename(gt_dir / "0009.png")
