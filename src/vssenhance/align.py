@@ -89,8 +89,9 @@ def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
     coordinates (piecewise, with kinks at integer coordinates).
 
     The read is one sparse (M, H*W) operator: forward applies it, backward its
-    transpose.  Backward keeps the operator's arrays, plus the two (C, M)
-    coordinate derivatives when the coordinates need a gradient.
+    transpose.  Backward keeps the operator's arrays; when the coordinates
+    need a gradient it also keeps the per-axis corner factors and forms the
+    two (C, M) coordinate derivatives there, from the values ``f``.
     """
     f = _wrap(f)
     if f.data.ndim != 3:
@@ -116,16 +117,15 @@ def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
 
     weights = corners(ry, rx)
     out = apply(weights)
-    dy = dx = None
-    if coord_grad:
-        dy, dx = apply(corners(sy, rx)), apply(corners(ry, sx))
+    if not coord_grad:
+        ry = rx = sy = sx = None  # backward reads only the operator
 
     def grad_fn(g):
         gf = (g @ operator(weights)).reshape(C, H, W)
         if not coord_grad:
             return gf, None, None
-        gy = (g * dy).sum(axis=0)
-        gx = (g * dx).sum(axis=0)
+        gy = (g * apply(corners(sy, rx))).sum(axis=0)
+        gx = (g * apply(corners(ry, sx))).sum(axis=0)
         return gf, gy.reshape(ys_t.data.shape), gx.reshape(xs_t.data.shape)
 
     return _node(out, (f, ys_t, xs_t), grad_fn)

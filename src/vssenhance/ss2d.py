@@ -23,10 +23,25 @@ from functools import lru_cache
 import numpy as np
 
 from .layers import Module, param
-from .ssm import SelectiveHead, linear_recurrence, selective_readout, selective_zoh
-from .tensor import DimensionError, Tensor, _wrap, concat, gather_rows, matmul, softplus
+from .ssm import SelectiveHead, linear_recurrence
+from .tensor import (
+    DimensionError,
+    Tensor,
+    _grad_mode,
+    _node,
+    _wrap,
+    concat,
+    gather_rows,
+    grad_enabled,
+    matmul,
+    softplus,
+)
 
 DIRECTIONS = ("lr", "td", "rl", "dt")
+
+# time steps per chunk of the selective scan: a (64, 4, C, d) working set
+# stays in cache, and backward recomputes one chunk at a time
+SCAN_CHUNK = 64
 
 
 @lru_cache(maxsize=128)
@@ -98,13 +113,150 @@ class SS2D(Module):
         return ss2d_forward(tokens, H, W, self)
 
 
+def _zoh_terms(delta, a, b, x, a_bar, q, u) -> None:
+    """a_bar = exp(delta*a), q = (a_bar - 1)/a and u = q*b*x into the given
+    buffers, in the op order of ``ssm.selective_zoh``."""
+    np.multiply(delta, a, out=a_bar)
+    np.exp(a_bar, out=a_bar)
+    np.subtract(a_bar, 1.0, out=q)
+    np.divide(q, a, out=q)
+    np.multiply(q, b, out=u)
+    np.multiply(u, x, out=u)
+
+
+def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Tensor:
+    """Selective scan of R sequences of C channels with state size d, as one
+    graph node, on operands that broadcast to (L, R, C, d):
+
+        a_bar = exp(delta*a),  u = (a_bar - 1)/a * b * x,
+        h_t = a_bar_t * h_{t-1} + u_t  (h_{-1} = 0),  y_t = sum_d h_t * c_t
+
+    ``delta`` is (L, R, 1, 1) or (L, R, C, 1), ``a`` (C, d) and strictly
+    negative, ``b`` and ``c`` (L, R, 1, d), ``x`` (L, R, C, 1); the result is
+    y, (L, R, C).
+
+    L is walked in chunks of ``SCAN_CHUNK`` steps, each chunk's recurrence
+    one ``linear_recurrence`` call on (T, R*C*d) lanes, the state entering it
+    folded into its first step.  The node keeps its operands and the (R, C, d)
+    state at each chunk boundary; backward recomputes a chunk's terms and
+    state from there, in reverse chunk order, so no (L, R, C, d) array lives
+    beyond one chunk.
+    """
+    delta, a, b, c, x = (_wrap(t) for t in (delta, a, b, c, x))
+    if x.ndim != 4 or x.shape[3] != 1 or a.ndim != 2 or a.shape[0] != x.shape[2]:
+        raise DimensionError(
+            f"selective_scan expects x (L, R, C, 1) and a (C, d), got {x.shape} and {a.shape}"
+        )
+    L, R, C, _ = x.shape
+    d = a.shape[1]
+    for name, t, shapes in (
+        ("delta", delta, ((L, R, 1, 1), (L, R, C, 1))),
+        ("b", b, ((L, R, 1, d),)),
+        ("c", c, ((L, R, 1, d),)),
+    ):
+        if t.shape not in shapes:
+            want = " or ".join(map(str, shapes))
+            raise DimensionError(f"selective_scan {name} must be {want}, got {t.shape}")
+    parents = (delta, a, b, c, x)
+    keep = grad_enabled() and any(t.requires_grad for t in parents)
+
+    y = np.empty((L, R, C, 1))
+    states = []  # state entering each chunk, None for the first
+    T = min(L, SCAN_CHUNK)
+    a_bar, q, u = (np.empty((T, R, C, d)) for _ in range(3))
+    h0 = None
+    for t0 in range(0, L, SCAN_CHUNK):
+        t1 = min(t0 + SCAN_CHUNK, L)
+        T = t1 - t0
+        ab, uu = a_bar[:T], u[:T]
+        _zoh_terms(delta.data[t0:t1], a.data, b.data[t0:t1], x.data[t0:t1], ab, q[:T], uu)
+        if h0 is not None:
+            uu[0] += ab[0] * h0
+        if keep:
+            states.append(h0)
+        h = linear_recurrence(ab.reshape(T, -1), uu.reshape(T, -1), mode="sequential")
+        h = h.data.reshape(T, R, C, d)
+        np.matmul(h, c.data[t0:t1].reshape(T, R, d, 1), out=y[t0:t1])
+        h0 = h[-1].copy()
+    y = y.reshape(L, R, C)
+    if not keep:
+        return Tensor(y)
+
+    def grad_fn(g):
+        return _selective_scan_bwd(g, delta.data, a.data, b.data, c.data, x.data, states)
+
+    return _node(y, parents, grad_fn)
+
+
+def _selective_scan_bwd(g, delta, a, b, c, x, states):
+    """Gradients of :func:`selective_scan` in its operands' shapes, walking
+    the chunks in reverse from their saved entry states."""
+    L, R, C, _ = x.shape
+    d = a.shape[1]
+    g = g.reshape(L, R, C, 1)
+    per_channel = delta.shape[2] != 1
+    g_delta, g_b, g_c, g_x = (np.empty(t.shape) for t in (delta, b, c, x))
+    g_a = np.zeros((C, d))
+    T = min(L, SCAN_CHUNK)
+    a_bar, q, u, g_h, work = (np.empty((T, R, C, d)) for _ in range(5))
+    carry = None  # gradient of the state entering the chunk just walked
+    for t0, h0 in zip(reversed(range(0, L, SCAN_CHUNK)), reversed(states)):
+        t1 = min(t0 + SCAN_CHUNK, L)
+        T = t1 - t0
+        sl = slice(t0, t1)
+        ab, qq, uu, gh, w = a_bar[:T], q[:T], u[:T], g_h[:T], work[:T]
+        _zoh_terms(delta[sl], a, b[sl], x[sl], ab, qq, uu)
+        if h0 is not None:
+            uu[0] += ab[0] * h0
+        # recompute the chunk as a recurrence node; its own backward is the adjoint
+        with _grad_mode(True):
+            node = linear_recurrence(
+                Tensor(ab.reshape(T, -1), requires_grad=True),
+                Tensor(uu.reshape(T, -1), requires_grad=True),
+                mode="sequential",
+            )
+        h = node.data.reshape(T, R, C, d)
+        gy = g[sl]
+        np.multiply(gy, c[sl], out=gh)
+        if carry is not None:
+            gh[-1] += carry
+        da, du = node._grad_fn(gh.reshape(T, -1))
+        da, du = da.reshape(T, R, C, d), du.reshape(T, R, C, d)
+
+        np.matmul(gy.reshape(T, R, 1, C), h, out=g_c[sl])
+        np.multiply(du, qq, out=w)
+        np.matmul(w, b[sl].reshape(T, R, d, 1), out=g_x[sl])
+        np.matmul(x[sl].reshape(T, R, 1, C), w, out=g_b[sl])
+
+        # through q = (a_bar - 1)/a: w = g_u*b*x/a reaches a_bar, -w*q reaches a
+        np.multiply(du, b[sl], out=w)
+        np.multiply(w, x[sl], out=w)
+        np.divide(w, a, out=w)
+        da += w
+        if h0 is not None:
+            da[0] += du[0] * h0
+            carry = du[0] * ab[0]
+        np.multiply(w, qq, out=w)
+        g_a -= w.reshape(T * R, C * d).sum(axis=0).reshape(C, d)
+
+        # through a_bar = exp(delta*a)
+        np.multiply(da, ab, out=da)
+        if per_channel:
+            g_delta[sl, :, :, 0] = np.einsum("trck,ck->trc", da, a)
+            g_a += np.einsum("trck,trc->ck", da, delta[sl, :, :, 0])
+        else:
+            np.matmul(da.reshape(T, R, 1, C * d), a.reshape(C * d, 1), out=g_delta[sl])
+            g_a += (delta[sl].reshape(1, T * R) @ da.reshape(T * R, C * d)).reshape(C, d)
+    return g_delta, g_a, g_b, g_c, g_x
+
+
 def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
     """cross-scan -> per-direction selective scan -> cross-merge, on the
     row-major (H*W, C) tokens of an H x W grid.
 
-    All four directional recurrences run as one (L, 4*C*d) batch of lanes;
-    per-channel state transitions are shared across directions while each
-    direction's head supplies its own B/C/delta.
+    All four directions run as one :func:`selective_scan`; per-channel state
+    transitions are shared across directions while each direction's head
+    supplies its own B/C/delta.
     """
     seqs = cross_scan(tokens, H, W)
     L, C = seqs[0].shape
@@ -125,14 +277,10 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
         axis=1,
     )
 
-    a_bar, u = selective_zoh(  # (L, 4, C, d)
-        delta_all, a_neg.reshape(1, 1, C, d), b_all.reshape(L, 4, 1, d),
+    y_all = selective_scan(
+        delta_all, a_neg, b_all.reshape(L, 4, 1, d), c_all.reshape(L, 4, 1, d),
         seq_all.reshape(L, 4, C, 1),
-    )
-    h_all = linear_recurrence(
-        a_bar.reshape(L, 4 * C * d), u.reshape(L, 4 * C * d), mode="auto"
-    ).reshape(L, 4, C, d)
-    y_all = selective_readout(h_all, c_all.reshape(L, 4, 1, d), axis=3)  # (L, 4, C)
+    )  # (L, 4, C)
     y_all = y_all + seq_all * weights.skip.reshape(1, 1, C)
 
     return cross_merge([y_all[:, r] for r in range(4)], H, W)

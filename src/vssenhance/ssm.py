@@ -284,23 +284,39 @@ def selective_readout(h: Tensor, c: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def sequential_recurrence_data(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Exact left-to-right evaluation of h_t = a_t * h_{t-1} + u_t on (L, n)."""
+def sequential_recurrence_data(a: np.ndarray, u: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Exact left-to-right evaluation of h_t = a_t * h_{t-1} + u_t on (L, n),
+    h_{-1} = 0, each step written in place into the output.
+
+    ``reverse`` evaluates the adjoint s_t = a_{t+1} * s_{t+1} + u_t right to
+    left instead, from s_L = 0, reading ``a`` one step ahead.
+    """
     L, n = a.shape
     out = np.empty((L, n))
-    h = np.zeros(n)
-    for t in range(L):
-        h = a[t] * h + u[t]
-        out[t] = h
+    if L == 0:
+        return out
+    if reverse:
+        out[L - 1] = u[L - 1]
+        for t in range(L - 2, -1, -1):
+            np.multiply(a[t + 1], out[t + 1], out=out[t])
+            out[t] += u[t]
+        return out
+    np.multiply(a[0], 0.0, out=out[0])
+    out[0] += u[0]
+    for t in range(1, L):
+        np.multiply(a[t], out[t - 1], out=out[t])
+        out[t] += u[t]
     return out
 
 
-def parallel_recurrence_data(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+def parallel_recurrence_data(a: np.ndarray, u: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Work-efficient (up-sweep/down-sweep) prefix scan over (L, n) lanes.
 
     Pads to the next power of two with the monoid identity (1, 0), reduces
     pairwise to the root, then walks back down distributing exclusive
-    prefixes; the final inclusive value is prefix ∘ element.
+    prefixes; the final inclusive value is prefix ∘ element.  ``reverse``
+    evaluates the adjoint of :func:`sequential_recurrence_data` by filling
+    the padded lanes in reversed time order.
     """
     L, n = a.shape
     if L == 0:
@@ -308,8 +324,12 @@ def parallel_recurrence_data(a: np.ndarray, u: np.ndarray) -> np.ndarray:
     P = 1 << (L - 1).bit_length() if L > 1 else 1
     A = np.ones((P, n))
     U = np.zeros((P, n))
-    A[:L] = a
-    U[:L] = u
+    if reverse:
+        A[1:L] = a[:0:-1]
+        U[:L] = u[::-1]
+    else:
+        A[:L] = a
+        U[:L] = u
 
     levels = []
     Ak, Uk = A, U
@@ -333,7 +353,8 @@ def parallel_recurrence_data(a: np.ndarray, u: np.ndarray) -> np.ndarray:
         npu[1::2] = Ae * pu + Ue
         pa, pu = npa, npu
 
-    return (A * pu + U)[:L]
+    out = (A * pu + U)[:L]
+    return out[::-1].copy() if reverse else out
 
 
 _RECURRENCE_KERNELS = {
@@ -341,33 +362,26 @@ _RECURRENCE_KERNELS = {
     "parallel": parallel_recurrence_data,
 }
 
-# wide lane counts favor the python-level time loop over the log-depth sweep's
-# extra memory traffic; the choice depends only on shape, so it is deterministic
-_AUTO_PARALLEL_MAX_LANES = 64
-
 
 def linear_recurrence(a: Tensor, u: Tensor, mode: str = "parallel") -> Tensor:
-    """Differentiable h_t = a_t ⊙ h_{t-1} + u_t over (L, n) lanes, h_0 = 0.
+    """Differentiable h_t = a_t ⊙ h_{t-1} + u_t over (L, n) lanes, h_{-1} = 0.
 
-    ``mode`` picks the evaluation kernel ("sequential", "parallel", or "auto"
-    to choose by shape).  The backward pass is the adjoint recurrence
-    s_t = g_t + a_{t+1} ⊙ s_{t+1} run through the same kernel on
-    time-reversed arrays, with du = s and da_t = s_t ⊙ h_{t-1}.
+    ``mode`` picks the evaluation kernel ("sequential" or "parallel").  The
+    backward pass is the same kernel's adjoint recurrence
+    s_t = g_t + a_{t+1} ⊙ s_{t+1}, with du = s and da_t = s_t ⊙ h_{t-1}.
     """
     a, u = _wrap(a), _wrap(u)
     if a.shape != u.shape or a.data.ndim != 2:
         raise DimensionError("linear_recurrence expects matching (L, n) operands")
-    if mode == "auto":
-        mode = "parallel" if a.shape[1] <= _AUTO_PARALLEL_MAX_LANES else "sequential"
     kernel = _RECURRENCE_KERNELS[mode]
     h = kernel(a.data, u.data)
 
     def grad_fn(g):
-        L, n = a.data.shape
-        a_next = np.vstack([a.data[1:], np.ones((1, n))]) if L else a.data
-        s = kernel(a_next[::-1].copy(), g[::-1].copy())[::-1]
-        h_prev = np.vstack([np.zeros((1, n)), h[:-1]]) if L else h
-        return np.ascontiguousarray(s * h_prev), np.ascontiguousarray(s)
+        s = kernel(a.data, g, reverse=True)
+        da = np.empty_like(s)
+        np.multiply(s[:1], 0.0, out=da[:1])  # h_{-1} = 0
+        np.multiply(s[1:], h[:-1], out=da[1:])
+        return da, s
 
     return _node(h, (a, u), grad_fn)
 

@@ -55,15 +55,21 @@ _GRAD_ENABLED = True
 
 
 @contextmanager
-def no_grad():
-    """Disable graph construction inside the block (inference fast path)."""
+def _grad_mode(enabled: bool):
+    """Build graph nodes inside the block or not; backward passes that
+    recompute a node enter it with True, so they work under ``no_grad``."""
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    _GRAD_ENABLED = enabled
     try:
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def no_grad():
+    """Disable graph construction inside the block (inference fast path)."""
+    return _grad_mode(False)
 
 
 def grad_enabled() -> bool:

@@ -92,11 +92,14 @@ class TestBilinearSample:
         xs = Tensor(rng.uniform(0, 4, size=M), requires_grad=True)
         kept = retained_arrays(bilinear_gather(f, ys, xs))
         assert not [arr for arr in kept if arr.size == C * 4 * M]
-        # the output plus the y and x derivatives
-        assert sum(arr.shape == (C, M) for arr in kept) == 3
-        # constant coordinates need no derivatives: only the output remains
-        kept = retained_arrays(bilinear_gather(f, ys.data, xs.data))
+        # only the output: backward forms the y and x derivatives from f
         assert sum(arr.shape == (C, M) for arr in kept) == 1
+        # constant coordinates keep no per-axis factors either
+        kept_const = retained_arrays(bilinear_gather(f, ys.data, xs.data))
+        assert sum(arr.shape == (C, M) for arr in kept_const) == 1
+        assert sum(arr.shape == (M,) for arr in kept_const) < sum(
+            arr.shape == (M,) for arr in kept
+        )
 
 
 def corner_formula(f, ys, xs):

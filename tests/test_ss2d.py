@@ -1,18 +1,28 @@
 """Directional unfolding, merging, and the fused 2D selective scan."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from vssenhance.ss2d import (
     DIRECTIONS,
+    SCAN_CHUNK,
     SS2D,
     cross_merge,
     cross_scan,
+    selective_scan,
     ss2d_forward,
     traversal_permutations,
 )
-from vssenhance.ssm import scan_sequential, selective_parameterize
-from vssenhance.tensor import DimensionError, Tensor
+from vssenhance.ssm import (
+    linear_recurrence,
+    scan_sequential,
+    selective_parameterize,
+    selective_readout,
+    selective_zoh,
+)
+from vssenhance.tensor import DimensionError, Tensor, no_grad
 
 from helpers import check_gradients, retained_arrays
 
@@ -224,11 +234,96 @@ class TestSS2DForward:
             assert p.grad is not None, name
             assert np.abs(p.grad).max() > 0, name
 
-    def test_graph_keeps_three_scan_sized_arrays(self, rng):
-        # backward of the ZOH, the recurrence and the readout reads only
-        # a_bar, u and h; no other (L, 4, C, d) intermediate may be retained
-        C, H, W, d = 3, 3, 4, 2
+    def test_graph_keeps_no_scan_sized_arrays(self, rng):
+        # the scan node keeps its operands and one (4, C, d) state per chunk;
+        # backward recomputes a_bar, u and h, so no (L, 4, C, d) array is kept
+        C, H, W, d = 3, 9, 8, 2
+        assert H * W > SCAN_CHUNK
         ss2d = SS2D(channels=C, state_dim=d, rng=rng)
         f = Tensor(rng.normal(size=(H * W, C)), requires_grad=True)
         kept = retained_arrays(ss2d(f, H, W).sum())
-        assert sum(arr.size == H * W * 4 * C * d for arr in kept) <= 3
+        assert sum(arr.size >= H * W * 4 * C * d for arr in kept) == 0
+        assert sum(arr.shape == (4, C, d) for arr in kept) == 1  # L = 72: two chunks
+
+
+def scan_operands(rng, L, C, d, per_channel):
+    """delta, a, b, c, x for :func:`selective_scan` over four directions."""
+    R = 4
+    return [
+        rng.uniform(0.05, 0.8, size=(L, R, C if per_channel else 1, 1)),
+        -np.exp(rng.uniform(np.log(0.5), np.log(4.0), size=(C, d))),
+        rng.normal(size=(L, R, 1, d)),
+        rng.normal(size=(L, R, 1, d)),
+        rng.normal(size=(L, R, C, 1)),
+    ]
+
+
+def chain_scan(delta, a, b, c, x):
+    """The unfused oracle: ZOH terms, one recurrence over all L steps, readout."""
+    L, R, C, _ = x.shape
+    d = a.shape[1]
+    a_bar, u = selective_zoh(delta, a, b, x)
+    h = linear_recurrence(a_bar.reshape(L, R * C * d), u.reshape(L, R * C * d),
+                          mode="sequential")
+    return selective_readout(h.reshape(L, R, C, d), c, axis=3)
+
+
+class TestSelectiveScan:
+    LENGTHS = (SCAN_CHUNK // 2 + 1, SCAN_CHUNK, SCAN_CHUNK + 1, 2 * SCAN_CHUNK + 2)
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    @pytest.mark.parametrize("L", LENGTHS)
+    def test_gradients(self, rng, L, per_channel):
+        arrays = scan_operands(rng, L, C=2, d=2, per_channel=per_channel)
+        mix = rng.normal(size=(L, 4, 2))
+        check_gradients(lambda ts: (selective_scan(*ts) * Tensor(mix)).sum(), arrays,
+                        rtol=1e-5)
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    @pytest.mark.parametrize("L", LENGTHS)
+    def test_matches_unfused_chain(self, rng, L, per_channel):
+        arrays = scan_operands(rng, L, C=3, d=4, per_channel=per_channel)
+        mix = rng.normal(size=(L, 4, 3))
+        results = []
+        for scan in (selective_scan, chain_scan):
+            leaves = [Tensor(arr, requires_grad=True) for arr in arrays]
+            y = scan(*leaves)
+            (y * Tensor(mix)).sum().backward()
+            results.append([y.data] + [leaf.grad for leaf in leaves])
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_no_grad_output_is_bitwise_equal(self, rng):
+        arrays = scan_operands(rng, 2 * SCAN_CHUNK + 3, C=3, d=2, per_channel=False)
+        with_grad = selective_scan(*[Tensor(arr, requires_grad=True) for arr in arrays])
+        with no_grad():
+            without = selective_scan(*[Tensor(arr, requires_grad=True) for arr in arrays])
+        assert with_grad.requires_grad and not without.requires_grad
+        assert np.array_equal(with_grad.data, without.data)
+
+    def test_backward_under_no_grad(self, rng):
+        # backward recomputes each chunk as a recurrence node, even when the
+        # caller has switched graph building off
+        arrays = scan_operands(rng, SCAN_CHUNK + 5, C=2, d=2, per_channel=False)
+        grads = []
+        for mode in (nullcontext, no_grad):
+            leaves = [Tensor(arr, requires_grad=True) for arr in arrays]
+            loss = selective_scan(*leaves).sum()
+            with mode():
+                loss.backward()
+            grads.append([leaf.grad for leaf in leaves])
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
+
+    def test_operand_shapes_checked(self, rng):
+        delta, a, b, c, x = scan_operands(rng, 5, C=3, d=2, per_channel=False)
+        for bad in (
+            (delta[:, :, :, 0], a, b, c, x),  # delta rank
+            (np.ones((5, 4, 2, 1)), a, b, c, x),  # delta channels neither 1 nor C
+            (delta, a[:2], b, c, x),  # a rows != C
+            (delta, a, b[:4], c, x),  # b length
+            (delta, a, b, c[..., :1], x),  # c state size
+        ):
+            with pytest.raises(DimensionError):
+                selective_scan(*bad)
