@@ -64,7 +64,7 @@ def tier1() -> dict:
     counts = {kind: int(n) for n, kind in SUMMARY.findall(tail)}
     test_06 = TEST_06.search(proc.stdout)
     return {
-        "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors",
+        "command": "PYTHONPATH=src python " + " ".join(TIER1[1:]),
         "wall_s": round(wall, 2),
         "summary": tail,
         "passed": counts.get("passed", 0),
