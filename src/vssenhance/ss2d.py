@@ -131,9 +131,8 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) ->
         a_bar = exp(delta*a),  u = (a_bar - 1)/a * b * x,
         h_t = a_bar_t * h_{t-1} + u_t  (h_{-1} = 0),  y_t = sum_d h_t * c_t
 
-    ``delta`` is (L, R, 1, 1) or (L, R, C, 1), ``a`` (C, d) and strictly
-    negative, ``b`` and ``c`` (L, R, 1, d), ``x`` (L, R, C, 1); the result is
-    y, (L, R, C).
+    ``delta`` is (L, R, 1, 1), ``a`` (C, d) and strictly negative, ``b`` and
+    ``c`` (L, R, 1, d), ``x`` (L, R, C, 1); the result is y, (L, R, C).
 
     L is walked in chunks of ``SCAN_CHUNK`` steps, each chunk's recurrence
     one ``linear_recurrence`` call on (T, R*C*d) lanes, the state entering it
@@ -149,14 +148,10 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) ->
         )
     L, R, C, _ = x.shape
     d = a.shape[1]
-    for name, t, shapes in (
-        ("delta", delta, ((L, R, 1, 1), (L, R, C, 1))),
-        ("b", b, ((L, R, 1, d),)),
-        ("c", c, ((L, R, 1, d),)),
-    ):
-        if t.shape not in shapes:
-            want = " or ".join(map(str, shapes))
-            raise DimensionError(f"selective_scan {name} must be {want}, got {t.shape}")
+    for name, t, shape in (("delta", delta, (L, R, 1, 1)), ("b", b, (L, R, 1, d)),
+                           ("c", c, (L, R, 1, d))):
+        if t.shape != shape:
+            raise DimensionError(f"selective_scan {name} must be {shape}, got {t.shape}")
     parents = (delta, a, b, c, x)
     keep = grad_enabled() and any(t.requires_grad for t in parents)
 
@@ -194,7 +189,6 @@ def _selective_scan_bwd(g, delta, a, b, c, x, states):
     L, R, C, _ = x.shape
     d = a.shape[1]
     g = g.reshape(L, R, C, 1)
-    per_channel = delta.shape[2] != 1
     g_delta, g_b, g_c, g_x = (np.empty(t.shape) for t in (delta, b, c, x))
     g_a = np.zeros((C, d))
     T = min(L, SCAN_CHUNK)
@@ -241,12 +235,8 @@ def _selective_scan_bwd(g, delta, a, b, c, x, states):
 
         # through a_bar = exp(delta*a)
         np.multiply(da, ab, out=da)
-        if per_channel:
-            g_delta[sl, :, :, 0] = np.einsum("trck,ck->trc", da, a)
-            g_a += np.einsum("trck,trc->ck", da, delta[sl, :, :, 0])
-        else:
-            np.matmul(da.reshape(T, R, 1, C * d), a.reshape(C * d, 1), out=g_delta[sl])
-            g_a += (delta[sl].reshape(1, T * R) @ da.reshape(T * R, C * d)).reshape(C, d)
+        np.matmul(da.reshape(T, R, 1, C * d), a.reshape(C * d, 1), out=g_delta[sl])
+        g_a += (delta[sl].reshape(1, T * R) @ da.reshape(T * R, C * d)).reshape(C, d)
     return g_delta, g_a, g_b, g_c, g_x
 
 

@@ -246,11 +246,11 @@ class TestSS2DForward:
         assert sum(arr.shape == (4, C, d) for arr in kept) == 1  # L = 72: two chunks
 
 
-def scan_operands(rng, L, C, d, per_channel):
+def scan_operands(rng, L, C, d):
     """delta, a, b, c, x for :func:`selective_scan` over four directions."""
     R = 4
     return [
-        rng.uniform(0.05, 0.8, size=(L, R, C if per_channel else 1, 1)),
+        rng.uniform(0.05, 0.8, size=(L, R, 1, 1)),
         -np.exp(rng.uniform(np.log(0.5), np.log(4.0), size=(C, d))),
         rng.normal(size=(L, R, 1, d)),
         rng.normal(size=(L, R, 1, d)),
@@ -271,18 +271,16 @@ def chain_scan(delta, a, b, c, x):
 class TestSelectiveScan:
     LENGTHS = (SCAN_CHUNK // 2 + 1, SCAN_CHUNK, SCAN_CHUNK + 1, 2 * SCAN_CHUNK + 2)
 
-    @pytest.mark.parametrize("per_channel", [False, True])
     @pytest.mark.parametrize("L", LENGTHS)
-    def test_gradients(self, rng, L, per_channel):
-        arrays = scan_operands(rng, L, C=2, d=2, per_channel=per_channel)
+    def test_gradients(self, rng, L):
+        arrays = scan_operands(rng, L, C=2, d=2)
         mix = rng.normal(size=(L, 4, 2))
         check_gradients(lambda ts: (selective_scan(*ts) * Tensor(mix)).sum(), arrays,
                         rtol=1e-5)
 
-    @pytest.mark.parametrize("per_channel", [False, True])
     @pytest.mark.parametrize("L", LENGTHS)
-    def test_matches_unfused_chain(self, rng, L, per_channel):
-        arrays = scan_operands(rng, L, C=3, d=4, per_channel=per_channel)
+    def test_matches_unfused_chain(self, rng, L):
+        arrays = scan_operands(rng, L, C=3, d=4)
         mix = rng.normal(size=(L, 4, 3))
         results = []
         for scan in (selective_scan, chain_scan):
@@ -295,7 +293,7 @@ class TestSelectiveScan:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_no_grad_output_is_bitwise_equal(self, rng):
-        arrays = scan_operands(rng, 2 * SCAN_CHUNK + 3, C=3, d=2, per_channel=False)
+        arrays = scan_operands(rng, 2 * SCAN_CHUNK + 3, C=3, d=2)
         with_grad = selective_scan(*[Tensor(arr, requires_grad=True) for arr in arrays])
         with no_grad():
             without = selective_scan(*[Tensor(arr, requires_grad=True) for arr in arrays])
@@ -305,7 +303,7 @@ class TestSelectiveScan:
     def test_backward_under_no_grad(self, rng):
         # backward recomputes each chunk as a recurrence node, even when the
         # caller has switched graph building off
-        arrays = scan_operands(rng, SCAN_CHUNK + 5, C=2, d=2, per_channel=False)
+        arrays = scan_operands(rng, SCAN_CHUNK + 5, C=2, d=2)
         grads = []
         for mode in (nullcontext, no_grad):
             leaves = [Tensor(arr, requires_grad=True) for arr in arrays]
@@ -317,10 +315,10 @@ class TestSelectiveScan:
             assert np.array_equal(got, want)
 
     def test_operand_shapes_checked(self, rng):
-        delta, a, b, c, x = scan_operands(rng, 5, C=3, d=2, per_channel=False)
+        delta, a, b, c, x = scan_operands(rng, 5, C=3, d=2)
         for bad in (
             (delta[:, :, :, 0], a, b, c, x),  # delta rank
-            (np.ones((5, 4, 2, 1)), a, b, c, x),  # delta channels neither 1 nor C
+            (np.ones((5, 4, 3, 1)), a, b, c, x),  # per-channel delta
             (delta, a[:2], b, c, x),  # a rows != C
             (delta, a, b[:4], c, x),  # b length
             (delta, a, b, c[..., :1], x),  # c state size

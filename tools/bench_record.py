@@ -1,15 +1,15 @@
 """Record one checkout's benchmark and test timings in BENCH_<tag>.json.
 
-    python3 tools/bench_record.py --tag TAG [--seed N]
+    python3 tools/bench_record.py --tag TAG
 
-Runs, one after another, this checkout's ``perfbench/run.py`` for 40 s
-untraced on every workload at ``--seed`` (default 0), then traced
-(``--seed 0 --trace 1``) on enhance-stream and train-step, then the tier-1
-test command.  Each run's last JSON line, the machine facts it prints
-(nproc, BLAS threads, Python and numpy versions), the tier-1 wall time and
-the duration of ``test_06_toy_overfit`` go into ``BENCH_<tag>.json`` at the
-repository root.  To record another commit, run the script from a checkout
-of it.  Run it on an otherwise idle machine: the numbers are single runs.
+Runs, one after another, this checkout's ``perfbench/run.py`` for 40 s at
+seed 0, untraced on every workload and then traced (``--trace 1``) on
+enhance-stream and train-step, then the tier-1 test command.  Each run's
+last JSON line, the machine facts it prints (nproc, BLAS threads, Python and
+numpy versions), the tier-1 wall time and the duration of
+``test_06_toy_overfit`` go into ``BENCH_<tag>.json`` at the repository root.
+To record another commit, run the script from a checkout of it.  Run it on
+an otherwise idle machine: the numbers are single runs.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 40.0  # perfbench's standard run length
+SEED = 0
 WORKLOADS = ("enhance-stream", "train-step", "metrics-eval")
 TRACED = ("enhance-stream", "train-step")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -35,8 +36,8 @@ SUMMARY = re.compile(r"(\d+) (passed|failed|error|errors|skipped)")
 TEST_06 = re.compile(r"([\d.]+)s call\s+\S*test_06_toy_overfit")
 
 
-def bench_run(workload: str, seed: int, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+def bench_run(workload: str, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(SECONDS), "--trace", str(trace)]
     print("running:", " ".join(cmd[1:]), flush=True)
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
@@ -50,7 +51,7 @@ def bench_run(workload: str, seed: int, trace: int) -> dict:
         nproc, blas, python, numpy = machine.groups()
         result["machine"] = {"nproc": int(nproc), "blas_threads": blas,
                              "python": python, "numpy": numpy}
-    return {"workload": workload, "seed": seed, "seconds": SECONDS, "trace": trace, **result}
+    return {"workload": workload, "seed": SEED, "seconds": SECONDS, "trace": trace, **result}
 
 
 def tier1() -> dict:
@@ -81,14 +82,13 @@ def git_head() -> str | None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True)
-    parser.add_argument("--seed", type=int, default=0, help="seed of the untraced runs")
     args = parser.parse_args(argv)
     if not (ROOT / "perfbench" / "run.py").is_file():
         print(f"error: no perfbench/run.py under {ROOT}", file=sys.stderr)
         return 2
 
-    runs = [bench_run(w, args.seed, 0) for w in WORKLOADS]
-    runs += [bench_run(w, 0, 1) for w in TRACED]
+    runs = [bench_run(w, 0) for w in WORKLOADS]
+    runs += [bench_run(w, 1) for w in TRACED]
     record = {
         "tag": args.tag,
         "commit": git_head(),
