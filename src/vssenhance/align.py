@@ -10,6 +10,10 @@ fusion stage; callers concatenate the aligned maps themselves.
 Offset fields are (2*k*k, H, W): channels (2t, 2t+1) hold the (dy, dx)
 displacement of kernel tap t, taps enumerated row-major over the k x k
 window.  Offsets are clamped to max(H, W) pixels.
+
+A window of N frames runs as one batch: its features, offsets and aligned
+maps carry the frames as a block axis after the channels, (C, N, H, W), so
+each layer is one op per window.
 """
 
 from __future__ import annotations
@@ -40,22 +44,31 @@ PYRAMID_LEVELS = 3
 @dataclass
 class FramePyramid:
     """Feature maps from fine (full resolution) to coarse, each level half the
-    previous (ceil division); all levels share a channel count."""
+    previous (ceil division); all levels share a channel count.  One frame's
+    levels are (C, H, W); a window's are (C, N, H, W), block n being frame n."""
 
-    levels: list[Tensor]  # (C, H, W) each
+    levels: list[Tensor]
 
     def __post_init__(self):
-        if any(f.ndim != 3 for f in self.levels):
-            raise DimensionError("pyramid levels must be (C, H, W) feature maps")
-        chans = {f.shape[0] for f in self.levels}
-        if len(chans) != 1:
-            raise DimensionError("pyramid levels must share a channel count")
+        if {f.ndim for f in self.levels} not in ({3}, {4}):
+            raise DimensionError("pyramid levels must all be (C, H, W) or all (C, N, H, W)")
+        if len({f.shape[:-2] for f in self.levels}) != 1:
+            raise DimensionError("pyramid levels must share a channel and block count")
         for fine, coarse in zip(self.levels, self.levels[1:]):
-            want = (-(-fine.shape[1] // 2), -(-fine.shape[2] // 2))
-            if coarse.shape[1:] != want:
+            want = (-(-fine.shape[-2] // 2), -(-fine.shape[-1] // 2))
+            if coarse.shape[-2:] != want:
                 raise DimensionError(
                     f"pyramid level {coarse.shape} does not halve {fine.shape}"
                 )
+
+    @classmethod
+    def stack(cls, pyramids: list["FramePyramid"]) -> "FramePyramid":
+        """The window pyramid whose block n is the one-frame ``pyramids[n]``."""
+        return cls([T.stack(levels, axis=1) for levels in zip(*(p.levels for p in pyramids))])
+
+    def block(self, n: int) -> "FramePyramid":
+        """Frame n's (C, H, W) pyramid out of a window pyramid."""
+        return FramePyramid([f[:, n] for f in self.levels])
 
     def shapes(self):
         return [f.shape for f in self.levels]
@@ -81,6 +94,14 @@ def _axis_corners(coords: np.ndarray, n: int):
     return index, ((1 - frac) * near, frac * far), (-1.0 * near, 1.0 * far)
 
 
+def _at_corners(op, fy, fx, dtype) -> np.ndarray:
+    """``op(fy[a], fx[b])`` at each corner, in CSR entry order, written in place."""
+    out = np.empty((fy[0].size, len(_CORNERS)), dtype=dtype)
+    for j, (a, b) in enumerate(_CORNERS):
+        op(fy[a], fx[b], out=out[:, j])
+    return out.reshape(-1)
+
+
 def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
     """Sample (C, H, W) values at M continuous positions -> (C, M).
 
@@ -102,23 +123,29 @@ def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
     coord_grad = T.grad_enabled() and (ys_t.requires_grad or xs_t.requires_grad)
     iy, ry, sy = _axis_corners(ys_t.data.reshape(-1), H)
     ix, rx, sx = _axis_corners(xs_t.data.reshape(-1), W)
-    cols = np.stack([iy[a] * W + ix[b] for a, b in _CORNERS], axis=1).reshape(-1)
-    indptr = np.arange(0, 4 * M + 1, 4)
+    # the index type scipy would pick, so that it keeps these arrays uncopied
+    index = np.int32 if max(4 * M, H * W) < 2**31 else np.intp
+    cols = _at_corners(np.add, [i * W for i in iy], ix, index)
+    indptr = np.arange(0, 4 * M + 1, 4, dtype=index)
 
     def corners(fy, fx):  # fy * fx at each corner, in CSR entry order
-        return np.stack([fy[a] * fx[b] for a, b in _CORNERS], axis=1).reshape(-1)
+        return _at_corners(np.multiply, fy, fx, np.float64)
 
     def operator(data):  # the (M, H*W) CSR matrix holding ``data`` at the corners
         return sparse.csr_matrix((data, cols, indptr), shape=(M, H * W))
 
     def apply(data):  # (C, M); one channel at a time, so neither side is transposed
         op = operator(data)
-        return np.stack([op @ row for row in f.data.reshape(C, H * W)])
+        out = np.empty((C, M))
+        for c, row in enumerate(f.data.reshape(C, H * W)):
+            out[c] = op @ row
+        return out
 
     weights = corners(ry, rx)
-    out = apply(weights)
+    iy = ix = None  # read no more: free them before the (C, M) output exists
     if not coord_grad:
         ry = rx = sy = sx = None  # backward reads only the operator
+    out = apply(weights)
 
     def grad_fn(g):
         gf = (g @ operator(weights)).reshape(C, H, W)
@@ -136,17 +163,32 @@ def bilinear_sample(f: Tensor, y: float, x: float) -> Tensor:
     return bilinear_gather(f, np.array([float(y)]), np.array([float(x)])).reshape(f.shape[0])
 
 
+def _resize_matrix(n_out: int, n_in: int) -> np.ndarray:
+    """(n_out, n_in) bilinear weights along one axis: half-pixel centers,
+    coordinates clamped to the edge cells."""
+    coords = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0, n_in - 1)
+    (i0, i1), (r0, r1), _ = _axis_corners(coords, n_in)
+    rows = np.arange(n_out)
+    mat = np.zeros((n_out, n_in))
+    mat[rows, i0] += r0
+    mat[rows, i1] += r1
+    return mat
+
+
 def resize_bilinear(f: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resize of (C, H, W) with half-pixel centers and edge clamping."""
+    """Bilinear resize of (..., H, W) maps with half-pixel centers and edge
+    clamping: ``Ry @ f @ Rx.T`` per map, whose backward is ``Ry.T @ g @ Rx``."""
     f = _wrap(f)
-    C, H, W = f.data.shape
-    sy = H / out_h
-    sx = W / out_w
-    ys = np.clip((np.arange(out_h) + 0.5) * sy - 0.5, 0, H - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) * sx - 0.5, 0, W - 1)
-    yy = np.repeat(ys, out_w)
-    xx = np.tile(xs, out_h)
-    return bilinear_gather(f, yy, xx).reshape(C, out_h, out_w)
+    H, W = f.data.shape[-2:]
+    ry, rx = _resize_matrix(out_h, H), _resize_matrix(out_w, W)
+    rows = f.data.reshape(-1, W) @ rx.T  # every row along x, one GEMM
+    data = ry @ rows.reshape(-1, H, out_w)
+
+    def grad_fn(g):
+        g_rows = g.reshape(-1, out_w) @ rx
+        return ((ry.T @ g_rows.reshape(-1, out_h, W)).reshape(f.data.shape),)
+
+    return _node(data.reshape(f.data.shape[:-2] + (out_h, out_w)), (f,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +203,8 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
     p + tap + offset_tap(p) via bilinear interpolation (zeros outside the
     grid), then contract with ``w`` exactly like the plain convolution, so a
     zero offset field reproduces ``conv2d(f, w, stride=1, pad=(k-1)/2)``
-    bitwise.
+    bitwise.  A window ``f`` of (C, N, H, W) takes (2*k*k, N, H, W) offsets;
+    each block is sampled and multiplied on its own.
     """
     f = _wrap(f)
     offsets = _wrap(offsets)
@@ -169,15 +212,26 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
     C_out, C_in, k, k2 = w.shape
     if k != k2 or k % 2 != 1:
         raise DimensionError("deformable kernels must be square with odd size")
-    if f.ndim != 3:
-        raise DimensionError(f"deformable_conv2d expects (C, H, W) features, got {f.shape}")
-    C, H, W = f.shape
+    if f.ndim not in (3, 4):
+        raise DimensionError(
+            f"deformable_conv2d expects (C, H, W) or (C, N, H, W) features, got {f.shape}"
+        )
+    C, *_, H, W = f.shape
     if C != C_in:
         raise DimensionError(f"input has {C} channels, kernel expects {C_in}")
-    if offsets.shape != (2 * k * k, H, W):
+    if offsets.shape != (2 * k * k,) + f.shape[1:]:
         raise DimensionError(
-            f"offset field must be ({2 * k * k}, {H}, {W}), got {offsets.shape}"
+            f"offset field must be {(2 * k * k,) + f.shape[1:]}, got {offsets.shape}"
         )
+    if f.ndim == 4:
+        blocks = [_deformable_block(f[:, n], offsets[:, n], w) for n in range(f.shape[1])]
+        return T.stack(blocks, axis=1)
+    return _deformable_block(f, offsets, w)
+
+
+def _deformable_block(f: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
+    C_out, C, k, _ = w.shape
+    _, H, W = f.shape
     limit = float(max(H, W))
     off = T.clip(offsets, -limit, limit).reshape(k * k, 2, H * W)
 
@@ -194,7 +248,7 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
 
     sampled = bilinear_gather(f, ys.reshape(-1), xs.reshape(-1))  # (C, k*k*H*W)
     # conv2d's (C*k*k, H*W) patch layout and GEMM: zero offsets must match it bitwise
-    out = T.matmul(w.reshape(C_out, C_in * k * k), sampled.reshape(C * k * k, H * W))
+    out = T.matmul(w.reshape(C_out, C * k * k), sampled.reshape(C * k * k, H * W))
     return out.reshape(C_out, H, W)
 
 
@@ -216,6 +270,7 @@ class FeatureExtractor(Module):
             self.down.append(Conv2d(channels, channels, 3, rng))
 
     def __call__(self, frame: Tensor) -> FramePyramid:
+        """The pyramid of a (3, H, W) frame, or of a (3, N, H, W) window."""
         feat = gelu(self.conv_b(gelu(self.conv_a(frame))))
         levels = [feat]
         for i in range(0, len(self.down), 2):
@@ -262,43 +317,75 @@ class PCDAlign(Module):
 
 
 def _dcn_apply(conv: Conv2d, f: Tensor, offsets: Tensor) -> Tensor:
-    return deformable_conv2d(f, offsets, conv.weight) + conv.bias.reshape(-1, 1, 1)
+    return conv.add_bias(deformable_conv2d(f, offsets, conv.weight))
+
+
+def _split_conv(conv: Conv2d, parts: list[Tensor]) -> Tensor:
+    """``conv`` of the channel concatenation of ``parts``, computed part by
+    part on slices of its weight.  A (C, H, W) part is shared by every block
+    of the (C, N, H, W) parts, so it is convolved once, not once per block."""
+    out = None
+    start = 0
+    for part in parts:
+        stop = start + part.shape[0]
+        y = T.conv2d(part, conv.weight[:, start:stop], stride=conv.stride, pad=conv.pad)
+        if y.ndim == 3:
+            y = y.reshape(y.shape[0], 1, *y.shape[1:])
+        out = y if out is None else out + y
+        start = stop
+    return conv.add_bias(out)
+
+
+def _offset_field(conv_a: Conv2d, conv_b: Conv2d, head: Conv2d, parts: list[Tensor]) -> Tensor:
+    """An offset field predicted from ``parts``: ``conv_a`` of their channel
+    concatenation, gelu, ``conv_b``, gelu, ``head``."""
+    feat = gelu(_split_conv(conv_a, parts))
+    return head(gelu(conv_b(feat)))
 
 
 def pcd_align(
     neighbor: FramePyramid, reference: FramePyramid, weights: PCDAlign
 ) -> Tensor:
-    """Align ``neighbor`` features onto ``reference``, returning a map at the
-    finest (level 1) resolution."""
-    if neighbor.shapes() != reference.shapes():
-        raise DimensionError(
-            f"pyramid shapes differ: {neighbor.shapes()} vs {reference.shapes()}"
-        )
+    """Align ``neighbor`` features onto the one-frame ``reference``, returning
+    a map at the finest (level 1) resolution.
+
+    A one-frame ``neighbor`` gives a (C, H, W) map.  A window pyramid gives
+    (C, N, H, W), every block aligned in one pass; the reference's share of
+    the two convolutions that read it (``off_a``, ``cas_a``) runs once.
+    """
+    single = neighbor.levels[0].ndim == 3
+    if single:
+        neighbor = FramePyramid.stack([neighbor])
+    shapes = [s[:1] + s[2:] for s in neighbor.shapes()]
+    if shapes != reference.shapes():
+        raise DimensionError(f"pyramid shapes differ: {shapes} vs {reference.shapes()}")
+    # Window-sized maps are released as soon as they are read, so that the
+    # batch never holds much more at a time than one frame's pass did.
     n_levels = len(neighbor.levels)
-    offsets_up = None
-    aligned_up = None
+    offsets = None
     aligned = None
     for lvl in range(n_levels - 1, -1, -1):
         nbr = neighbor.levels[lvl]
-        ref = reference.levels[lvl]
-        H, W = nbr.shape[1:]
-        parts = [nbr, ref]
-        if offsets_up is not None:
-            parts.append(resize_bilinear(offsets_up, H, W) * 2.0)
-        feat = gelu(weights.off_a[lvl](concat(parts, axis=0)))
-        feat = gelu(weights.off_b[lvl](feat))
-        offsets = weights.off_head[lvl](feat)
+        H, W = nbr.shape[-2:]
+        parts = [nbr, reference.levels[lvl]]
+        if offsets is not None:
+            parts.append(resize_bilinear(offsets, H, W) * 2.0)
+        offsets = _offset_field(weights.off_a[lvl], weights.off_b[lvl],
+                                weights.off_head[lvl], parts)
+        del parts
         moved = _dcn_apply(weights.dcn[lvl], nbr, offsets)
-        if lvl == n_levels - 1:
+        if lvl == 0:
+            del offsets  # the finest field is not upsampled
+        if aligned is None:
             aligned = gelu(moved)
         else:
-            stacked = concat([moved, resize_bilinear(aligned_up, H, W)], axis=0)
+            stacked = concat([moved, resize_bilinear(aligned, H, W)], axis=0)
+            del moved
             fused = weights.fuse[lvl](stacked)
+            del stacked
             aligned = gelu(fused) if lvl > 0 else fused
-        offsets_up = offsets
-        aligned_up = aligned
 
-    feat = gelu(weights.cas_a(concat([aligned, reference.levels[0]], axis=0)))
-    feat = gelu(weights.cas_b(feat))
-    cas_offsets = weights.cas_head(feat)
-    return _dcn_apply(weights.cas_dcn, aligned, cas_offsets)
+    cas_offsets = _offset_field(weights.cas_a, weights.cas_b, weights.cas_head,
+                                [aligned, reference.levels[0]])
+    out = _dcn_apply(weights.cas_dcn, aligned, cas_offsets)
+    return out.reshape(out.shape[0], *out.shape[2:]) if single else out

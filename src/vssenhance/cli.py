@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .align import FramePyramid
 from .color import D65_WHITE_RGB, Illuminant, chromatic_adapt, psnr, ssim
 from .config import load_config
 from .enhance import TrainingDiverged, VideoEnhancer, temporal_window, training_step
@@ -107,6 +108,22 @@ def _clip_illuminant(frames) -> Illuminant:
     return Illuminant(rgb=tuple(np.maximum(means, 1e-6)))
 
 
+def _slide(extract, frames, pyramid, held, window) -> FramePyramid:
+    """The stacked pyramid of clip frames ``window``, made from ``pyramid``,
+    that of clip frames ``held``: the blocks of frames in both move into
+    place within its buffers, and every other frame is extracted, once."""
+    fresh = {i: extract(frames[i]) for i in dict.fromkeys(window) if i not in held}
+    if pyramid is None:
+        return FramePyramid.stack([fresh[i] for i in window])
+    kept = [held.index(i) if i in held else 0 for i in window]
+    for lvl, level in enumerate(pyramid.levels):
+        level.data[:] = level.data[:, kept]
+        for j, i in enumerate(window):
+            if i in fresh:
+                level.data[:, j] = fresh[i].levels[lvl].data
+    return pyramid
+
+
 def cmd_enhance(args) -> int:
     cfg = load_config(args.config)
     if args.adapt_color:
@@ -131,11 +148,14 @@ def cmd_enhance(args) -> int:
 
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
+    pyramid, held = None, []  # the current window's pyramid and its clip indices
     for t, path in enumerate(clip.paths):
         start = time.perf_counter()
-        window = temporal_window(tensors, t, cfg.model.input_frames)
+        window = temporal_window(range(len(tensors)), t, cfg.model.input_frames)
         with no_grad():
-            enhanced = model(window, clamp_output=True)
+            pyramid = _slide(model.extractor, tensors, pyramid, held, window)
+            held = window
+            enhanced = model.enhance_pyramid(pyramid, tensors[t], clamp_output=True)
         out_path = out_dir / (path.stem + ".png")
         write_image(out_path, enhanced.data, bit_depth=clip.bit_depths[t])
         ms = (time.perf_counter() - start) * 1e3

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .align import FeatureExtractor, PCDAlign, pcd_align
+from .align import FeatureExtractor, FramePyramid, PCDAlign, pcd_align
 from .layers import Conv2d, ConvTranspose2d, Module
 from .optim import AdamW
 from .tensor import ConfigurationError, DimensionError, Tensor, concat, pad2d_edges
@@ -114,33 +114,29 @@ class EnhanceNet(Module):
         return enhance_forward(aligned, center_rgb, self, clamp_output=clamp_output)
 
 
-def enhance_forward(aligned: list[Tensor], center_rgb: Tensor, net: EnhanceNet,
+def enhance_forward(aligned: Tensor, center_rgb: Tensor, net: EnhanceNet,
                     clamp_output: bool = False) -> Tensor:
     """Enhance one frame from its window of aligned feature maps.
 
-    ``aligned`` must hold ``input_frames`` (C, H, W) maps of identical shape;
-    the output is the zero-initialized RGB projection plus the center frame,
-    cropped back to the input resolution after reflection padding to a
-    multiple of 2^S.
+    ``aligned`` is (C, N, H, W), block n the aligned map of window frame n,
+    with N = ``input_frames``; the output is the zero-initialized RGB
+    projection plus the center frame, cropped back to the input resolution
+    after reflection padding to a multiple of 2^S.
     Clamping to [0, 1] is inference-only behavior.
     """
     cfg = net.cfg
-    if len(aligned) != cfg.input_frames:
-        raise DimensionError(
-            f"expected {cfg.input_frames} aligned maps, got {len(aligned)}"
-        )
-    shapes = {f.shape for f in aligned}
-    if len(shapes) != 1:
-        raise DimensionError(f"aligned maps disagree in shape: {sorted(shapes)}")
-    if aligned[0].ndim != 3:
-        raise DimensionError(f"aligned maps must be (C, H, W), got {aligned[0].shape}")
-    H, W = aligned[0].shape[1:]
+    if aligned.ndim != 4:
+        raise DimensionError(f"aligned maps must be (C, N, H, W), got {aligned.shape}")
+    C, N, H, W = aligned.shape
+    if N != cfg.input_frames:
+        raise DimensionError(f"expected {cfg.input_frames} aligned maps, got {N}")
     if center_rgb.shape != (3, H, W):
         raise DimensionError(
             f"center frame must be (3, {H}, {W}), got {center_rgb.shape}"
         )
 
-    x = concat(aligned, axis=0)
+    # the frames' channel blocks side by side, in window order
+    x = aligned.transpose(1, 0, 2, 3).reshape(N * C, H, W)
     multiple = 1 << cfg.num_scales
     pad_b = (-H) % multiple
     pad_r = (-W) % multiple
@@ -177,7 +173,8 @@ def enhance_forward(aligned: list[Tensor], center_rgb: Tensor, net: EnhanceNet,
 
 
 class VideoEnhancer(Module):
-    """Feature extraction, per-frame deformable alignment, enhancement."""
+    """Feature extraction, deformable alignment of the whole window onto its
+    center frame, enhancement."""
 
     def __init__(self, cfg: EnhanceNetConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -190,11 +187,16 @@ class VideoEnhancer(Module):
             raise DimensionError(
                 f"window must hold {self.cfg.input_frames} frames, got {len(window)}"
             )
-        center = len(window) // 2
-        pyramids = [self.extractor(frame) for frame in window]
-        reference = pyramids[center]
-        aligned = [pcd_align(p, reference, self.pcd) for p in pyramids]
-        return self.net(aligned, window[center], clamp_output=clamp_output)
+        pyramid = self.extractor(T.stack(window, axis=1))
+        return self.enhance_pyramid(pyramid, window[len(window) // 2], clamp_output)
+
+    def enhance_pyramid(self, pyramid: FramePyramid, center_rgb: Tensor,
+                        clamp_output: bool = False) -> Tensor:
+        """Enhance a window's center frame from the window's (C, N, H, W)
+        feature pyramid, every block aligned onto the center block in one pass."""
+        reference = pyramid.block(pyramid.levels[0].shape[1] // 2)
+        aligned = pcd_align(pyramid, reference, self.pcd)
+        return self.net(aligned, center_rgb, clamp_output=clamp_output)
 
 
 def temporal_window(frames: list, center: int, size: int) -> list:

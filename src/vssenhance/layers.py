@@ -82,8 +82,12 @@ class Conv2d(Module):
         self.bias = param(np.zeros(out_ch))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.conv2d(x, self.weight, stride=self.stride, pad=self.pad)
-        return out + self.bias.reshape(-1, 1, 1)
+        return self.add_bias(T.conv2d(x, self.weight, stride=self.stride, pad=self.pad))
+
+    def add_bias(self, out: Tensor) -> Tensor:
+        """``out`` plus the bias of each output channel, for a (C, H, W) or
+        (C, N, H, W) map."""
+        return out + self.bias.reshape((-1,) + (1,) * (out.ndim - 1))
 
 
 class ConvTranspose2d(Module):

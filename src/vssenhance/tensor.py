@@ -31,7 +31,8 @@ __all__ = [
     "conv2d",
     "conv_transpose2d",
     "gather_rows",
-    "pad2d",
+    "pad2d_edges",
+    "stack",
     "no_grad",
     "grad_enabled",
     "save_tensor",
@@ -501,6 +502,14 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _node(data, tuple(tensors), grad_fn)
 
 
+def stack(tensors, axis: int = 0) -> Tensor:
+    """Join equal-shape tensors along a new axis."""
+    tensors = [_wrap(t) for t in tensors]
+    return concat(
+        [reshape(t, t.data.shape[:axis] + (1,) + t.data.shape[axis:]) for t in tensors], axis
+    )
+
+
 def gather_rows(a, indices, inverse=None) -> Tensor:
     """Select rows along axis 0: ``out[i] = a[indices[i]]``.
 
@@ -560,11 +569,6 @@ def pad2d_edges(a, top: int, bottom: int, left: int, right: int,
 
         return _node(data, (a,), grad_fn)
     raise ValueError(f"unknown padding mode {mode!r}")
-
-
-def pad2d(a, pad_h: int, pad_w: int, mode: str = "zero") -> Tensor:
-    """Symmetric two-axis padding of a (C, H, W) tensor."""
-    return pad2d_edges(a, pad_h, pad_h, pad_w, pad_w, mode=mode)
 
 
 # ---- matmul ----------------------------------------------------------------
@@ -669,10 +673,15 @@ def _col2im(
 
 
 def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of (C_in, H, W) with (C_out, C_in, k, k), zero padding."""
+    """Cross-correlation of (C_in, H, W) with (C_out, C_in, k, k), zero padding.
+
+    ``x`` may also be a batch (C_in, N, H, W), giving (C_out, N, Ho, Wo):
+    one node, whose patch matrices are built and multiplied one block at a
+    time, so each block's GEMM is the one an unbatched call makes.
+    """
     x, w = _wrap(x), _wrap(w)
-    if x.data.ndim != 3 or w.data.ndim != 4:
-        raise DimensionError("conv2d expects x:(C,H,W) and w:(Co,Ci,k,k)")
+    if x.data.ndim not in (3, 4) or w.data.ndim != 4:
+        raise DimensionError("conv2d expects x:(C,H,W) or (C,N,H,W) and w:(Co,Ci,k,k)")
     C_out, C_in, k, k2 = w.data.shape
     if k != k2:
         raise DimensionError("conv2d kernels must be square")
@@ -682,16 +691,30 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
         raise DimensionError(
             f"input has {x.data.shape[0]} channels, kernel expects {C_in}"
         )
-    C, H, W = x.data.shape
-    cols, Ho, Wo = _im2col(x.data, k, stride, pad)
+    x4 = x.data if x.data.ndim == 4 else x.data[:, None]
+    C, N, H, W = x4.shape
+    Ho = _conv_out_size(H, k, stride, pad)
+    Wo = _conv_out_size(W, k, stride, pad)
     w_mat = w.data.reshape(C_out, C_in * k * k)
-    data = (w_mat @ cols).reshape(C_out, Ho, Wo)
+    keep = _GRAD_ENABLED and (x.requires_grad or w.requires_grad)
+    data = np.empty((C_out, N, Ho * Wo))
+    cols = []
+    for n in range(N):
+        block, _, _ = _im2col(x4[:, n], k, stride, pad)
+        np.matmul(w_mat, block, out=data[:, n])
+        if keep:
+            cols.append(block)
+        del block  # without a graph, one block's patches exist at a time
+    data = data.reshape((C_out,) + x.data.shape[1:-2] + (Ho, Wo))
 
     def grad_fn(g):
-        g_mat = g.reshape(C_out, Ho * Wo)
-        gw = (g_mat @ cols.T).reshape(w.data.shape)
-        gx = _col2im(w_mat.T @ g_mat, C, H, W, k, stride, pad)
-        return gx, gw
+        g_mat = g.reshape(C_out, N, Ho * Wo)
+        gw = g_mat[:, 0] @ cols[0].T
+        for n in range(1, N):
+            gw += g_mat[:, n] @ cols[n].T
+        gx = [_col2im(w_mat.T @ g_mat[:, n], C, H, W, k, stride, pad) for n in range(N)]
+        gx = gx[0] if N == 1 else np.stack(gx, axis=1)
+        return gx.reshape(x.data.shape), gw.reshape(w.data.shape)
 
     return _node(data, (x, w), grad_fn)
 

@@ -52,6 +52,21 @@ def check_gradients(build_loss, arrays, rtol=1e-4, step=1e-6, atol=1e-7):
     return worst
 
 
+def perturbed(module, rng, head_gain=8.0):
+    """``module`` with every parameter jittered by 10% and the zero-initialized
+    ones drawn, as a trained model's would be; ``head_gain`` sets the offset
+    heads so that samples move by about a pixel (fractional offsets)."""
+    for name, p in module.named_parameters():
+        if np.any(p.data):
+            p.data = p.data * (1.0 + 0.1 * rng.standard_normal(p.shape))
+        elif p.ndim == 1:
+            p.data = rng.normal(0.0, 0.02, size=p.shape)
+        else:
+            gain = head_gain if "head" in name else 0.3
+            p.data = rng.normal(0.0, gain / np.sqrt(np.prod(p.shape[1:])), size=p.shape)
+    return module
+
+
 def retained_arrays(root: Tensor) -> list:
     """Arrays the autograd graph under ``root`` keeps alive for backward.
 

@@ -259,7 +259,7 @@ def test_04_gradient_suite():
         emix = rng.normal(size=(3, 4, 4))
         check_gradients(
             lambda ts: (
-                enhance_forward([ts[0]], ts[1], net) * Tensor(emix)
+                enhance_forward(ts[0].reshape(2, 1, 4, 4), ts[1], net) * Tensor(emix)
             ).sum(),
             [rng.normal(size=(2, 4, 4)), rng.uniform(size=(3, 4, 4))],
         )

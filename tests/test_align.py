@@ -7,17 +7,19 @@ from vssenhance.align import (
     FeatureExtractor,
     FramePyramid,
     PCDAlign,
+    _split_conv,
     bilinear_gather,
     bilinear_sample,
     deformable_conv2d,
     pcd_align,
     resize_bilinear,
 )
+from vssenhance.layers import Conv2d
 from vssenhance import tensor as T
 from vssenhance.optim import AdamW
 from vssenhance.tensor import DimensionError, Tensor, conv2d, no_grad
 
-from helpers import check_gradients, retained_arrays
+from helpers import check_gradients, perturbed, retained_arrays
 
 
 @pytest.fixture
@@ -195,6 +197,26 @@ class TestResize:
             rtol=1e-3,
         )
 
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 4), (3, 8, 6), (1, 2, 7, 9)])
+    def test_matches_gather_at_same_coordinates(self, rng, shape):
+        # Ry @ f @ Rx.T against the sparse read at the half-pixel,
+        # edge-clamped coordinates, forward and backward
+        *lead, H, W = shape
+        out_h, out_w = (2 * H, 2 * W) if H < 8 else (H - 3, W - 2)
+        ys = np.clip((np.arange(out_h) + 0.5) * (H / out_h) - 0.5, 0, H - 1)
+        xs = np.clip((np.arange(out_w) + 0.5) * (W / out_w) - 0.5, 0, W - 1)
+        f = rng.normal(size=shape)
+        g = rng.normal(size=tuple(lead) + (out_h, out_w))
+        ft = Tensor(f, requires_grad=True)
+        out = resize_bilinear(ft, out_h, out_w)
+        (out * Tensor(g)).sum().backward()
+        maps = f.reshape(-1, H, W)
+        fg = Tensor(maps, requires_grad=True)
+        read = bilinear_gather(fg, np.repeat(ys, out_w), np.tile(xs, out_h))
+        (read * Tensor(g.reshape(-1, out_h * out_w))).sum().backward()
+        assert np.abs(out.data.reshape(read.shape) - read.data).max() <= 1e-14 * np.abs(f).max()
+        assert np.abs(ft.grad.reshape(fg.grad.shape) - fg.grad).max() <= 1e-14 * np.abs(g).max()
+
 
 class TestDeformableConv:
     def test_zero_offsets_bitwise_equal_to_conv(self, rng):
@@ -288,6 +310,27 @@ class TestPyramid:
             FramePyramid(levels=[good[0], fmap(np.zeros((2, 5, 4))), good[2]])
         with pytest.raises(DimensionError):
             FramePyramid(levels=[good[0], fmap(np.zeros((3, 4, 4))), good[2]])
+
+    def test_window_levels_rejected_when_mixed(self, rng):
+        window = [fmap(np.zeros((2, 3, 8, 8))), fmap(np.zeros((2, 3, 4, 4)))]
+        FramePyramid(levels=window)
+        with pytest.raises(DimensionError):
+            FramePyramid(levels=[window[0], fmap(np.zeros((2, 4, 4)))])
+        with pytest.raises(DimensionError):
+            FramePyramid(levels=[window[0], fmap(np.zeros((2, 2, 4, 4)))])
+
+    def test_stacked_frames_extract_as_single_frames(self, rng):
+        ex = FeatureExtractor(3, 4, rng)
+        frames = [Tensor(rng.uniform(size=(3, 9, 10))) for _ in range(3)]
+        window = ex(T.stack(frames, axis=1))
+        for n, frame in enumerate(frames):
+            single = ex(frame)
+            assert window.block(n).shapes() == single.shapes()
+            for a, b in zip(window.block(n).levels, single.levels):
+                assert np.array_equal(a.data, b.data)
+        stacked = FramePyramid.stack([ex(frame) for frame in frames])
+        for a, b in zip(stacked.levels, window.levels):
+            assert np.array_equal(a.data, b.data)
 
 
 class TestPCDAlign:
@@ -388,3 +431,80 @@ class TestPCDAlign:
         (out * out).sum().backward()
         for name, p in pcd.named_parameters():
             assert p.grad is not None, name
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestWindowBatch:
+    """A window of N frames aligned in one pass, blocks on axis 1."""
+
+    def test_deformable_blocks_match_single_calls(self, rng):
+        f = rng.normal(size=(3, 4, 6, 7))
+        offsets = rng.uniform(-1.5, 1.5, size=(18, 4, 6, 7))
+        w = Tensor(rng.normal(size=(2, 3, 3, 3)))
+        out = deformable_conv2d(Tensor(f), Tensor(offsets), w)
+        assert out.shape == (2, 4, 6, 7)
+        for n in range(4):
+            single = deformable_conv2d(Tensor(f[:, n]), Tensor(offsets[:, n]), w)
+            assert np.array_equal(out.data[:, n], single.data)
+        with pytest.raises(DimensionError):
+            deformable_conv2d(Tensor(f), Tensor(offsets[:, :3]), w)
+
+    def test_split_conv_matches_concatenation(self, rng):
+        # the shared (C, H, W) part equals that part repeated in every block
+        conv = perturbed(Conv2d(7, 4, 3, rng), rng)
+        nbr = rng.normal(size=(3, 5, 6, 6))
+        ref = rng.normal(size=(2, 6, 6))
+        extra = rng.normal(size=(2, 5, 6, 6))
+        out = _split_conv(conv, [Tensor(nbr), Tensor(ref), Tensor(extra)])
+        whole = np.concatenate([nbr, np.repeat(ref[:, None], 5, axis=1), extra])
+        want = conv(Tensor(whole))
+        assert relative_error(out.data, want.data) <= 1e-13
+
+    def test_split_conv_gradients(self, rng):
+        nbr = rng.normal(size=(2, 3, 4, 4))
+        ref = rng.normal(size=(2, 4, 4))
+        extra = rng.normal(size=(1, 3, 4, 4))
+        weight = rng.normal(size=(3, 5, 3, 3))
+        bias = rng.normal(size=3)
+        mix = rng.normal(size=(3, 3, 4, 4))
+        conv = Conv2d(5, 3, 3, rng)
+
+        def loss(ts):
+            conv.weight, conv.bias = ts[3], ts[4]
+            return (_split_conv(conv, ts[:3]) * Tensor(mix)).sum()
+
+        check_gradients(loss, [nbr, ref, extra, weight, bias])
+
+    def test_window_pass_matches_pairwise_calls(self, rng):
+        C, N, H, W = 4, 5, 12, 10
+        extractor = perturbed(FeatureExtractor(3, C, rng), rng)
+        pcd = perturbed(PCDAlign(C, rng), rng)
+        frames = [Tensor(rng.uniform(size=(3, H, W))) for _ in range(N)]
+        mix = rng.normal(size=(C, N, H, W))
+        params = extractor.parameters() + pcd.parameters()
+
+        def grads(loss):
+            for p in params:
+                p.zero_grad()
+            loss.backward()
+            return [p.grad.copy() for p in params]
+
+        window = extractor(T.stack(frames, axis=1))
+        batched = pcd_align(window, window.block(N // 2), pcd)
+        batched_grads = grads((batched * Tensor(mix)).sum())
+
+        pyramids = [extractor(frame) for frame in frames]
+        pairs = T.stack([pcd_align(p, pyramids[N // 2], pcd) for p in pyramids], axis=1)
+        pair_grads = grads((pairs * Tensor(mix)).sum())
+
+        assert all(np.any(head.weight.data) for head in pcd.off_head + [pcd.cas_head])
+        assert batched.shape == (C, N, H, W)
+        assert relative_error(batched.data, pairs.data) <= 1e-12
+        for (name, _), got, want in zip(
+            [*extractor.named_parameters("extractor."), *pcd.named_parameters("pcd.")],
+            batched_grads, pair_grads,
+        ):
+            assert relative_error(got, want) <= 1e-12, name

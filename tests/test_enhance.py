@@ -39,10 +39,10 @@ def rng():
 
 
 def make_aligned(cfg, H, W, rng):
-    return [
+    return T.stack([
         Tensor(rng.normal(size=(cfg.feature_channels, H, W)))
         for _ in range(cfg.input_frames)
-    ]
+    ], axis=1)
 
 
 class TestConfig:
@@ -75,6 +75,16 @@ class TestEnhanceForward:
         out = enhance_forward(aligned, Tensor(rng.uniform(size=(3, 8, 8))), net)
         assert out.shape == (3, 8, 8)
 
+    def test_frames_enter_in_window_order(self, rng):
+        # the embedding reads frame 0's channels, then frame 1's, and so on
+        cfg = EnhanceNetConfig(**TINY)
+        net = EnhanceNet(cfg, rng)
+        maps = [Tensor(rng.normal(size=(cfg.feature_channels, 8, 8))) for _ in range(3)]
+        embed, seen = net.embed, []
+        net.embed = lambda x: seen.append(x.data) or embed(x)
+        enhance_forward(T.stack(maps, axis=1), Tensor(rng.uniform(size=(3, 8, 8))), net)
+        assert np.array_equal(seen[0], np.concatenate([m.data for m in maps]))
+
     def test_padding_handles_odd_sizes(self, rng):
         cfg = EnhanceNetConfig(**TINY)
         net = EnhanceNet(cfg, rng)
@@ -89,7 +99,7 @@ class TestEnhanceForward:
         cfg = EnhanceNetConfig(**TINY)
         net = EnhanceNet(cfg, rng)
         with pytest.raises(DimensionError):
-            enhance_forward(make_aligned(cfg, 8, 8, rng)[:-1], Tensor(np.zeros((3, 8, 8))), net)
+            enhance_forward(make_aligned(cfg, 8, 8, rng)[:, :-1], Tensor(np.zeros((3, 8, 8))), net)
 
     def test_clamp_only_when_asked(self, rng):
         cfg = EnhanceNetConfig(**TINY)
@@ -117,7 +127,7 @@ class TestEnhanceForward:
         mix = rng.normal(size=(3, 4, 4))
         check_gradients(
             lambda ts: (
-                enhance_forward([ts[0]], ts[1], net) * Tensor(mix)
+                enhance_forward(ts[0].reshape(2, 1, 4, 4), ts[1], net) * Tensor(mix)
             ).sum(),
             [aligned, center],
             rtol=1e-4,
@@ -131,6 +141,21 @@ class TestVideoEnhancer:
         frames = [Tensor(rng.uniform(size=(3, 8, 8))) for _ in range(3)]
         out = model(frames)
         assert np.array_equal(out.data, frames[1].data)
+
+    def test_window_is_aligned_onto_its_center_frame(self, rng):
+        # one window pass equals aligning each frame's own pyramid onto the
+        # center frame's, then the net on the maps in window order
+        from vssenhance.align import pcd_align
+
+        from helpers import perturbed
+
+        model = perturbed(VideoEnhancer(EnhanceNetConfig(**{**TINY, "input_frames": 5}), rng), rng)
+        frames = [Tensor(rng.uniform(size=(3, 8, 8))) for _ in range(5)]
+        pyramids = [model.extractor(frame) for frame in frames]
+        aligned = [pcd_align(p, pyramids[2], model.pcd) for p in pyramids]
+        want = model.net(T.stack(aligned, axis=1), frames[2])
+        got = model(frames)
+        assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
 
     def test_checkpoint_roundtrip(self, rng, tmp_path):
         cfg = EnhanceNetConfig(**TINY)

@@ -382,6 +382,50 @@ class TestCLI:
         ]) == 0
         assert len(list(out_dir.iterdir())) == 4
 
+    def test_enhance_extracts_each_frame_once(self, tmp_path, rng, monkeypatch):
+        # the sliding window keeps each frame's pyramid while a window holds
+        # it; the PNGs equal running the model on each window from scratch
+        from vssenhance.align import FeatureExtractor
+        from vssenhance.config import load_config
+        from vssenhance.enhance import VideoEnhancer, temporal_window
+        from vssenhance.layers import save_checkpoint
+        from vssenhance.seeding import derive_rng
+        from vssenhance.tensor import Tensor, no_grad
+
+        from helpers import perturbed
+
+        config, _, _, ckpt = self._setup_run(tmp_path, rng)
+        config.write_text(config.read_text().replace("input_frames = 3", "input_frames = 5"))
+        cfg = load_config(config)
+        model = perturbed(VideoEnhancer(cfg.model, derive_rng(0, "model")), rng)
+        save_checkpoint(model, ckpt / "step-000000")
+        clip_dir = tmp_path / "clip"
+        write_clip(clip_dir, [rng.uniform(size=(3, 10, 12)) for _ in range(7)], bit_depth=16)
+
+        calls = []
+        extract = FeatureExtractor.__call__
+        monkeypatch.setattr(
+            FeatureExtractor, "__call__",
+            lambda self, frame: calls.append(frame.data.copy()) or extract(self, frame),
+        )
+        out_dir = tmp_path / "out"
+        assert main([
+            "enhance", "--config", str(config),
+            "--input", str(clip_dir), "--output", str(out_dir),
+        ]) == 0
+        clip = load_clip(clip_dir)
+        assert len(calls) == len(clip)
+        for frame, called in zip(clip.frames, calls):
+            assert np.array_equal(called, frame)
+
+        monkeypatch.setattr(FeatureExtractor, "__call__", extract)
+        tensors = [Tensor(f) for f in clip.frames]
+        for t, path in enumerate(clip.paths):
+            with no_grad():
+                want = model(temporal_window(tensors, t, 5), clamp_output=True)
+            write_image(tmp_path / "want.png", want.data, bit_depth=16)
+            assert (out_dir / path.name).read_bytes() == (tmp_path / "want.png").read_bytes()
+
     def test_metrics_csv(self, tmp_path, rng):
         ref_dir, test_dir = tmp_path / "ref", tmp_path / "test"
         refs = [rng.uniform(size=(3, 16, 16)) for _ in range(3)]

@@ -171,6 +171,34 @@ class TestConv2d:
         w = rng.normal(size=(2, 1, 3, 3))
         check_gradients(lambda ts: conv2d(ts[0], ts[1], pad=1).sum(), [x, w])
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_blocks_match_single_calls(self, rng, stride):
+        # a (C, N, H, W) batch runs each block's GEMM as a (C, H, W) call would
+        x = rng.normal(size=(3, 4, 7, 6))
+        w = rng.normal(size=(2, 3, 3, 3))
+        g = rng.normal(size=(2, 4) + conv2d(Tensor(x[:, 0]), Tensor(w), stride, 1).shape[1:])
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = conv2d(xt, wt, stride=stride, pad=1)
+        (out * Tensor(g)).sum().backward()
+        gw = np.zeros_like(w)
+        for n in range(4):
+            xn, wn = Tensor(x[:, n], requires_grad=True), Tensor(w, requires_grad=True)
+            single = conv2d(xn, wn, stride=stride, pad=1)
+            assert np.array_equal(out.data[:, n], single.data)
+            (single * Tensor(g[:, n])).sum().backward()
+            assert np.array_equal(xt.grad[:, n], xn.grad)
+            gw += wn.grad
+        assert np.abs(wt.grad - gw).max() <= 1e-12 * np.abs(gw).max()
+
+    def test_batch_gradients(self, rng):
+        x = rng.normal(size=(2, 3, 4, 4))
+        w = rng.normal(size=(2, 2, 3, 3))
+        mix = rng.normal(size=(2, 3, 2, 2))
+        check_gradients(
+            lambda ts: (conv2d(ts[0], ts[1], stride=2, pad=1) * Tensor(mix)).sum(),
+            [x, w],
+        )
+
 
 class TestConvTranspose2d:
     def test_adjoint_of_conv(self, rng):
@@ -307,20 +335,27 @@ class TestShapingOps:
             [a, b],
         )
 
+    def test_stack_new_axis_and_gradients(self, rng):
+        a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        out = T.stack([Tensor(a), Tensor(b)], axis=1)
+        assert np.array_equal(out.data, np.stack([a, b], axis=1))
+        mix = rng.normal(size=(2, 2, 3))
+        check_gradients(lambda ts: (T.stack(ts, axis=1) * Tensor(mix)).sum(), [a, b])
+
     def test_pad_reflect_roundtrip(self, rng):
         x = rng.normal(size=(1, 4, 5))
-        padded = T.pad2d(Tensor(x), 2, 2, mode="reflect")
+        padded = T.pad2d_edges(Tensor(x), 2, 2, 2, 2, mode="reflect")
         assert padded.shape == (1, 8, 9)
         assert np.array_equal(padded.data[:, 2:6, 2:7], x)
         # reflection: row -1 equals row 1
         assert np.array_equal(padded.data[:, 1, 2:7], x[:, 1, :])
         check_gradients(
-            lambda ts: (T.pad2d(ts[0], 1, 2, mode="reflect") ** 2.0).sum(), [x]
+            lambda ts: (T.pad2d_edges(ts[0], 1, 1, 2, 2, mode="reflect") ** 2.0).sum(), [x]
         )
 
     def test_pad_zero_gradients(self, rng):
         x = rng.normal(size=(2, 3, 3))
-        check_gradients(lambda ts: (T.pad2d(ts[0], 1, 1) ** 2.0).sum(), [x])
+        check_gradients(lambda ts: (T.pad2d_edges(ts[0], 1, 1, 1, 1) ** 2.0).sum(), [x])
 
     def test_empty_dimension_is_legal(self):
         x = Tensor(np.zeros((0, 4)))

@@ -4,10 +4,12 @@
 
 Runs, one after another, this checkout's ``perfbench/run.py`` for 40 s at
 seed 0, untraced on every workload and then traced (``--trace 1``) on
-enhance-stream and train-step, then the tier-1 test command.  Each run's
-last JSON line, the machine facts it prints (nproc, BLAS threads, Python and
-numpy versions), the tier-1 wall time and the duration of
-``test_06_toy_overfit`` go into ``BENCH_<tag>.json`` at the repository root.
+enhance-stream and train-step, then one default-config inference window at
+128x128 in this process, then the tier-1 test command.  Each run's last JSON
+line, the machine facts it prints (nproc, BLAS threads, Python and numpy
+versions), the 128x128 window's extract, PCD and net times, the tier-1 wall
+time and the duration of ``test_06_toy_overfit`` go into ``BENCH_<tag>.json``
+at the repository root.
 To record another commit, run the script from a checkout of it.  Run it on
 an otherwise idle machine: the numbers are single runs.
 """
@@ -18,8 +20,10 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,6 +38,8 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 MACHINE = re.compile(r"nproc=(\d+) blas_threads=(\S+) python=(\S+) numpy=(\S+)")
 SUMMARY = re.compile(r"(\d+) (passed|failed|error|errors|skipped)")
 TEST_06 = re.compile(r"([\d.]+)s call\s+\S*test_06_toy_overfit")
+WINDOW_SIZE = (128, 128)  # perfbench runs 64x64 only
+WINDOW_REPEATS = 3  # timed windows after one warm-up; stage times are medians
 
 
 def bench_run(workload: str, trace: int) -> dict:
@@ -52,6 +58,48 @@ def bench_run(workload: str, trace: int) -> dict:
         result["machine"] = {"nproc": int(nproc), "blas_threads": blas,
                              "python": python, "numpy": numpy}
     return {"workload": workload, "seed": SEED, "seconds": SECONDS, "trace": trace, **result}
+
+
+def inference_window() -> dict:
+    """Time the stages of one default-config 5-frame inference window at
+    WINDOW_SIZE: weights perturbed at seed 0 and frames made by
+    ``perfbench/generate.py``'s own functions."""
+    print(f"running: one {WINDOW_SIZE[0]}x{WINDOW_SIZE[1]} inference window", flush=True)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import generate
+    import numpy as np
+    import workloads
+    from vssenhance import tensor as T
+    from vssenhance.align import pcd_align
+    from vssenhance.config import parse_config
+    from vssenhance.enhance import VideoEnhancer
+    from vssenhance.layers import load_checkpoint
+    from vssenhance.seeding import derive_rng
+
+    model = VideoEnhancer(parse_config(workloads.DEFAULT_MODEL).model, derive_rng(0, "model"))
+    with tempfile.TemporaryDirectory() as tmp:
+        generate._perturbed_checkpoint(SEED, Path(tmp))
+        load_checkpoint(model, Path(tmp) / "step-000000")
+    rng = np.random.default_rng([SEED, *WINDOW_SIZE])
+    frames = generate._underwater(rng, generate._bright_scene(rng, 5, *WINDOW_SIZE))
+    window = [T.Tensor(frame) for frame in frames]
+    times = {"extract_ms": [], "pcd_ms": [], "net_ms": []}
+    with T.no_grad():
+        for _ in range(WINDOW_REPEATS + 1):
+            start = time.perf_counter()
+            pyramid = model.extractor(T.stack(window, axis=1))
+            extracted = time.perf_counter()
+            aligned = pcd_align(pyramid, pyramid.block(len(window) // 2), model.pcd)
+            pcd_done = time.perf_counter()
+            model.net(aligned, window[len(window) // 2], clamp_output=True)
+            done = time.perf_counter()
+            for key, (a, b) in zip(times, ((start, extracted), (extracted, pcd_done),
+                                            (pcd_done, done))):
+                times[key].append((b - a) * 1e3)
+    stages = {key: round(statistics.median(v[1:]), 1) for key, v in times.items()}
+    total = sum(stages.values())
+    return {"size": list(WINDOW_SIZE), "frames": len(window), "repeats": WINDOW_REPEATS,
+            **stages, "pcd_share": round(stages["pcd_ms"] / total, 3)}
 
 
 def tier1() -> dict:
@@ -95,6 +143,7 @@ def main(argv=None) -> int:
         "recorded_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "machine": next((r["machine"] for r in runs if "machine" in r), None),
         "runs": runs,
+        "window_128": inference_window(),
         "tier1": tier1(),
     }
     out = ROOT / f"BENCH_{args.tag}.json"
