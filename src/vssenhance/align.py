@@ -333,6 +333,8 @@ def _split_conv(conv: Conv2d, parts: list[Tensor]) -> Tensor:
             y = y.reshape(y.shape[0], 1, *y.shape[1:])
         out = y if out is None else out + y
         start = stop
+    if start != conv.weight.shape[1]:
+        raise DimensionError(f"parts hold {start} channels, {conv.weight.shape[1]} expected")
     return conv.add_bias(out)
 
 
@@ -380,10 +382,11 @@ def pcd_align(
             aligned = gelu(moved)
         else:
             stacked = concat([moved, resize_bilinear(aligned, H, W)], axis=0)
-            del moved
-            fused = weights.fuse[lvl](stacked)
+            del moved, aligned
+            aligned = weights.fuse[lvl](stacked)
             del stacked
-            aligned = gelu(fused) if lvl > 0 else fused
+            if lvl > 0:
+                aligned = gelu(aligned)
 
     cas_offsets = _offset_field(weights.cas_a, weights.cas_b, weights.cas_head,
                                 [aligned, reference.levels[0]])

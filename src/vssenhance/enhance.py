@@ -145,6 +145,7 @@ def enhance_forward(aligned: Tensor, center_rgb: Tensor, net: EnhanceNet,
     x = pad2d_edges(x, 0, pad_b, 0, pad_r, mode=pad_mode)
 
     feat = net.embed(x)
+    del x  # window-sized: not needed past the embedding
     skips = []
     for stage, down in zip(net.encoder_stages, net.downs):
         for block in stage:
@@ -194,8 +195,7 @@ class VideoEnhancer(Module):
                         clamp_output: bool = False) -> Tensor:
         """Enhance a window's center frame from the window's (C, N, H, W)
         feature pyramid, every block aligned onto the center block in one pass."""
-        reference = pyramid.block(pyramid.levels[0].shape[1] // 2)
-        aligned = pcd_align(pyramid, reference, self.pcd)
+        aligned = pcd_align(pyramid, pyramid.block(pyramid.levels[0].shape[1] // 2), self.pcd)
         return self.net(aligned, center_rgb, clamp_output=clamp_output)
 
 

@@ -462,6 +462,8 @@ class TestWindowBatch:
         whole = np.concatenate([nbr, np.repeat(ref[:, None], 5, axis=1), extra])
         want = conv(Tensor(whole))
         assert relative_error(out.data, want.data) <= 1e-13
+        with pytest.raises(DimensionError):  # parts must cover every input channel
+            _split_conv(conv, [Tensor(nbr), Tensor(ref)])
 
     def test_split_conv_gradients(self, rng):
         nbr = rng.normal(size=(2, 3, 4, 4))
