@@ -109,19 +109,13 @@ def _clip_illuminant(frames) -> Illuminant:
 
 
 def _slide(extract, frames, pyramid, held, window) -> FramePyramid:
-    """The stacked pyramid of clip frames ``window``, made from ``pyramid``,
-    that of clip frames ``held``: the blocks of frames in both move into
-    place within its buffers, and every other frame is extracted, once."""
+    """The stacked pyramid of clip frames ``window``.  Blocks of frames that
+    the previous window ``held`` are copied from its ``pyramid``; every other
+    frame is extracted, once."""
     fresh = {i: extract(frames[i]) for i in dict.fromkeys(window) if i not in held}
-    if pyramid is None:
-        return FramePyramid.stack([fresh[i] for i in window])
-    kept = [held.index(i) if i in held else 0 for i in window]
-    for lvl, level in enumerate(pyramid.levels):
-        level.data[:] = level.data[:, kept]
-        for j, i in enumerate(window):
-            if i in fresh:
-                level.data[:, j] = fresh[i].levels[lvl].data
-    return pyramid
+    return FramePyramid.stack(
+        [fresh[i] if i in fresh else pyramid.block(held.index(i)) for i in window]
+    )
 
 
 def cmd_enhance(args) -> int:
