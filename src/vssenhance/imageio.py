@@ -64,50 +64,62 @@ def _write_png(path: Path, samples: np.ndarray, bit_depth: int) -> None:
     path.write_bytes(blob)
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
+def _defilter(rows: np.ndarray, bpp: int) -> np.ndarray:
+    """Undo the per-row filters (RFC 2083 section 6) of (H, 1 + W*bpp) rows,
+    filter byte first, to the (H, W*bpp) image bytes.
 
-
-def _defilter(raw: bytes, H: int, W: int, channels: int, bit_depth: int) -> np.ndarray:
-    bpp = channels * (bit_depth // 8)
-    bpr = W * bpp
-    out = np.zeros((H, bpr), dtype=np.uint8)
-    pos = 0
-    prev = np.zeros(bpr, dtype=np.int64)
-    for r in range(H):
-        ftype = raw[pos]
-        pos += 1
-        row = np.frombuffer(raw, dtype=np.uint8, count=bpr, offset=pos).astype(np.int64)
-        pos += bpr
-        if ftype == 0:
-            recon = row
-        elif ftype == 1:  # sub: prefix sums per byte lane, modulo 256
-            recon = row.copy()
-            for lane in range(bpp):
-                recon[lane::bpp] = np.cumsum(row[lane::bpp]) % 256
-        elif ftype == 2:  # up
-            recon = (row + prev) % 256
-        elif ftype == 3:  # average
-            recon = np.zeros(bpr, dtype=np.int64)
-            for i in range(bpr):
-                left = recon[i - bpp] if i >= bpp else 0
-                recon[i] = (row[i] + (left + prev[i]) // 2) % 256
-        elif ftype == 4:  # paeth
-            recon = np.zeros(bpr, dtype=np.int64)
-            for i in range(bpr):
-                left = recon[i - bpp] if i >= bpp else 0
-                ul = prev[i - bpp] if i >= bpp else 0
-                recon[i] = (row[i] + _paeth(int(left), int(prev[i]), int(ul))) % 256
-        else:
-            raise IngestionError(f"unsupported PNG filter type {ftype}")
-        out[r] = recon
-        prev = recon
+    A byte at row r, pixel x is predicted from pixels (r, x-1), (r-1, x) and
+    (r-1, x-1), so the pixels of each anti-diagonal r + x = k are rebuilt at
+    once from diagonals k-1 and k-2.  Those two are kept in int16 buffers
+    indexed by row + 1: buffer row 0 and the rows no diagonal has reached
+    stay zero, which supplies the zeros outside the image.
+    """
+    H = rows.shape[0]
+    W = (rows.shape[1] - 1) // bpp
+    # (4, H, bpp) 0/1 masks: row r uses sub, up, average or paeth (none: all 0)
+    kinds = np.repeat((rows[:, 0] == np.arange(1, 5)[:, None])[:, :, None], bpp, axis=2)
+    out = rows[:, 1:].copy()  # the filtered bytes, rebuilt in place
+    pixels = out.reshape(H * W, bpp)
+    prev, prev2 = np.zeros((2, H + 1, bpp), dtype=np.int16)
+    # Each step computes into slices of these instead of fresh arrays: numpy
+    # keeps freed buffers under 1 KB for reuse, and one size per diagonal
+    # would leave hundreds of them spread over the heap.
+    ints = np.empty((7, H, bpp), dtype=np.int16)
+    bools = np.empty((3, H, bpp), dtype=bool)
+    for k in range(H + W - 1):
+        r0, r1 = max(0, k - W + 1), min(H, k + 1)
+        # pixel (r, k - r) sits at flat index k + r*(W - 1)
+        diag = slice(k + r0 * (W - 1), k + (r1 - 1) * (W - 1) + 1, max(W - 1, 1))
+        left, up, up_left = prev[r0 + 1 : r1 + 1], prev[r0:r1], prev2[r0:r1]
+        is_sub, is_up, is_avg, is_paeth = kinds[:, r0:r1]
+        d_left, d_up, p_left, p_up, p_ul, pred, term = ints[:, : r1 - r0]
+        near_left, near_up, cmp = bools[:, : r1 - r0]
+        # paeth: of left, up and up_left, the nearest to p = left + up - up_left,
+        # ties going to the first; masks multiply faster than np.where selects
+        np.subtract(left, up_left, out=d_left)
+        np.subtract(up, up_left, out=d_up)
+        np.abs(d_up, out=p_left)  # |p - left|
+        np.abs(d_left, out=p_up)  # |p - up|
+        np.abs(np.add(d_up, d_left, out=p_ul), out=p_ul)  # |p - up_left|
+        np.less_equal(p_left, p_up, out=near_left)
+        near_left &= np.less_equal(p_left, p_ul, out=cmp)
+        np.less_equal(p_up, p_ul, out=near_up)
+        np.greater(near_up, near_left, out=near_up)  # and not near_left
+        np.multiply(near_left, d_left, out=pred)
+        pred += up_left
+        pred += np.multiply(near_up, d_up, out=term)
+        # pred = is_paeth*paeth + is_sub*left + is_up*up + is_avg*average
+        pred *= is_paeth
+        pred += np.multiply(is_sub, left, out=term)
+        pred += np.multiply(is_up, up, out=term)
+        np.add(left, up, out=term)
+        term >>= 1
+        pred += np.multiply(is_avg, term, out=term)
+        pred += pixels[diag]
+        pred &= 255
+        pixels[diag] = pred
+        prev2[r0 + 1 : r1 + 1] = pred  # diagonal k-2 is read no more
+        prev, prev2 = prev2, prev
     return out
 
 
@@ -132,6 +144,8 @@ def _read_png(path: Path) -> tuple[np.ndarray, int]:
     if ihdr is None or not idat:
         raise IngestionError(f"{path}: missing IHDR or IDAT")
     W, H, bit_depth, color_type, _comp, _filt, interlace = ihdr
+    if W == 0 or H == 0:
+        raise IngestionError(f"{path}: PNG image is empty ({W}x{H})")
     if interlace != 0:
         raise IngestionError(f"{path}: interlaced PNG is unsupported")
     if bit_depth not in (8, 16):
@@ -139,11 +153,17 @@ def _read_png(path: Path) -> tuple[np.ndarray, int]:
     channels = {0: 1, 2: 3, 4: 2, 6: 4}.get(color_type)
     if channels is None:
         raise IngestionError(f"{path}: unsupported color type {color_type}")
+    bpp = channels * (bit_depth // 8)
     raw = zlib.decompress(bytes(idat))
-    expected = H * (1 + W * channels * (bit_depth // 8))
-    if len(raw) != expected:
+    if len(raw) != H * (1 + W * bpp):
         raise IngestionError(f"{path}: IDAT payload has wrong size")
-    bytes_grid = _defilter(raw, H, W, channels, bit_depth)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(H, 1 + W * bpp)
+    bad = np.flatnonzero(rows[:, 0] > 4)
+    if bad.size:
+        raise IngestionError(
+            f"{path}: row {bad[0]} has unsupported PNG filter type {rows[bad[0], 0]}"
+        )
+    bytes_grid = _defilter(rows, bpp)
     if bit_depth == 16:
         samples = bytes_grid.reshape(H, W, channels, 2)
         values = (samples[..., 0].astype(np.uint16) << 8) | samples[..., 1]

@@ -295,17 +295,19 @@ def sequential_recurrence_data(a: np.ndarray, u: np.ndarray, reverse: bool = Fal
     out = np.empty((L, n))
     if L == 0:
         return out
+    # row views made once: indexing a, u and out afresh at every step costs
+    # more than the step's two ufunc calls at a few hundred lanes
     if reverse:
         out[L - 1] = u[L - 1]
-        for t in range(L - 2, -1, -1):
-            np.multiply(a[t + 1], out[t + 1], out=out[t])
-            out[t] += u[t]
+        for a_next, s_next, u_t, s_t in zip(a[:0:-1], out[:0:-1], u[-2::-1], out[-2::-1]):
+            np.multiply(a_next, s_next, out=s_t)
+            s_t += u_t
         return out
     np.multiply(a[0], 0.0, out=out[0])
     out[0] += u[0]
-    for t in range(1, L):
-        np.multiply(a[t], out[t - 1], out=out[t])
-        out[t] += u[t]
+    for a_t, h_prev, u_t, h_t in zip(a[1:], out, u[1:], out[1:]):
+        np.multiply(a_t, h_prev, out=h_t)
+        h_t += u_t
     return out
 
 

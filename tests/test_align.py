@@ -369,6 +369,47 @@ class TestPCDAlign:
         final = plain_conv(pcd.cas_dcn, aligned)
         assert np.array_equal(out, final.data)
 
+    def test_window_matches_composition_of_plain_layers(self, rng):
+        # the level loop and the cascade rebuilt, one frame at a time, from
+        # convolutions of plain channel concatenations, so every operand of
+        # pcd_align (the coarse offsets' * 2.0 included) is pinned
+        from vssenhance.tensor import concat, gelu
+
+        C, N, H, W = 4, 3, 8, 8
+        extractor = perturbed(FeatureExtractor(3, C, rng), rng)
+        pcd = perturbed(PCDAlign(C, rng), rng)
+        frames = T.stack([Tensor(rng.uniform(size=(3, H, W))) for _ in range(N)], axis=1)
+
+        def dcn(conv, f, offsets):
+            return deformable_conv2d(f, offsets, conv.weight) + conv.bias.reshape(-1, 1, 1)
+
+        with no_grad():
+            window = extractor(frames)
+            ref = window.block(N // 2)
+            got = pcd_align(window, ref, pcd).data
+            for n in range(N):
+                nbr = window.block(n)
+                offsets = aligned = None
+                for lvl in (2, 1, 0):
+                    f = nbr.levels[lvl]
+                    h, w = f.shape[1:]
+                    parts = [f, ref.levels[lvl]]
+                    if offsets is not None:
+                        parts.append(resize_bilinear(offsets, h, w) * 2.0)
+                    feat = gelu(pcd.off_a[lvl](concat(parts, axis=0)))
+                    offsets = pcd.off_head[lvl](gelu(pcd.off_b[lvl](feat)))
+                    moved = dcn(pcd.dcn[lvl], f, offsets)
+                    if aligned is None:
+                        aligned = gelu(moved)
+                    else:
+                        up = resize_bilinear(aligned, h, w)
+                        aligned = pcd.fuse[lvl](concat([moved, up], axis=0))
+                        aligned = gelu(aligned) if lvl > 0 else aligned
+                feat = gelu(pcd.cas_a(concat([aligned, ref.levels[0]], axis=0)))
+                cas_offsets = pcd.cas_head(gelu(pcd.cas_b(feat)))
+                want = dcn(pcd.cas_dcn, aligned, cas_offsets).data
+                assert relative_error(got[:, n], want) <= 1e-12, n
+
     def test_identical_inputs_deterministic(self, rng):
         C = 3
         pcd = PCDAlign(C, rng)

@@ -159,6 +159,27 @@ class TestSSIM:
         b = rng.uniform(size=(3, 14, 14))
         assert abs(ssim(a, b) - ssim(b, a)) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(3, 13, 29), (2, 31, 12)])
+    def test_matches_per_window_formula(self, rng, shape):
+        # every valid 11x11 window weighted by the 2-D Gaussian at once: no
+        # separable passes and no in-place updates to get wrong
+        a = rng.uniform(size=shape)
+        b = np.clip(a + rng.normal(0, 0.1, size=shape), 0, 1)
+        peak, c1, c2 = 2.0, (0.01 * 2.0) ** 2, (0.03 * 2.0) ** 2
+        g = np.exp(-((np.arange(11) - 5.0) ** 2) / (2 * 1.5**2))
+        weights = np.outer(g, g) / g.sum() ** 2
+
+        def mean(x):
+            windows = np.lib.stride_tricks.sliding_window_view(x, (11, 11), axis=(1, 2))
+            return np.einsum("chwij,ij->chw", windows, weights)
+
+        mu_a, mu_b = mean(a), mean(b)
+        var_a, var_b = mean(a * a) - mu_a**2, mean(b * b) - mu_b**2
+        cov = mean(a * b) - mu_a * mu_b
+        score = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                 / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)))
+        assert abs(ssim(a, b, peak=peak) - score.mean(axis=(1, 2)).mean()) < 1e-12
+
     def test_noise_reduces_score(self, rng):
         a = rng.uniform(size=(1, 20, 20))
         noisy = a + rng.normal(0, 0.2, size=a.shape)

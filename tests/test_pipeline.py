@@ -1,10 +1,13 @@
 """Frame IO, configuration parsing, and the four CLI commands."""
 
 import csv
+import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vssenhance.cli import main
 from vssenhance.config import SEED_ENV_VAR, load_config, parse_config
@@ -32,6 +35,46 @@ def write_clip(directory, frames, bit_depth=8, suffix=".png", names=None):
         write_image(path, frame, bit_depth=bit_depth)
         paths.append(path)
     return paths
+
+
+def png_blob(W, H, bit_depth, color_type, payload):
+    """A PNG holding ``payload`` (filter bytes and filtered rows) as its image data."""
+
+    def chunk(tag, body):
+        crc = zlib.crc32(tag + body) & 0xFFFFFFFF
+        return struct.pack(">I", len(body)) + tag + body + struct.pack(">I", crc)
+
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + chunk(b"IHDR", struct.pack(">IIBBBBB", W, H, bit_depth, color_type, 0, 0, 0))
+        + chunk(b"IDAT", zlib.compress(bytes(payload)))
+        + chunk(b"IEND", b"")
+    )
+
+
+def rfc2083_filter(rows, types, bpp):
+    """Filter each row of image bytes by its type (RFC 2083 section 6), one
+    byte at a time: the reference the decoder is checked against."""
+
+    def paeth(a, b, c):
+        p = a + b - c
+        pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+        if pa <= pb and pa <= pc:
+            return a
+        return b if pb <= pc else c
+
+    payload = bytearray()
+    prior = bytes(len(rows[0]))
+    for row, ftype in zip(rows, types):
+        payload.append(ftype)
+        for i, x in enumerate(row):
+            a = row[i - bpp] if i >= bpp else 0
+            b = prior[i]
+            c = prior[i - bpp] if i >= bpp else 0
+            pred = (0, a, b, (a + b) // 2, paeth(a, b, c))[ftype]
+            payload.append((x - pred) % 256)
+        prior = row
+    return payload
 
 
 BASE_CONFIG = """
@@ -182,6 +225,36 @@ class TestImageIO:
         frame, depth = read_image(path)
         assert depth == bit_depth
         assert np.array_equal(frame, samples.transpose(2, 0, 1).astype(np.float64) / maxval)
+
+    @pytest.mark.parametrize("shape", [(1, 7), (6, 1), (9, 4), (3, 8)])
+    @pytest.mark.parametrize("color_type", [0, 2, 4, 6])
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_png_random_row_filters_match_bytewise_oracle(
+        self, tmp_path_factory, shape, color_type, bit_depth, seed
+    ):
+        # every row takes a random filter type 0-4; half the images keep every
+        # byte in {0, 10, 20, 30}, where paeth's distances tie often (left 30,
+        # up 0, upper-left 20 ties up with upper-left, which must pick up)
+        r = np.random.default_rng(seed)
+        H, W = shape
+        channels = {0: 1, 2: 3, 4: 2, 6: 4}[color_type]
+        maxval = (1 << bit_depth) - 1
+        if seed % 2:
+            samples = r.integers(0, maxval + 1, size=(H, W, channels))
+        else:
+            samples = r.integers(0, 4, size=(H, W, channels)) * 10 * (maxval // 255)
+        dtype = ">u2" if bit_depth == 16 else np.uint8
+        rows = [samples[y].astype(dtype).tobytes() for y in range(H)]
+        types = r.integers(0, 5, size=H).tolist()
+        payload = rfc2083_filter(rows, types, channels * bit_depth // 8)
+        path = tmp_path_factory.mktemp("oracle") / "filtered.png"
+        path.write_bytes(png_blob(W, H, bit_depth, color_type, payload))
+        frame, depth = read_image(path)
+        rgb = samples[..., :3] if channels >= 3 else np.repeat(samples[..., :1], 3, axis=2)
+        assert depth == bit_depth
+        assert np.array_equal(frame, rgb.transpose(2, 0, 1).astype(np.float64) / maxval)
 
     def test_unreadable_file_names_the_file(self, tmp_path):
         bad = tmp_path / "broken.png"
@@ -425,6 +498,25 @@ class TestCLI:
                 want = model(temporal_window(tensors, t, 5), clamp_output=True)
             write_image(tmp_path / "want.png", want.data, bit_depth=16)
             assert (out_dir / path.name).read_bytes() == (tmp_path / "want.png").read_bytes()
+
+    @pytest.mark.parametrize("fault", ["filter_type", "zero_width"])
+    def test_metrics_bad_png_names_the_file(self, tmp_path, rng, capsys, fault):
+        ref_dir, test_dir = tmp_path / "ref", tmp_path / "test"
+        frames = [rng.uniform(size=(3, 4, 4)) for _ in range(2)]
+        write_clip(ref_dir, frames)
+        write_clip(test_dir, frames)
+        if fault == "filter_type":  # 4x4 RGB rows, row 2 with filter byte 5
+            payload = b"".join(bytes([5 if y == 2 else 0]) + bytes(12) for y in range(4))
+            blob, want = png_blob(4, 4, 8, 2, payload), "row 2"
+        else:  # three rows of no pixels, each just its filter byte
+            blob, want = png_blob(0, 3, 8, 2, bytes(3)), "empty"
+        (test_dir / "0001.png").write_bytes(blob)
+        assert main([
+            "metrics", "--ref", str(ref_dir), "--test", str(test_dir),
+            "--out", str(tmp_path / "metrics.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(test_dir / "0001.png") in err and want in err
 
     def test_metrics_csv(self, tmp_path, rng):
         ref_dir, test_dir = tmp_path / "ref", tmp_path / "test"

@@ -5,11 +5,12 @@
 Runs, one after another, this checkout's ``perfbench/run.py`` for 40 s at
 seed 0, untraced on every workload and then traced (``--trace 1``) on
 enhance-stream and train-step, then one default-config inference window at
-128x128 in this process, then the tier-1 test command.  Each run's last JSON
-line, the machine facts it prints (nproc, BLAS threads, Python and numpy
-versions), the 128x128 window's extract, PCD and net times, the tier-1 wall
-time and the duration of ``test_06_toy_overfit`` go into ``BENCH_<tag>.json``
-at the repository root.
+128x128 and the decode of one 1920x1080 RGB16 PNG in this process, then the
+tier-1 test command.  Each run's last JSON line, the machine facts it prints
+(nproc, BLAS threads, Python and numpy versions), the 128x128 window's
+extract, PCD and net times, the 1080p frame's ``read_image`` time, the tier-1
+wall time and the duration of ``test_06_toy_overfit`` go into
+``BENCH_<tag>.json`` at the repository root.
 To record another commit, run the script from a checkout of it.  Run it on
 an otherwise idle machine: the numbers are single runs.
 """
@@ -40,6 +41,8 @@ SUMMARY = re.compile(r"(\d+) (passed|failed|error|errors|skipped)")
 TEST_06 = re.compile(r"([\d.]+)s call\s+\S*test_06_toy_overfit")
 WINDOW_SIZE = (128, 128)  # perfbench runs 64x64 only
 WINDOW_REPEATS = 3  # timed windows after one warm-up; stage times are medians
+DECODE_SIZE = (1080, 1920)
+DECODE_REPEATS = 3  # read_image calls; the time is their median
 
 
 def bench_run(workload: str, trace: int) -> dict:
@@ -65,7 +68,6 @@ def inference_window() -> dict:
     WINDOW_SIZE: weights perturbed at seed 0 and frames made by
     ``perfbench/generate.py``'s own functions."""
     print(f"running: one {WINDOW_SIZE[0]}x{WINDOW_SIZE[1]} inference window", flush=True)
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import generate
     import numpy as np
     import workloads
@@ -100,6 +102,33 @@ def inference_window() -> dict:
     total = sum(stages.values())
     return {"size": list(WINDOW_SIZE), "frames": len(window), "repeats": WINDOW_REPEATS,
             **stages, "pcd_share": round(stages["pcd_ms"] / total, 3)}
+
+
+def decode_1080p() -> dict:
+    """Time ``read_image`` on one seed-0 DECODE_SIZE RGB16 frame, a bright
+    scene from ``perfbench/generate.py`` encoded by ``pngcodec.encode_png``
+    with its libpng filter heuristic, and check the samples it returns."""
+    print(f"running: decode of one {DECODE_SIZE[1]}x{DECODE_SIZE[0]} RGB16 PNG", flush=True)
+    import generate
+    import numpy as np
+    import pngcodec
+    from vssenhance.imageio import read_image
+
+    rng = np.random.default_rng([SEED, *DECODE_SIZE])
+    samples = generate._quantize(generate._bright_scene(rng, 1, *DECODE_SIZE), 16)[0]
+    blob, types = pngcodec.encode_png(samples, 16)
+    times = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frame.png"
+        path.write_bytes(blob)
+        for _ in range(DECODE_REPEATS):
+            start = time.perf_counter()
+            frame, _ = read_image(path)
+            times.append((time.perf_counter() - start) * 1e3)
+    correct = bool(np.array_equal(frame, samples.transpose(2, 0, 1) / 65535.0))
+    return {"size": list(DECODE_SIZE), "bit_depth": 16, "repeats": DECODE_REPEATS,
+            "filter_rows": pngcodec.filter_histogram(types),
+            "read_ms": round(statistics.median(times), 1), "correct": correct}
 
 
 def tier1() -> dict:
@@ -137,6 +166,7 @@ def main(argv=None) -> int:
 
     runs = [bench_run(w, 0) for w in WORKLOADS]
     runs += [bench_run(w, 1) for w in TRACED]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]  # in-process measurements
     record = {
         "tag": args.tag,
         "commit": git_head(),
@@ -144,12 +174,15 @@ def main(argv=None) -> int:
         "machine": next((r["machine"] for r in runs if "machine" in r), None),
         "runs": runs,
         "window_128": inference_window(),
+        "decode_1080p": decode_1080p(),
         "tier1": tier1(),
     }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=False) + "\n")
     print(f"wrote {out}")
     bad = [f"{r['workload']} trace={r['trace']}" for r in runs if not r.get("correct")]
+    if not record["decode_1080p"]["correct"]:
+        bad.append("decode_1080p")
     if bad:
         print(f"error: incorrect runs: {', '.join(bad)}", file=sys.stderr)
         return 1
