@@ -102,7 +102,7 @@ def _at_corners(op, fy, fx, dtype) -> np.ndarray:
     return out.reshape(-1)
 
 
-def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
+def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
     """Sample (C, H, W) values at M continuous positions -> (C, M).
 
     Positions outside [0, H-1] x [0, W-1] contribute zeros corner-by-corner.
@@ -112,7 +112,8 @@ def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
     The read is one sparse (M, H*W) operator: forward applies it, backward its
     transpose.  Backward keeps the operator's arrays; when the coordinates
     need a gradient it also keeps the per-axis corner factors and forms the
-    two (C, M) coordinate derivatives there, from the values ``f``.
+    two (C, M) coordinate derivatives there, from the values ``f``.  The
+    samples are written into ``out``, a (C, M) buffer, if one is given.
     """
     f = _wrap(f)
     if f.data.ndim != 3:
@@ -134,9 +135,9 @@ def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
     def operator(data):  # the (M, H*W) CSR matrix holding ``data`` at the corners
         return sparse.csr_matrix((data, cols, indptr), shape=(M, H * W))
 
-    def apply(data):  # (C, M); one channel at a time, so neither side is transposed
+    def apply(data, out=None):  # (C, M); a channel at a time, so nothing is transposed
         op = operator(data)
-        out = np.empty((C, M))
+        out = np.empty((C, M)) if out is None else out
         for c, row in enumerate(f.data.reshape(C, H * W)):
             out[c] = op @ row
         return out
@@ -145,7 +146,7 @@ def bilinear_gather(f: Tensor, ys, xs) -> Tensor:
     iy = ix = None  # read no more: free them before the (C, M) output exists
     if not coord_grad:
         ry = rx = sy = sx = None  # backward reads only the operator
-    out = apply(weights)
+    out = apply(weights, out)
 
     def grad_fn(g):
         gf = (g @ operator(weights)).reshape(C, H, W)
@@ -201,10 +202,11 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
 
     At each output position p the k x k taps sample ``f`` at
     p + tap + offset_tap(p) via bilinear interpolation (zeros outside the
-    grid), then contract with ``w`` exactly like the plain convolution, so a
-    zero offset field reproduces ``conv2d(f, w, stride=1, pad=(k-1)/2)``
-    bitwise.  A window ``f`` of (C, N, H, W) takes (2*k*k, N, H, W) offsets;
-    each block is sampled and multiplied on its own.
+    grid), then contract with ``w`` by conv2d's per-tap GEMMs, so a zero
+    offset field reproduces ``conv2d(f, w, stride=1, pad=(k-1)/2)`` bitwise.
+    A window ``f`` of (C, N, H, W) takes (2*k*k, N, H, W) offsets; each block
+    is sampled and multiplied on its own, and without a graph the blocks
+    share one sample buffer.
     """
     f = _wrap(f)
     offsets = _wrap(offsets)
@@ -223,14 +225,19 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
         raise DimensionError(
             f"offset field must be {(2 * k * k,) + f.shape[1:]}, got {offsets.shape}"
         )
-    if f.ndim == 4:
-        blocks = [_deformable_block(f[:, n], offsets[:, n], w) for n in range(f.shape[1])]
-        return T.stack(blocks, axis=1)
-    return _deformable_block(f, offsets, w)
+    if f.ndim == 3:
+        blocks = [(f, offsets)]
+    else:
+        blocks = ((f[:, n], offsets[:, n]) for n in range(f.shape[1]))
+    buf = None if T.grad_enabled() else np.empty((C, k * k * H * W))
+    samples = (_tap_samples(fn, on, k, buf) for fn, on in blocks)
+    out = _tap_contract(samples, w, 1 if f.ndim == 3 else f.shape[1])
+    return out.reshape((C_out,) + f.shape[1:])
 
 
-def _deformable_block(f: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
-    C_out, C, k, _ = w.shape
+def _tap_samples(f: Tensor, offsets: Tensor, k: int, out: np.ndarray | None) -> Tensor:
+    """The (C, k*k*H*W) bilinear samples of a (C, H, W) block at each tap's
+    offset positions, tap-major, written into ``out`` if given."""
     _, H, W = f.shape
     limit = float(max(H, W))
     off = T.clip(offsets, -limit, limit).reshape(k * k, 2, H * W)
@@ -245,11 +252,42 @@ def _deformable_block(f: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
 
     ys = off[:, 0] + Tensor(base_y.astype(np.float64))
     xs = off[:, 1] + Tensor(base_x.astype(np.float64))
+    return bilinear_gather(f, ys.reshape(-1), xs.reshape(-1), out=out)
 
-    sampled = bilinear_gather(f, ys.reshape(-1), xs.reshape(-1))  # (C, k*k*H*W)
-    # conv2d's (C*k*k, H*W) patch layout and GEMM: zero offsets must match it bitwise
-    out = T.matmul(w.reshape(C_out, C * k * k), sampled.reshape(C * k * k, H * W))
-    return out.reshape(C_out, H, W)
+
+def _tap_contract(samples, w: Tensor, N: int) -> Tensor:
+    """(C_out, N, M) from N blocks of (C, k*k*M) tap samples, each contracted
+    by conv2d's per-tap GEMMs in its tap order.  ``samples`` is read once,
+    block by block; without a graph no block is kept."""
+    C_out, C, k, _ = w.shape
+    w_taps = np.ascontiguousarray(T._taps(w.data))
+
+    def tap_views(a):  # (C, k*k*M) -> each tap's (C, M) view
+        return list(a.reshape(C, k * k, -1).transpose(1, 0, 2))
+
+    kept = []
+    data = tmp = None
+    for n, sampled in enumerate(samples):
+        srcs = tap_views(sampled.data)
+        if data is None:
+            M = srcs[0].shape[1]
+            data, tmp = np.empty((C_out, N, M)), np.empty((C_out, M))
+        T._tap_sum(w_taps, srcs, data[:, n], tmp)
+        if T.grad_enabled():
+            kept.append(sampled)
+
+    def grad_fn(g):
+        w_taps = np.ascontiguousarray(T._taps(w.data))
+        gw = np.zeros(w.shape)
+        grads = []
+        for n, sampled in enumerate(kept):
+            gs = np.empty(sampled.shape)
+            T._tap_adjoint(w_taps, g[:, n], tap_views(gs), None)  # taps do not overlap
+            T._tap_weight_grad(g[:, n], tap_views(sampled.data), T._taps(gw))
+            grads.append(gs)
+        return (*grads, gw)
+
+    return _node(data, (*kept, w), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -624,6 +624,11 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 # ---- 2-D convolution ---------------------------------------------------------
+#
+# Every convolution is one GEMM per kernel tap on a shifted view of its
+# padded input, the products added in tap order; no patch matrix is formed.
+# ``_tap_sum`` is that contraction and ``_tap_adjoint``/``_tap_weight_grad``
+# its adjoints, shared by conv2d, conv_transpose2d and deformable_conv2d.
 
 
 def _conv_out_size(n: int, k: int, stride: int, pad: int) -> int:
@@ -637,47 +642,129 @@ def _conv_out_size(n: int, k: int, stride: int, pad: int) -> int:
     return span // stride + 1
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(C, H, W) -> patch matrix (C*k*k, Ho*Wo), rows in (c, ky, kx) order."""
-    C, H, W = x.shape
-    Ho = _conv_out_size(H, k, stride, pad)
-    Wo = _conv_out_size(W, k, stride, pad)
-    if Ho == 0 or Wo == 0 or C == 0:
-        return np.zeros((C * k * k, Ho * Wo)), Ho, Wo
-    xp = x
-    if pad > 0:
-        xp = np.zeros((C, H + 2 * pad, W + 2 * pad))
-        xp[:, pad : pad + H, pad : pad + W] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(C * k * k, Ho * Wo)
-    return cols, Ho, Wo
+def _taps(w: np.ndarray) -> np.ndarray:
+    """The (k*k, A, B) view of an (A, B, k, k) kernel's taps, row-major over (ky, kx)."""
+    return w.reshape(w.shape[0], w.shape[1], -1).transpose(2, 0, 1)
 
 
-def _col2im(
-    cols: np.ndarray, C: int, H: int, W: int, k: int, stride: int, pad: int
-) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches back onto the (C, H, W) grid."""
-    Ho = _conv_out_size(H, k, stride, pad)
-    Wo = _conv_out_size(W, k, stride, pad)
-    buf = np.zeros((C, H + 2 * pad, W + 2 * pad))
-    if Ho == 0 or Wo == 0 or C == 0:
-        return buf[:, pad : pad + H, pad : pad + W]
-    patches = cols.reshape(C, k, k, Ho, Wo)
-    for ky in range(k):
-        ys = slice(ky, ky + (Ho - 1) * stride + 1, stride)
-        for kx in range(k):
-            xs = slice(kx, kx + (Wo - 1) * stride + 1, stride)
-            buf[:, ys, xs] += patches[:, ky, kx]
-    return np.ascontiguousarray(buf[:, pad : pad + H, pad : pad + W])
+def _tap_sum(w_taps, srcs, out: np.ndarray, tmp: np.ndarray | None) -> np.ndarray:
+    """``out = sum_t w_taps[t] @ srcs[t]``, added in tap order; ``tmp`` is
+    scratch of ``out``'s shape (unused for one tap)."""
+    np.matmul(w_taps[0], srcs[0], out=out)
+    for wt, src in zip(w_taps[1:], srcs[1:]):
+        np.matmul(wt, src, out=tmp)
+        out += tmp
+    return out
+
+
+def _tap_adjoint(w_taps, g: np.ndarray, dsts, tmp: np.ndarray | None) -> None:
+    """``dsts[t] += w_taps[t].T @ g`` for each tap, ``tmp`` scratch of a
+    source's shape: the adjoint of :func:`_tap_sum` in its sources.  With no
+    ``tmp`` the destinations must not overlap, and are written."""
+    for wt, dst in zip(w_taps, dsts):
+        if tmp is None:
+            np.matmul(wt.T, g, out=dst)
+        else:
+            np.matmul(wt.T, g, out=tmp)
+            dst += tmp
+
+
+def _tap_weight_grad(g: np.ndarray, srcs, out) -> None:
+    """``out[t] += g @ srcs[t].T`` for each tap: the adjoint of
+    :func:`_tap_sum` in its weights."""
+    for gt, src in zip(out, srcs):
+        gt += g @ src.T
+
+
+class _TapGrid:
+    """Where each tap of a k x k, stride-s, pad-p convolution of an H x W
+    block reads.
+
+    The zero-padded block ``xp`` is split into its s*s phase images
+    ``xp[:, ry::s, rx::s]``, each stored per channel as one flat row of
+    ``length`` = Hq*Wq + (k-1)//s entries, the tail zero.  Tap (ky, kx) is a
+    shift by ``(ky//s)*Wq + kx//s`` inside phase ``(ky%s)*s + kx%s``: the
+    (C, Ho*Wq) slice from there holds the tap's input to output (i, j) in
+    column ``i*Wq + j`` and junk for j >= Wo.  Outputs are formed on that
+    grid, Wq columns wide, and cropped.  Stride 1 is the one-phase case, and
+    an unpadded stride-1 1x1 block is its own phase image.
+    """
+
+    def __init__(self, H: int, W: int, k: int, stride: int, pad: int):
+        s = stride
+        self.Ho, self.Wo = _conv_out_size(H, k, s, pad), _conv_out_size(W, k, s, pad)
+        self.Hq, self.Wq = -(-(H + 2 * pad) // s), -(-(W + 2 * pad) // s)
+        self.phases, self.length = s * s, self.Hq * self.Wq + (k - 1) // s
+        self.wide = self.Ho * self.Wq
+        self.taps = [((ky % s) * s + kx % s, (ky // s) * self.Wq + kx // s)
+                     for ky in range(k) for kx in range(k)]
+        self.direct = s == 1 and pad == 0 and k == 1
+        # per phase: its rows and columns that hold the block's, and those
+        axes = [[_phase_axis(n, r, s, pad) for r in range(s)] for n in (H, W)]
+        self.pieces = [(ry * s + rx, (slice(None), rows, cols), (slice(None), ys, xs))
+                       for ry, (rows, ys) in enumerate(axes[0])
+                       for rx, (cols, xs) in enumerate(axes[1])]
+
+    def _images(self, phases: np.ndarray) -> np.ndarray:
+        flat = phases[:, :, : self.Hq * self.Wq]
+        return flat.reshape(flat.shape[:2] + (self.Hq, self.Wq))
+
+    def split(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (s*s, C, length) phase images of the (C, H, W) block ``x``,
+        written into ``out`` (an earlier result, so its padding is zero) or a
+        fresh buffer; a view of ``x`` when it is its own."""
+        if self.direct:
+            return x.reshape(1, x.shape[0], -1)
+        if out is None:
+            out = np.zeros((self.phases, x.shape[0], self.length))
+        images = self._images(out)
+        for p, at, src in self.pieces:
+            images[p][at] = x[src]
+        return out
+
+    def sources(self, phases: np.ndarray) -> list[np.ndarray]:
+        """Each tap's (C, Ho*Wq) slice of the phase images, in tap order."""
+        return [phases[p, :, o : o + self.wide] for p, o in self.taps]
+
+    def widen(self, g: np.ndarray) -> np.ndarray:
+        """(C, Ho, Wo) -> (C, Ho*Wq), zero in the junk columns."""
+        out = np.zeros((g.shape[0], self.Ho, self.Wq))
+        out[:, :, : self.Wo] = g
+        return out.reshape(g.shape[0], self.wide)
+
+    def crop(self, wide: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`widen`: the (C, Ho, Wo) view of a wide grid."""
+        return wide.reshape(wide.shape[0], self.Ho, self.Wq)[:, :, : self.Wo]
+
+    def input_grad(self, w_taps, g_wide: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Adjoint of the taps' contraction: each ``w_taps[t].T @ g_wide``
+        shift-added into phase images, then merged into the (C, H, W) block
+        ``out``, padding entries dropped."""
+        C = w_taps.shape[2]
+        phases = np.zeros((self.phases, C, self.length))
+        _tap_adjoint(w_taps, g_wide, self.sources(phases), np.empty((C, self.wide)))
+        images = self._images(phases)
+        for p, at, dst in self.pieces:
+            out[dst] = images[p][at]
+        return out
+
+
+def _phase_axis(n: int, r: int, s: int, pad: int) -> tuple[slice, slice]:
+    """Along an axis of n entries padded by ``pad``: the positions in phase r
+    (padded positions r, r+s, ...) that hold entries, and those entries."""
+    first = max(0, -(-(pad - r) // s))
+    start = r + s * first - pad
+    count = len(range(start, n, s))
+    return slice(first, first + count), slice(start, n, s)
 
 
 def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of (C_in, H, W) with (C_out, C_in, k, k), zero padding.
 
-    ``x`` may also be a batch (C_in, N, H, W), giving (C_out, N, Ho, Wo):
-    one node, whose patch matrices are built and multiplied one block at a
-    time, so each block's GEMM is the one an unbatched call makes.
+    ``x`` may also be a batch (C_in, N, H, W), giving (C_out, N, Ho, Wo): one
+    node that convolves one block at a time, each exactly as an unbatched
+    call does, and without a graph through one set of buffers.  Backward
+    keeps each block's phase images, about the padded input's size.
     """
     x, w = _wrap(x), _wrap(w)
     if x.data.ndim not in (3, 4) or w.data.ndim != 4:
@@ -693,37 +780,40 @@ def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
         )
     x4 = x.data if x.data.ndim == 4 else x.data[:, None]
     C, N, H, W = x4.shape
-    Ho = _conv_out_size(H, k, stride, pad)
-    Wo = _conv_out_size(W, k, stride, pad)
-    w_mat = w.data.reshape(C_out, C_in * k * k)
+    grid = _TapGrid(H, W, k, stride, pad)
+    Ho, Wo = grid.Ho, grid.Wo
+    w_taps = np.ascontiguousarray(_taps(w.data))
     keep = _GRAD_ENABLED and (x.requires_grad or w.requires_grad)
-    data = np.empty((C_out, N, Ho * Wo))
-    cols = []
+    data = np.empty((C_out, N, Ho, Wo))
+    acc = np.empty((C_out, grid.wide))
+    tmp = np.empty_like(acc) if k > 1 else None
+    phases, buf = [], None
     for n in range(N):
-        block, _, _ = _im2col(x4[:, n], k, stride, pad)
-        np.matmul(w_mat, block, out=data[:, n])
+        buf = grid.split(x4[:, n], None if keep else buf)
         if keep:
-            cols.append(block)
-        del block  # without a graph, one block's patches exist at a time
-    data = data.reshape((C_out,) + x.data.shape[1:-2] + (Ho, Wo))
+            phases.append(buf)
+        data[:, n] = grid.crop(_tap_sum(w_taps, grid.sources(buf), acc, tmp))
 
     def grad_fn(g):
-        g_mat = g.reshape(C_out, N, Ho * Wo)
-        gw = g_mat[:, 0] @ cols[0].T
-        for n in range(1, N):
-            gw += g_mat[:, n] @ cols[n].T
-        gx = [_col2im(w_mat.T @ g_mat[:, n], C, H, W, k, stride, pad) for n in range(N)]
-        gx = gx[0] if N == 1 else np.stack(gx, axis=1)
-        return gx.reshape(x.data.shape), gw.reshape(w.data.shape)
+        g4 = g.reshape(C_out, N, Ho, Wo)
+        w_taps = np.ascontiguousarray(_taps(w.data))
+        gw = np.zeros(w.data.shape)
+        gx = np.empty((C, N, H, W))
+        for n in range(N):
+            g_wide = grid.widen(g4[:, n])
+            _tap_weight_grad(g_wide, grid.sources(phases[n]), _taps(gw))
+            grid.input_grad(w_taps, g_wide, gx[:, n])
+        return gx.reshape(x.data.shape), gw
 
-    return _node(data, (x, w), grad_fn)
+    return _node(data.reshape((C_out,) + x.data.shape[1:-2] + (Ho, Wo)), (x, w), grad_fn)
 
 
 def conv_transpose2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
     """Transposed convolution (the adjoint map of ``conv2d`` on the same geometry).
 
     ``x`` is (C_in, H, W); ``w`` is (C_in, C_out, k, k).  Output extent is
-    ``(H - 1) * stride - 2 * pad + k``.
+    ``(H - 1) * stride - 2 * pad + k``.  Forward is conv2d's input gradient,
+    backward its forward and weight gradient; backward keeps no array.
     """
     x, w = _wrap(x), _wrap(w)
     if x.data.ndim != 3 or w.data.ndim != 4:
@@ -740,15 +830,18 @@ def conv_transpose2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
     W_out = (W - 1) * stride - 2 * pad + k
     if H_out < 0 or W_out < 0:
         raise ConfigurationError("transposed convolution output size is negative")
-    x_mat = x.data.reshape(C_in, H * W)
-    w_mat = w.data.reshape(C_in, C_out * k * k)
-    data = _col2im(w_mat.T @ x_mat, C_out, H_out, W_out, k, stride, pad)
+    # conv2d's geometry from the (C_out, H_out, W_out) output to x's grid
+    grid = _TapGrid(H_out, W_out, k, stride, pad)
+    w_taps = np.ascontiguousarray(_taps(w.data))
+    data = grid.input_grad(w_taps, grid.widen(x.data), np.empty((C_out, H_out, W_out)))
 
     def grad_fn(g):
-        gcols, _, _ = _im2col(g, k, stride, pad)
-        gx = (w_mat @ gcols).reshape(C_in, H, W)
-        gw = (x_mat @ gcols.T).reshape(w.data.shape)
-        return gx, gw
+        srcs = grid.sources(grid.split(g))
+        wide = np.empty((C_in, grid.wide))
+        _tap_sum(np.ascontiguousarray(_taps(w.data)), srcs, wide, np.empty_like(wide))
+        gw = np.zeros(w.data.shape)
+        _tap_weight_grad(grid.widen(x.data), srcs, _taps(gw))
+        return np.ascontiguousarray(grid.crop(wide)), gw
 
     return _node(data, (x, w), grad_fn)
 

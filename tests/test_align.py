@@ -493,6 +493,16 @@ class TestWindowBatch:
         with pytest.raises(DimensionError):
             deformable_conv2d(Tensor(f), Tensor(offsets[:, :3]), w)
 
+    def test_deformable_no_grad_shares_one_sample_buffer(self, rng):
+        # without a graph the blocks are sampled into one buffer in turn
+        f = rng.normal(size=(3, 4, 6, 7))
+        offsets = rng.uniform(-1.5, 1.5, size=(18, 4, 6, 7))
+        w = Tensor(rng.normal(size=(2, 3, 3, 3)), requires_grad=True)
+        out = deformable_conv2d(Tensor(f), Tensor(offsets), w)
+        with no_grad():
+            fast = deformable_conv2d(Tensor(f), Tensor(offsets), w)
+        assert np.array_equal(out.data, fast.data)
+
     def test_split_conv_matches_concatenation(self, rng):
         # the shared (C, H, W) part equals that part repeated in every block
         conv = perturbed(Conv2d(7, 4, 3, rng), rng)

@@ -18,7 +18,7 @@ from vssenhance.tensor import (
     matmul,
 )
 
-from helpers import check_gradients
+from helpers import check_gradients, retained_arrays
 
 
 @pytest.fixture
@@ -228,6 +228,121 @@ class TestConvTranspose2d:
             lambda ts: (conv_transpose2d(ts[0], ts[1], stride=2, pad=1) * Tensor(mix)).sum(),
             [x, w],
         )
+
+
+def conv_oracle(x, w, stride, pad):
+    """Cross-correlation by a loop over output positions."""
+    x4 = x if x.ndim == 4 else x[:, None]
+    C, N, H, W = x4.shape
+    C_out, _, k, _ = w.shape
+    xp = np.zeros((C, N, H + 2 * pad, W + 2 * pad))
+    xp[:, :, pad : pad + H, pad : pad + W] = x4
+    Ho, Wo = (H + 2 * pad - k) // stride + 1, (W + 2 * pad - k) // stride + 1
+    out = np.zeros((C_out, N, Ho, Wo))
+    for n in range(N):
+        for i in range(Ho):
+            for j in range(Wo):
+                patch = xp[:, n, i * stride : i * stride + k, j * stride : j * stride + k]
+                out[:, n, i, j] = np.tensordot(w, patch, axes=3)
+    return out.reshape((C_out,) + x.shape[1:-2] + (Ho, Wo))
+
+
+def conv_transpose_oracle(x, w, stride, pad):
+    """Transposed convolution by scattering each input pixel's kernel copy."""
+    C_in, H, W = x.shape
+    _, C_out, k, _ = w.shape
+    full = np.zeros((C_out, (H - 1) * stride + k, (W - 1) * stride + k))
+    for i in range(H):
+        for j in range(W):
+            full[:, i * stride : i * stride + k, j * stride : j * stride + k] += np.tensordot(
+                x[:, i, j], w, axes=1
+            )
+    return full[:, pad : full.shape[1] - pad, pad : full.shape[2] - pad]
+
+
+# odd and even extents, so that stride 2 drops a trailing row or column
+# (floor semantics) in some cases and not in others; a 4-D shape is a batch
+CONV_SHAPES = [(2, 7, 6), (3, 5, 9), (2, 3, 6, 7)]
+
+
+class TestTapConvolution:
+    """conv2d and conv_transpose2d, one GEMM per kernel tap, against loops."""
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES)
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_matches_loop(self, rng, shape, k, pad, stride):
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(4, shape[0], k, k))
+        out = conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data
+        ref = conv_oracle(x, w, stride, pad)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("shape", [(2, 5, 4), (2, 2, 4, 5)])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_gradients(self, rng, shape, k, pad, stride):
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(3, shape[0], k, k))
+        mix = rng.normal(size=conv_oracle(x, w, stride, pad).shape)
+        check_gradients(
+            lambda ts: (conv2d(ts[0], ts[1], stride=stride, pad=pad) * Tensor(mix)).sum(),
+            [x, w],
+        )
+
+    @pytest.mark.parametrize("k, stride, pad", [(4, 2, 1), (3, 1, 1)])
+    def test_conv_transpose2d_matches_loop(self, rng, k, stride, pad):
+        x = rng.normal(size=(3, 5, 4))
+        w = rng.normal(size=(3, 2, k, k))
+        out = conv_transpose2d(Tensor(x), Tensor(w), stride=stride, pad=pad).data
+        ref = conv_transpose_oracle(x, w, stride, pad)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k, stride, pad", [(4, 2, 1), (3, 1, 1)])
+    def test_conv_transpose2d_gradients(self, rng, k, stride, pad):
+        x = rng.normal(size=(2, 3, 4))
+        w = rng.normal(size=(2, 3, k, k))
+        mix = rng.normal(size=conv_transpose_oracle(x, w, stride, pad).shape)
+        check_gradients(
+            lambda ts: (conv_transpose2d(ts[0], ts[1], stride=stride, pad=pad)
+                        * Tensor(mix)).sum(),
+            [x, w],
+        )
+
+    @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
+    def test_conv2d_keeps_no_patch_matrix(self, rng, k, stride, pad):
+        # backward keeps each block's phase images: the padded input, with
+        # the phases rounded up to whole rows and a tail of (k-1)//s zeros
+        C, N, H, W = 3, 2, 8, 6
+        x = Tensor(rng.normal(size=(C, N, H, W)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, C, k, k)), requires_grad=True)
+        out = conv2d(x, w, stride=stride, pad=pad)
+        Ho, Wo = out.shape[-2:]
+        kept = [a for a in retained_arrays(out) if not np.shares_memory(a, out.data)]
+        assert all(a.size < C * k * k * Ho * Wo for a in kept)
+        assert sum(a.size for a in kept) <= N * C * (H + 2 * pad + 1) * (W + 2 * pad)
+        if k == 1:
+            assert kept == []  # the input is its own phase image
+
+    def test_conv_transpose2d_keeps_no_array(self, rng):
+        x = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True)
+        out = conv_transpose2d(x, w, stride=2, pad=1)
+        assert [a for a in retained_arrays(out) if not np.shares_memory(a, out.data)] == []
+
+    def test_no_grad_output_is_bitwise_equal(self, rng):
+        # without a graph the blocks share buffers, and give the same output
+        x = rng.normal(size=(3, 4, 7, 6))
+        w = rng.normal(size=(2, 3, 3, 3))
+        for stride in (1, 2):
+            out = conv2d(Tensor(x), Tensor(w, requires_grad=True), stride=stride, pad=1)
+            with T.no_grad():
+                fast = conv2d(Tensor(x), Tensor(w), stride=stride, pad=1)
+            assert np.array_equal(out.data, fast.data)
 
 
 class TestBackward:

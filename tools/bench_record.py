@@ -4,13 +4,14 @@
 
 Runs, one after another, this checkout's ``perfbench/run.py`` for 40 s at
 seed 0, untraced on every workload and then traced (``--trace 1``) on
-enhance-stream and train-step, then one default-config inference window at
-128x128 and the decode of one 1920x1080 RGB16 PNG in this process, then the
-tier-1 test command.  Each run's last JSON line, the machine facts it prints
-(nproc, BLAS threads, Python and numpy versions), the 128x128 window's
-extract, PCD and net times, the 1080p frame's ``read_image`` time, the tier-1
-wall time and the duration of ``test_06_toy_overfit`` go into
-``BENCH_<tag>.json`` at the repository root.
+enhance-stream and train-step, then one default-config inference window and
+one default-config training step at 128x128 and the decode of one 1920x1080
+RGB16 PNG in this process, then the tier-1 test command.  Each run's last
+JSON line, the machine facts it prints (nproc, BLAS threads, Python and numpy
+versions), the 128x128 window's extract, PCD and net times, the 128x128
+training step's time and autograd graph bytes, the 1080p frame's
+``read_image`` time, the tier-1 wall time and the duration of
+``test_06_toy_overfit`` go into ``BENCH_<tag>.json`` at the repository root.
 To record another commit, run the script from a checkout of it.  Run it on
 an otherwise idle machine: the numbers are single runs.
 """
@@ -41,6 +42,7 @@ SUMMARY = re.compile(r"(\d+) (passed|failed|error|errors|skipped)")
 TEST_06 = re.compile(r"([\d.]+)s call\s+\S*test_06_toy_overfit")
 WINDOW_SIZE = (128, 128)  # perfbench runs 64x64 only
 WINDOW_REPEATS = 3  # timed windows after one warm-up; stage times are medians
+TRAIN_REPEATS = 2  # timed training steps after one warm-up; the time is their median
 DECODE_SIZE = (1080, 1920)
 DECODE_REPEATS = 3  # read_image calls; the time is their median
 
@@ -102,6 +104,40 @@ def inference_window() -> dict:
     total = sum(stages.values())
     return {"size": list(WINDOW_SIZE), "frames": len(window), "repeats": WINDOW_REPEATS,
             **stages, "pcd_share": round(stages["pcd_ms"] / total, 3)}
+
+
+def train_step() -> dict:
+    """Time default-config training steps (batch 1) at WINDOW_SIZE, as the
+    ``train`` command runs them on a fresh model, on a low-light window and
+    its bright center frame made by ``perfbench/generate.py``'s functions,
+    and measure the autograd graph one step's loss retains."""
+    print(f"running: {WINDOW_SIZE[0]}x{WINDOW_SIZE[1]} training steps", flush=True)
+    import generate
+    import numpy as np
+    import spans
+    import workloads
+    from vssenhance import tensor as T
+    from vssenhance.config import parse_config
+    from vssenhance.enhance import VideoEnhancer, charbonnier, training_step
+    from vssenhance.optim import AdamW
+    from vssenhance.seeding import derive_rng
+
+    cfg = parse_config(workloads.DEFAULT_MODEL)
+    model = VideoEnhancer(cfg.model, derive_rng(SEED, "model"))
+    optimizer = AdamW(model.parameters(), lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
+    rng = np.random.default_rng([SEED, *WINDOW_SIZE])
+    bright = generate._bright_scene(rng, 5, *WINDOW_SIZE)
+    window = [T.Tensor(frame) for frame in generate._low_light(rng, bright)]
+    batch = [(window, T.Tensor(bright[len(window) // 2]))]
+    times = []
+    for _ in range(TRAIN_REPEATS + 1):
+        start = time.perf_counter()
+        training_step(model, optimizer, batch)
+        times.append((time.perf_counter() - start) * 1e3)
+    nodes, graph_bytes = spans.graph_footprint(charbonnier(model(window), batch[0][1]))
+    return {"size": list(WINDOW_SIZE), "frames": len(window), "repeats": TRAIN_REPEATS,
+            "step_ms": round(statistics.median(times[1:]), 1),
+            "graph_nodes": nodes, "graph_bytes": graph_bytes}
 
 
 def decode_1080p() -> dict:
@@ -174,6 +210,7 @@ def main(argv=None) -> int:
         "machine": next((r["machine"] for r in runs if "machine" in r), None),
         "runs": runs,
         "window_128": inference_window(),
+        "train_128": train_step(),
         "decode_1080p": decode_1080p(),
         "tier1": tier1(),
     }
