@@ -148,13 +148,15 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
         ry = rx = sy = sx = None  # backward reads only the operator
     out = apply(weights, out)
 
+    y_shape, x_shape = ys_t.shape, xs_t.shape  # backward keeps no coordinates
+
     def grad_fn(g):
         gf = (g @ operator(weights)).reshape(C, H, W)
         if not coord_grad:
             return gf, None, None
         gy = (g * apply(corners(sy, rx))).sum(axis=0)
         gx = (g * apply(corners(ry, sx))).sum(axis=0)
-        return gf, gy.reshape(ys_t.data.shape), gx.reshape(xs_t.data.shape)
+        return gf, gy.reshape(y_shape), gx.reshape(x_shape)
 
     return _node(out, (f, ys_t, xs_t), grad_fn)
 
@@ -197,20 +199,24 @@ def resize_bilinear(f: Tensor, out_h: int, out_w: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
-    """Stride-1 deformable convolution with per-position, per-tap offsets.
+def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor,
+                      bias: Tensor | None = None) -> Tensor:
+    """Stride-1 deformable convolution with per-position, per-tap offsets,
+    plus ``bias`` on each output channel if given.
 
     At each output position p the k x k taps sample ``f`` at
     p + tap + offset_tap(p) via bilinear interpolation (zeros outside the
     grid), then contract with ``w`` by conv2d's per-tap GEMMs, so a zero
     offset field reproduces ``conv2d(f, w, stride=1, pad=(k-1)/2)`` bitwise.
-    A window ``f`` of (C, N, H, W) takes (2*k*k, N, H, W) offsets; each block
-    is sampled and multiplied on its own, and without a graph the blocks
-    share one sample buffer.
+    A window ``f`` of (C, N, H, W) takes (2*k*k, N, H, W) offsets.
+
+    One node: each block is sampled in place by its own ``bilinear_gather``
+    and multiplied on its own.  The node keeps each block's samples and its
+    gather's backward, no copy of a block or of its sample positions, and
+    backward writes each block's gradients straight into window-sized
+    arrays.  Without a graph the blocks share one sample buffer.
     """
-    f = _wrap(f)
-    offsets = _wrap(offsets)
-    w = _wrap(w)
+    f, offsets, w = _wrap(f), _wrap(offsets), _wrap(w)
     C_out, C_in, k, k2 = w.shape
     if k != k2 or k % 2 != 1:
         raise DimensionError("deformable kernels must be square with odd size")
@@ -225,69 +231,72 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor) -> Tensor:
         raise DimensionError(
             f"offset field must be {(2 * k * k,) + f.shape[1:]}, got {offsets.shape}"
         )
-    if f.ndim == 3:
-        blocks = [(f, offsets)]
-    else:
-        blocks = ((f[:, n], offsets[:, n]) for n in range(f.shape[1]))
-    buf = None if T.grad_enabled() else np.empty((C, k * k * H * W))
-    samples = (_tap_samples(fn, on, k, buf) for fn, on in blocks)
-    out = _tap_contract(samples, w, 1 if f.ndim == 3 else f.shape[1])
-    return out.reshape((C_out,) + f.shape[1:])
-
-
-def _tap_samples(f: Tensor, offsets: Tensor, k: int, out: np.ndarray | None) -> Tensor:
-    """The (C, k*k*H*W) bilinear samples of a (C, H, W) block at each tap's
-    offset positions, tap-major, written into ``out`` if given."""
-    _, H, W = f.shape
+    bias = T._bias(bias, C_out)
+    keep = T.grad_enabled() and any(t.requires_grad for t in (f, offsets, w, *bias))
+    N, M, kk = (1 if f.ndim == 3 else f.shape[1]), H * W, k * k
+    f4 = f.data.reshape(C, N, H, W)
+    off4 = offsets.data.reshape(2 * kk, N, H, W)
     limit = float(max(H, W))
-    off = T.clip(offsets, -limit, limit).reshape(k * k, 2, H * W)
+    base_y, base_x = _tap_positions(k, H, W)
+    w_taps = np.ascontiguousarray(T._taps(w.data))
 
+    def tap_views(a):  # (C, k*k*M) -> each tap's (C, M) view
+        return list(a.reshape(C, kk, M).transpose(1, 0, 2))
+
+    data, tmp = np.empty((C_out, N, M)), np.empty((C_out, M))
+    buf = None if keep else np.empty((C, kk * M))
+    samples, gathers = [], []  # per block, kept for backward
+    for n in range(N):
+        off = np.clip(off4[:, n], -limit, limit).reshape(kk, 2, M)
+        ys = Tensor((off[:, 0] + base_y).reshape(-1), requires_grad=keep)
+        xs = Tensor((off[:, 1] + base_x).reshape(-1), requires_grad=keep)
+        sampled = bilinear_gather(_read_in_place(f4[:, n]), ys, xs, out=buf)
+        T._tap_sum(w_taps, tap_views(sampled.data), data[:, n], tmp)
+        if keep:
+            samples.append(sampled.data)
+            gathers.append(sampled._grad_fn)
+    if bias:
+        data += bias[0].data.reshape(-1, 1, 1)
+
+    def grad_fn(g):
+        g3 = g.reshape(C_out, N, M)
+        w_taps = np.ascontiguousarray(T._taps(w.data))
+        gf, g_off = np.empty((C, N, H, W)), np.empty((2 * kk, N, H, W))
+        gw = np.zeros(w.shape)
+        gs = np.empty((C, kk * M))
+        for n, (sampled, gather_bwd) in enumerate(zip(samples, gathers)):
+            T._tap_adjoint(w_taps, g3[:, n], tap_views(gs), None)  # taps do not overlap
+            T._tap_weight_grad(g3[:, n], tap_views(sampled), T._taps(gw))
+            gf[:, n], gy, gx = gather_bwd(gs)
+            g_block = g_off[:, n].reshape(kk, 2, M)
+            g_block[:, 0], g_block[:, 1] = gy.reshape(kk, M), gx.reshape(kk, M)
+            g_off[:, n] *= (off4[:, n] >= -limit) & (off4[:, n] <= limit)  # clip
+        gb = (g.sum(axis=tuple(range(1, g.ndim))),) if bias else ()
+        return (gf.reshape(f.shape), g_off.reshape(offsets.shape), gw) + gb
+
+    return _node(data.reshape((C_out,) + f.shape[1:]), (f, offsets, w, *bias), grad_fn)
+
+
+def _tap_positions(k: int, H: int, W: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k*k, H*W) row and column each tap of a k x k window centred on
+    each position of an H x W grid reads, taps row-major."""
     r = (k - 1) // 2
     taps = np.stack(
         np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij"), axis=-1
     ).reshape(k * k, 2)
     py, px = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
-    base_y = taps[:, 0:1] + py.reshape(1, H * W)  # (k*k, H*W)
+    base_y = taps[:, 0:1] + py.reshape(1, H * W)
     base_x = taps[:, 1:2] + px.reshape(1, H * W)
-
-    ys = off[:, 0] + Tensor(base_y.astype(np.float64))
-    xs = off[:, 1] + Tensor(base_x.astype(np.float64))
-    return bilinear_gather(f, ys.reshape(-1), xs.reshape(-1), out=out)
+    return base_y.astype(np.float64), base_x.astype(np.float64)
 
 
-def _tap_contract(samples, w: Tensor, N: int) -> Tensor:
-    """(C_out, N, M) from N blocks of (C, k*k*M) tap samples, each contracted
-    by conv2d's per-tap GEMMs in its tap order.  ``samples`` is read once,
-    block by block; without a graph no block is kept."""
-    C_out, C, k, _ = w.shape
-    w_taps = np.ascontiguousarray(T._taps(w.data))
-
-    def tap_views(a):  # (C, k*k*M) -> each tap's (C, M) view
-        return list(a.reshape(C, k * k, -1).transpose(1, 0, 2))
-
-    kept = []
-    data = tmp = None
-    for n, sampled in enumerate(samples):
-        srcs = tap_views(sampled.data)
-        if data is None:
-            M = srcs[0].shape[1]
-            data, tmp = np.empty((C_out, N, M)), np.empty((C_out, M))
-        T._tap_sum(w_taps, srcs, data[:, n], tmp)
-        if T.grad_enabled():
-            kept.append(sampled)
-
-    def grad_fn(g):
-        w_taps = np.ascontiguousarray(T._taps(w.data))
-        gw = np.zeros(w.shape)
-        grads = []
-        for n, sampled in enumerate(kept):
-            gs = np.empty(sampled.shape)
-            T._tap_adjoint(w_taps, g[:, n], tap_views(gs), None)  # taps do not overlap
-            T._tap_weight_grad(g[:, n], tap_views(sampled.data), T._taps(gw))
-            grads.append(gs)
-        return (*grads, gw)
-
-    return _node(data, (*kept, w), grad_fn)
+def _read_in_place(values: np.ndarray) -> Tensor:
+    """A constant Tensor over ``values``, a block of a window's features,
+    without the contiguous copy the constructor would make: only
+    ``bilinear_gather`` reads it, a channel row at a time."""
+    t = Tensor(())
+    t.data = values
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -354,32 +363,10 @@ class PCDAlign(Module):
         return pcd_align(neighbor, reference, self)
 
 
-def _dcn_apply(conv: Conv2d, f: Tensor, offsets: Tensor) -> Tensor:
-    return conv.add_bias(deformable_conv2d(f, offsets, conv.weight))
-
-
-def _split_conv(conv: Conv2d, parts: list[Tensor]) -> Tensor:
-    """``conv`` of the channel concatenation of ``parts``, computed part by
-    part on slices of its weight.  A (C, H, W) part is shared by every block
-    of the (C, N, H, W) parts, so it is convolved once, not once per block."""
-    out = None
-    start = 0
-    for part in parts:
-        stop = start + part.shape[0]
-        y = T.conv2d(part, conv.weight[:, start:stop], stride=conv.stride, pad=conv.pad)
-        if y.ndim == 3:
-            y = y.reshape(y.shape[0], 1, *y.shape[1:])
-        out = y if out is None else out + y
-        start = stop
-    if start != conv.weight.shape[1]:
-        raise DimensionError(f"parts hold {start} channels, {conv.weight.shape[1]} expected")
-    return conv.add_bias(out)
-
-
 def _offset_field(conv_a: Conv2d, conv_b: Conv2d, head: Conv2d, parts: list[Tensor]) -> Tensor:
     """An offset field predicted from ``parts``: ``conv_a`` of their channel
     concatenation, gelu, ``conv_b``, gelu, ``head``."""
-    feat = gelu(_split_conv(conv_a, parts))
+    feat = gelu(conv_a(parts))
     return head(gelu(conv_b(feat)))
 
 
@@ -413,7 +400,8 @@ def pcd_align(
         offsets = _offset_field(weights.off_a[lvl], weights.off_b[lvl],
                                 weights.off_head[lvl], parts)
         del parts
-        moved = _dcn_apply(weights.dcn[lvl], nbr, offsets)
+        dcn = weights.dcn[lvl]
+        moved = deformable_conv2d(nbr, offsets, dcn.weight, dcn.bias)
         if lvl == 0:
             del offsets  # the finest field is not upsampled
         if aligned is None:
@@ -428,5 +416,6 @@ def pcd_align(
 
     cas_offsets = _offset_field(weights.cas_a, weights.cas_b, weights.cas_head,
                                 [aligned, reference.levels[0]])
-    out = _dcn_apply(weights.cas_dcn, aligned, cas_offsets)
+    cas = weights.cas_dcn
+    out = deformable_conv2d(aligned, cas_offsets, cas.weight, cas.bias)
     return out.reshape(out.shape[0], *out.shape[2:]) if single else out

@@ -67,7 +67,7 @@ class Linear(Module):
         self.bias = param(np.zeros(out_features))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.weight) + self.bias
+        return T.matmul(x, self.weight, bias=self.bias)
 
 
 class Conv2d(Module):
@@ -81,13 +81,10 @@ class Conv2d(Module):
             self.weight = kaiming(rng, (out_ch, in_ch, k, k), in_ch * k * k)
         self.bias = param(np.zeros(out_ch))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.add_bias(T.conv2d(x, self.weight, stride=self.stride, pad=self.pad))
-
-    def add_bias(self, out: Tensor) -> Tensor:
-        """``out`` plus the bias of each output channel, for a (C, H, W) or
-        (C, N, H, W) map."""
-        return out + self.bias.reshape((-1,) + (1,) * (out.ndim - 1))
+    def __call__(self, x) -> Tensor:
+        """The convolution of a (C, H, W) map, a (C, N, H, W) window, or a
+        list of parts that hold the input channels (see ``tensor.conv2d``)."""
+        return T.conv2d(x, self.weight, stride=self.stride, pad=self.pad, bias=self.bias)
 
 
 class ConvTranspose2d(Module):
@@ -99,8 +96,8 @@ class ConvTranspose2d(Module):
         self.bias = param(np.zeros(out_ch))
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.conv_transpose2d(x, self.weight, stride=self.stride, pad=self.pad)
-        return out + self.bias.reshape(-1, 1, 1)
+        return T.conv_transpose2d(x, self.weight, stride=self.stride, pad=self.pad,
+                                  bias=self.bias)
 
 
 class LayerNorm(Module):

@@ -72,23 +72,60 @@ def cross_scan(tokens: Tensor, H: int, W: int) -> tuple[Tensor, ...]:
     return tuple(gather_rows(tokens, perms[k], inverse=invs[k]) for k in DIRECTIONS)
 
 
-def cross_merge(seqs, H: int, W: int) -> Tensor:
+def cross_merge(seqs, H: int, W: int, x=None, skip=None) -> Tensor:
     """Scatter each (H*W, C) sequence back through its inverse traversal and
-    sum, giving row-major tokens."""
-    if len(seqs) != len(DIRECTIONS):
-        raise DimensionError(f"cross_merge needs {len(DIRECTIONS)} sequences, got {len(seqs)}")
+    sum, giving row-major tokens, as one graph node.
+
+    ``seqs`` is the four sequences in ``DIRECTIONS`` order, or their
+    (H*W, 4, C) stack.  Given a stack, ``x`` of its shape and ``skip`` (C,),
+    each sequence merged is ``seqs + x * skip``, the selective scan's skip
+    term; the node then keeps ``x`` and ``skip`` and nothing of its own.
+    """
     L = H * W
-    perms, invs = traversal_permutations(H, W)
-    total = None
-    for name, seq in zip(DIRECTIONS, seqs):
-        seq = _wrap(seq)
-        if seq.shape[0] != L:
+    stacked = isinstance(seqs, Tensor)
+    if stacked:
+        if seqs.ndim != 3 or seqs.shape[:2] != (L, len(DIRECTIONS)):
             raise DimensionError(
-                f"{name} sequence has length {seq.shape[0]}, the grid needs {L}"
+                f"cross_merge needs ({L}, {len(DIRECTIONS)}, C) sequences, got {seqs.shape}"
             )
-        back = gather_rows(seq, invs[name], inverse=perms[name])
-        total = back if total is None else total + back
-    return total
+        parents = (seqs,)
+    else:
+        if len(seqs) != len(DIRECTIONS):
+            raise DimensionError(
+                f"cross_merge needs {len(DIRECTIONS)} sequences, got {len(seqs)}"
+            )
+        parents = tuple(_wrap(s) for s in seqs)
+        for name, seq in zip(DIRECTIONS, parents):
+            if seq.shape[0] != L:
+                raise DimensionError(
+                    f"{name} sequence has length {seq.shape[0]}, the grid needs {L}"
+                )
+    if skip is not None:
+        x, skip = _wrap(x), _wrap(skip)
+        if not stacked or x.shape != seqs.shape or skip.shape != seqs.shape[2:]:
+            raise DimensionError("the skip term needs stacked sequences, x of their shape "
+                                 "and one coefficient per channel")
+        parents += (x, skip)
+    perms, invs = traversal_permutations(H, W)
+    if stacked:
+        y = seqs.data if skip is None else seqs.data + x.data * skip.data
+        ys = [y[:, r] for r in range(len(DIRECTIONS))]
+    else:
+        ys = [seq.data for seq in parents]
+    total = ys[0][invs[DIRECTIONS[0]]]
+    for name, y in zip(DIRECTIONS[1:], ys[1:]):
+        total += y[invs[name]]
+
+    def grad_fn(g):
+        back = [g[perms[name]] for name in DIRECTIONS]  # each sequence's gradient
+        if not stacked:
+            return tuple(back)
+        gy = np.stack(back, axis=1)
+        if skip is None:
+            return (gy,)
+        return gy, gy * skip.data, (gy * x.data).sum(axis=(0, 1))
+
+    return _node(total, parents, grad_fn)
 
 
 class SS2D(Module):
@@ -261,7 +298,7 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
     c_all = concat([matmul(s, h.w_c).reshape(L, 1, d) for s, h in zip(seqs, weights.heads)], axis=1)
     delta_all = concat(
         [
-            softplus(matmul(s, h.w_delta) + h.b_delta).reshape(L, 1, 1, 1)
+            softplus(matmul(s, h.w_delta, bias=h.b_delta)).reshape(L, 1, 1, 1)
             for s, h in zip(seqs, weights.heads)
         ],
         axis=1,
@@ -271,6 +308,4 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
         delta_all, a_neg, b_all.reshape(L, 4, 1, d), c_all.reshape(L, 4, 1, d),
         seq_all.reshape(L, 4, C, 1),
     )  # (L, 4, C)
-    y_all = y_all + seq_all * weights.skip.reshape(1, 1, C)
-
-    return cross_merge([y_all[:, r] for r in range(4)], H, W)
+    return cross_merge(y_all, H, W, x=seq_all, skip=weights.skip)

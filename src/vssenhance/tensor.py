@@ -291,6 +291,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _bias(bias, n: int) -> tuple:
+    """``(bias,)`` as a parent of an op with ``n`` output channels, or ``()``."""
+    if bias is None:
+        return ()
+    bias = _wrap(bias)
+    if bias.data.shape != (n,):
+        raise DimensionError(f"bias must have shape ({n},), got {bias.data.shape}")
+    return (bias,)
+
+
 # ---- elementwise arithmetic ----------------------------------------------
 
 
@@ -574,8 +584,9 @@ def pad2d_edges(a, top: int, bottom: int, left: int, right: int,
 # ---- matmul ----------------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    """Standard 2-D matrix product with gradients for both operands."""
+def matmul(a, b, bias=None) -> Tensor:
+    """Standard 2-D matrix product with gradients for both operands, plus
+    ``bias`` on every row if given."""
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError("matmul expects rank-2 operands")
@@ -583,12 +594,15 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(
             f"inner dimensions disagree: {a.data.shape} @ {b.data.shape}"
         )
+    bias = _bias(bias, b.data.shape[1])
     data = a.data @ b.data
+    if bias:
+        data += bias[0].data
 
     def grad_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T, a.data.T @ g) + ((g.sum(axis=0),) if bias else ())
 
-    return _node(data, (a, b), grad_fn)
+    return _node(data, (a, b) + bias, grad_fn)
 
 
 # ---- layer normalization ----------------------------------------------------
@@ -758,60 +772,93 @@ def _phase_axis(n: int, r: int, s: int, pad: int) -> tuple[slice, slice]:
     return slice(first, first + count), slice(start, n, s)
 
 
-def conv2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation of (C_in, H, W) with (C_out, C_in, k, k), zero padding.
+def conv2d(x, w, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
+    """Cross-correlation of (C_in, H, W) with (C_out, C_in, k, k), zero
+    padding, plus ``bias`` (C_out,) on each output channel if given.
 
     ``x`` may also be a batch (C_in, N, H, W), giving (C_out, N, Ho, Wo): one
     node that convolves one block at a time, each exactly as an unbatched
-    call does, and without a graph through one set of buffers.  Backward
-    keeps each block's phase images, about the padded input's size.
+    call does, and without a graph through one set of buffers.  ``x`` may
+    also be a list of parts that hold the input channels in order, each
+    convolved by its slice of ``w`` and added, in part order, into one
+    output; a (C_i, H, W) part among batched ones is shared by every block,
+    so it is convolved once.  Backward keeps each block's phase images,
+    about the padded input's size, and no other array.
     """
-    x, w = _wrap(x), _wrap(w)
-    if x.data.ndim not in (3, 4) or w.data.ndim != 4:
+    parts = [_wrap(p) for p in x] if isinstance(x, (list, tuple)) else [_wrap(x)]
+    w = _wrap(w)
+    if w.data.ndim != 4 or any(p.data.ndim not in (3, 4) for p in parts):
         raise DimensionError("conv2d expects x:(C,H,W) or (C,N,H,W) and w:(Co,Ci,k,k)")
     C_out, C_in, k, k2 = w.data.shape
     if k != k2:
         raise DimensionError("conv2d kernels must be square")
     if k % 2 != 1:
         raise ConfigurationError("conv2d kernel size must be odd")
-    if x.data.shape[0] != C_in:
-        raise DimensionError(
-            f"input has {x.data.shape[0]} channels, kernel expects {C_in}"
-        )
-    x4 = x.data if x.data.ndim == 4 else x.data[:, None]
-    C, N, H, W = x4.shape
+    channels = sum(p.data.shape[0] for p in parts)
+    if channels != C_in:
+        raise DimensionError(f"input has {channels} channels, kernel expects {C_in}")
+    H, W = parts[0].data.shape[-2:]
+    blocks = {p.data.shape[1] for p in parts if p.data.ndim == 4}
+    if len(blocks) > 1 or any(p.data.shape[-2:] != (H, W) for p in parts):
+        raise DimensionError("conv2d parts must share their extent and block count")
+    N = max(blocks, default=1)
     grid = _TapGrid(H, W, k, stride, pad)
     Ho, Wo = grid.Ho, grid.Wo
-    w_taps = np.ascontiguousarray(_taps(w.data))
-    keep = _GRAD_ENABLED and (x.requires_grad or w.requires_grad)
+    bias = _bias(bias, C_out)
+    keep = _GRAD_ENABLED and any(t.requires_grad for t in (*parts, w, *bias))
     data = np.empty((C_out, N, Ho, Wo))
     acc = np.empty((C_out, grid.wide))
     tmp = np.empty_like(acc) if k > 1 else None
-    phases, buf = [], None
-    for n in range(N):
-        buf = grid.split(x4[:, n], None if keep else buf)
-        if keep:
-            phases.append(buf)
-        data[:, n] = grid.crop(_tap_sum(w_taps, grid.sources(buf), acc, tmp))
+    kept, start = [], 0  # per part, each block's phase images
+    for i, part in enumerate(parts):
+        x4 = part.data if part.data.ndim == 4 else part.data[:, None]
+        w_taps = np.ascontiguousarray(_taps(w.data[:, start : start + x4.shape[0]]))
+        phases, buf = [], None
+        for n in range(x4.shape[1]):
+            buf = grid.split(x4[:, n], None if keep else buf)
+            if keep:
+                phases.append(buf)
+            y = grid.crop(_tap_sum(w_taps, grid.sources(buf), acc, tmp))[:, None]
+            dst = data[:, n : n + 1] if x4.shape[1] == N else data
+            if i == 0:
+                dst[...] = y
+            else:
+                dst += y
+        kept.append(phases)
+        start += x4.shape[0]
+    if bias:
+        data += bias[0].data.reshape(-1, 1, 1, 1)
 
     def grad_fn(g):
         g4 = g.reshape(C_out, N, Ho, Wo)
-        w_taps = np.ascontiguousarray(_taps(w.data))
         gw = np.zeros(w.data.shape)
-        gx = np.empty((C, N, H, W))
-        for n in range(N):
-            g_wide = grid.widen(g4[:, n])
-            _tap_weight_grad(g_wide, grid.sources(phases[n]), _taps(gw))
-            grid.input_grad(w_taps, g_wide, gx[:, n])
-        return gx.reshape(x.data.shape), gw
+        grads, start = [], 0
+        for part, phases in zip(parts, kept):
+            C = part.data.shape[0]
+            w_taps = np.ascontiguousarray(_taps(w.data[:, start : start + C]))
+            gw_taps = _taps(gw[:, start : start + C])  # a view: adds land in gw
+            gp = g4 if len(phases) == N else g4.sum(axis=1, keepdims=True)
+            gx = np.empty((C, len(phases), H, W))
+            for n, buf in enumerate(phases):
+                g_wide = grid.widen(gp[:, n])
+                _tap_weight_grad(g_wide, grid.sources(buf), gw_taps)
+                grid.input_grad(w_taps, g_wide, gx[:, n])
+            grads.append(gx.reshape(part.data.shape))
+            start += C
+        grads.append(gw)
+        if bias:
+            grads.append(g4.sum(axis=(1, 2, 3)))
+        return tuple(grads)
 
-    return _node(data.reshape((C_out,) + x.data.shape[1:-2] + (Ho, Wo)), (x, w), grad_fn)
+    shape = (C_out, N, Ho, Wo) if blocks else (C_out, Ho, Wo)
+    return _node(data.reshape(shape), (*parts, w, *bias), grad_fn)
 
 
-def conv_transpose2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
+def conv_transpose2d(x, w, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     """Transposed convolution (the adjoint map of ``conv2d`` on the same geometry).
 
-    ``x`` is (C_in, H, W); ``w`` is (C_in, C_out, k, k).  Output extent is
+    ``x`` is (C_in, H, W); ``w`` is (C_in, C_out, k, k); ``bias``, if given,
+    (C_out,) on each output channel.  Output extent is
     ``(H - 1) * stride - 2 * pad + k``.  Forward is conv2d's input gradient,
     backward its forward and weight gradient; backward keeps no array.
     """
@@ -832,8 +879,11 @@ def conv_transpose2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
         raise ConfigurationError("transposed convolution output size is negative")
     # conv2d's geometry from the (C_out, H_out, W_out) output to x's grid
     grid = _TapGrid(H_out, W_out, k, stride, pad)
+    bias = _bias(bias, C_out)
     w_taps = np.ascontiguousarray(_taps(w.data))
     data = grid.input_grad(w_taps, grid.widen(x.data), np.empty((C_out, H_out, W_out)))
+    if bias:
+        data += bias[0].data.reshape(-1, 1, 1)
 
     def grad_fn(g):
         srcs = grid.sources(grid.split(g))
@@ -841,9 +891,10 @@ def conv_transpose2d(x, w, stride: int = 1, pad: int = 0) -> Tensor:
         _tap_sum(np.ascontiguousarray(_taps(w.data)), srcs, wide, np.empty_like(wide))
         gw = np.zeros(w.data.shape)
         _tap_weight_grad(grid.widen(x.data), srcs, _taps(gw))
-        return np.ascontiguousarray(grid.crop(wide)), gw
+        gb = (g.sum(axis=(1, 2)),) if bias else ()
+        return (np.ascontiguousarray(grid.crop(wide)), gw) + gb
 
-    return _node(data, (x, w), grad_fn)
+    return _node(data, (x, w) + bias, grad_fn)
 
 
 # ---- persistence -------------------------------------------------------------

@@ -111,3 +111,21 @@ def retained_arrays(root: Tensor) -> list:
 
 def _owner(arr: np.ndarray) -> np.ndarray:
     return arr.base if isinstance(arr.base, np.ndarray) else arr
+
+
+def assert_matches_composition(fused, unfused, arrays, rtol=1e-12):
+    """``fused`` and ``unfused`` each map leaf Tensors made from ``arrays`` to
+    one output.  Assert the outputs are bitwise equal and the gradients of a
+    fixed random projection of them agree within ``rtol`` relative."""
+    outs, grads = [], []
+    for build in (fused, unfused):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = build(leaves)
+        mix = np.random.default_rng(7).normal(size=out.shape)
+        (out * Tensor(mix)).sum().backward()
+        outs.append(out.data)
+        grads.append([leaf.grad for leaf in leaves])
+    assert np.array_equal(outs[0], outs[1])
+    for j, (got, want) in enumerate(zip(*grads)):
+        scale = max(np.abs(want).max(), 1e-300)
+        assert np.abs(got - want).max() <= rtol * scale, f"input {j}"

@@ -7,7 +7,6 @@ from vssenhance.align import (
     FeatureExtractor,
     FramePyramid,
     PCDAlign,
-    _split_conv,
     bilinear_gather,
     bilinear_sample,
     deformable_conv2d,
@@ -19,7 +18,7 @@ from vssenhance import tensor as T
 from vssenhance.optim import AdamW
 from vssenhance.tensor import DimensionError, Tensor, conv2d, no_grad
 
-from helpers import check_gradients, perturbed, retained_arrays
+from helpers import assert_matches_composition, check_gradients, perturbed, retained_arrays
 
 
 @pytest.fixture
@@ -284,6 +283,70 @@ class TestDeformableConv:
         )
 
 
+def unfused_deformable(f, offsets, w, b):
+    """The deformable convolution of a (C, N, H, W) window plus its bias as a
+    chain of plain ops: per block a slice of the features and offsets, the
+    clamped sample positions, one gather and the per-tap products added in
+    tap order."""
+    C_out, C, k, _ = w.shape
+    N, H, W = f.shape[1:]
+    kk, limit = k * k, float(max(H, W))
+    r = (k - 1) // 2
+    py, px = np.meshgrid(np.arange(H), np.arange(W), indexing="ij")
+    base_y = np.array([py.reshape(-1) + t // k - r for t in range(kk)], dtype=np.float64)
+    base_x = np.array([px.reshape(-1) + t % k - r for t in range(kk)], dtype=np.float64)
+    blocks = []
+    for n in range(N):
+        off = T.clip(offsets[:, n], -limit, limit).reshape(kk, 2, H * W)
+        ys, xs = off[:, 0] + Tensor(base_y), off[:, 1] + Tensor(base_x)
+        s = bilinear_gather(f[:, n], ys.reshape(-1), xs.reshape(-1)).reshape(C, kk, H * W)
+        acc = None
+        for t in range(kk):
+            term = T.matmul(w[:, :, t // k, t % k], s[:, t])
+            acc = term if acc is None else acc + term
+        blocks.append(acc.reshape(C_out, 1, H, W))
+    return T.concat(blocks, axis=1) + b.reshape(-1, 1, 1, 1)
+
+
+class TestDeformableNode:
+    """The deformable convolution of a window is one node, bias included."""
+
+    def operands(self, rng, C=2, N=3, H=5, W=4):
+        return [rng.normal(size=(C, N, H, W)),
+                rng.uniform(-1.6, 1.6, size=(18, N, H, W)),
+                rng.normal(size=(3, C, 3, 3)), rng.normal(size=3)]
+
+    def test_matches_composition(self, rng):
+        arrays = self.operands(rng)
+        arrays[1][0, 0, 0, 0] = 9.0  # one offset beyond the clamp
+        assert_matches_composition(
+            lambda ts: deformable_conv2d(*ts), lambda ts: unfused_deformable(*ts), arrays
+        )
+
+    def test_gradients(self, rng):
+        f, offsets, w, b = self.operands(rng, N=2, H=4, W=3)
+        offsets = rng.uniform(0.15, 0.45, size=offsets.shape)  # away from the kinks
+        mix = Tensor(rng.normal(size=(3, 2, 4, 3)))
+        check_gradients(lambda ts: (deformable_conv2d(*ts) * mix).sum(),
+                        [f, offsets, w, b], rtol=1e-3)
+
+    def test_keeps_no_block_copies(self, rng):
+        arrays = self.operands(rng, C=3)
+        C, N, H, W = arrays[0].shape
+        M = 9 * H * W  # samples per channel of a block
+        f, offsets, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        out = deformable_conv2d(f, offsets, w, b)
+        assert all(p._grad_fn is None for p in out._parents)  # one node
+        kept = [a for a in retained_arrays(out) if not np.shares_memory(a, out.data)]
+        # each block's samples, and its gather's per-sample operator and
+        # corner factors: no block of the features or offsets, no sample
+        # positions and no pre-bias output
+        assert sum(a.shape == (C, M) for a in kept) == N
+        assert all(a.shape[0] in (M, M + 1) for a in kept if a.shape != (C, M))
+        assert sum(a.shape == (M,) and a.dtype == np.float64 for a in kept) == 8 * N
+        assert not any(a.size in (C * H * W, 18 * H * W, 3 * H * W) for a in kept)
+
+
 class TestPyramid:
     def test_extractor_builds_three_halving_levels(self, rng):
         ex = FeatureExtractor(3, 8, rng)
@@ -509,12 +572,12 @@ class TestWindowBatch:
         nbr = rng.normal(size=(3, 5, 6, 6))
         ref = rng.normal(size=(2, 6, 6))
         extra = rng.normal(size=(2, 5, 6, 6))
-        out = _split_conv(conv, [Tensor(nbr), Tensor(ref), Tensor(extra)])
+        out = conv([Tensor(nbr), Tensor(ref), Tensor(extra)])
         whole = np.concatenate([nbr, np.repeat(ref[:, None], 5, axis=1), extra])
         want = conv(Tensor(whole))
         assert relative_error(out.data, want.data) <= 1e-13
         with pytest.raises(DimensionError):  # parts must cover every input channel
-            _split_conv(conv, [Tensor(nbr), Tensor(ref)])
+            conv([Tensor(nbr), Tensor(ref)])
 
     def test_split_conv_gradients(self, rng):
         nbr = rng.normal(size=(2, 3, 4, 4))
@@ -527,7 +590,7 @@ class TestWindowBatch:
 
         def loss(ts):
             conv.weight, conv.bias = ts[3], ts[4]
-            return (_split_conv(conv, ts[:3]) * Tensor(mix)).sum()
+            return (conv(list(ts[:3])) * Tensor(mix)).sum()
 
         check_gradients(loss, [nbr, ref, extra, weight, bias])
 

@@ -22,9 +22,9 @@ from vssenhance.ssm import (
     selective_readout,
     selective_zoh,
 )
-from vssenhance.tensor import DimensionError, Tensor, no_grad
+from vssenhance.tensor import DimensionError, Tensor, gather_rows, no_grad
 
-from helpers import check_gradients, retained_arrays
+from helpers import assert_matches_composition, check_gradients, retained_arrays
 
 
 @pytest.fixture
@@ -135,6 +135,67 @@ class TestCrossMerge:
             cross_merge([bad, *seqs[1:]], 2, 2)
         with pytest.raises(DimensionError):
             cross_merge(seqs[:3], 2, 2)
+
+
+class TestSkipMerge:
+    """The skip term y + x * D and the cross-merge are one node."""
+
+    @staticmethod
+    def unfused(y, x, skip, H, W):
+        # the skip term, a slice per direction, its inverse gather, the sum
+        _, invs = traversal_permutations(H, W)
+        perms, _ = traversal_permutations(H, W)
+        z = y + x * skip.reshape(1, 1, -1)
+        total = None
+        for r, name in enumerate(DIRECTIONS):
+            back = gather_rows(z[:, r], invs[name], inverse=perms[name])
+            total = back if total is None else total + back
+        return total
+
+    def test_matches_composition(self, rng):
+        H, W, C = 3, 4, 2
+        arrays = [rng.normal(size=(H * W, 4, C)), rng.normal(size=(H * W, 4, C)),
+                  rng.normal(size=C)]
+        assert_matches_composition(
+            lambda ts: cross_merge(ts[0], H, W, x=ts[1], skip=ts[2]),
+            lambda ts: self.unfused(*ts, H, W),
+            arrays,
+        )
+
+    def test_gradients(self, rng):
+        H, W, C = 2, 3, 2
+        mix = Tensor(rng.normal(size=(H * W, C)))
+        check_gradients(
+            lambda ts: (cross_merge(ts[0], H, W, x=ts[1], skip=ts[2]) * mix).sum(),
+            [rng.normal(size=(H * W, 4, C)), rng.normal(size=(H * W, 4, C)),
+             rng.normal(size=C)],
+        )
+
+    def test_stack_without_skip_matches_list(self, rng):
+        H, W, C = 3, 2, 2
+        y = rng.normal(size=(H * W, 4, C))
+        got = cross_merge(Tensor(y), H, W)
+        want = cross_merge([Tensor(y[:, r]) for r in range(4)], H, W)
+        assert np.array_equal(got.data, want.data)
+        with pytest.raises(DimensionError):
+            cross_merge(Tensor(y[:, :3]), H, W)
+        with pytest.raises(DimensionError):  # the skip term needs the stack
+            cross_merge([Tensor(y[:, r]) for r in range(4)], H, W, x=Tensor(y),
+                        skip=Tensor(np.ones(C)))
+
+    def test_ss2d_keeps_no_skip_or_merge_intermediates(self, rng):
+        # of (L, 4, C) arrays only the scanned sequences (read by the scan
+        # and the skip term) and the scan's output; of (L, C) ones only the
+        # four unfolded sequences (read by the projections) and the output
+        C, H, W, d = 3, 5, 4, 2
+        L = H * W
+        ss2d = SS2D(channels=C, state_dim=d, rng=rng)
+        f = Tensor(rng.normal(size=(L, C)), requires_grad=True)
+        out = ss2d(f, H, W)
+        kept = retained_arrays(out)
+        assert sum(a.size == L * 4 * C for a in kept) == 2
+        assert sum(a.size == L * C for a in kept) == 5
+        assert all(p._grad_fn is not None and p.shape == (L, 4, C) for p in out._parents[:2])
 
 
 class TestSS2DForward:

@@ -18,7 +18,7 @@ from vssenhance.tensor import (
     matmul,
 )
 
-from helpers import check_gradients, retained_arrays
+from helpers import assert_matches_composition, check_gradients, retained_arrays
 
 
 @pytest.fixture
@@ -343,6 +343,138 @@ class TestTapConvolution:
             with T.no_grad():
                 fast = conv2d(Tensor(x), Tensor(w), stride=stride, pad=1)
             assert np.array_equal(out.data, fast.data)
+
+
+def own_arrays(out):
+    """Arrays the graph under ``out`` keeps besides ``out``'s own data."""
+    return [a for a in retained_arrays(out) if not np.shares_memory(a, out.data)]
+
+
+class TestBiasInsideTheNode:
+    """A layer's bias is added inside its op's node: the output equals the
+    op plus a separate bias add bitwise, and no pre-bias output is kept."""
+
+    @pytest.mark.parametrize("shape, k, stride, pad", [
+        ((3, 7, 6), 3, 1, 1), ((3, 2, 7, 6), 3, 2, 1), ((3, 2, 5, 4), 1, 1, 0),
+    ])
+    def test_conv2d(self, rng, shape, k, stride, pad):
+        x, w, b = rng.normal(size=shape), rng.normal(size=(2, 3, k, k)), rng.normal(size=2)
+        lift = (-1,) + (1,) * (len(shape) - 1)
+        assert_matches_composition(
+            lambda ts: conv2d(ts[0], ts[1], stride=stride, pad=pad, bias=ts[2]),
+            lambda ts: conv2d(ts[0], ts[1], stride=stride, pad=pad) + ts[2].reshape(lift),
+            [x, w, b],
+        )
+        mix = Tensor(rng.normal(size=conv2d(Tensor(x), Tensor(w), stride, pad).shape))
+        check_gradients(
+            lambda ts: (conv2d(ts[0], ts[1], stride=stride, pad=pad, bias=ts[2]) * mix).sum(),
+            [x, w, b],
+        )
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = conv2d(xt, wt, stride=stride, pad=pad, bias=bt)
+        assert all(p._grad_fn is None for p in out._parents)  # one node
+        assert not any(a.shape == out.shape for a in own_arrays(out))
+
+    def test_conv_transpose2d(self, rng):
+        x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4, 4)), rng.normal(size=3)
+        assert_matches_composition(
+            lambda ts: conv_transpose2d(ts[0], ts[1], stride=2, pad=1, bias=ts[2]),
+            lambda ts: conv_transpose2d(ts[0], ts[1], stride=2, pad=1)
+            + ts[2].reshape(-1, 1, 1),
+            [x, w, b],
+        )
+        mix = Tensor(rng.normal(size=(3, 6, 8)))
+        check_gradients(
+            lambda ts: (conv_transpose2d(ts[0], ts[1], stride=2, pad=1, bias=ts[2])
+                        * mix).sum(),
+            [x, w, b],
+        )
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = conv_transpose2d(xt, wt, stride=2, pad=1, bias=bt)
+        assert own_arrays(out) == []
+
+    def test_matmul(self, rng):
+        a, w, b = rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        assert_matches_composition(
+            lambda ts: matmul(ts[0], ts[1], bias=ts[2]),
+            lambda ts: matmul(ts[0], ts[1]) + ts[2],
+            [a, w, b],
+        )
+        mix = Tensor(rng.normal(size=(6, 3)))
+        check_gradients(lambda ts: (matmul(ts[0], ts[1], bias=ts[2]) * mix).sum(), [a, w, b])
+        at, wt, bt = (Tensor(v, requires_grad=True) for v in (a, w, b))
+        out = matmul(at, wt, bias=bt)
+        assert own_arrays(out) == []
+
+    def test_bias_shape_checked(self, rng):
+        with pytest.raises(DimensionError):
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), bias=Tensor(np.ones(3)))
+        with pytest.raises(DimensionError):
+            conv2d(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((2, 1, 3, 3))),
+                   bias=Tensor(np.ones((2, 1))))
+
+
+class TestConvOfParts:
+    """conv2d of a list of parts: the convolution of their channel
+    concatenation, the parts' convolutions summed into one output."""
+
+    @staticmethod
+    def unfused(parts, w, b, stride, pad):
+        # each part by its slice of the kernel, added in order, then the bias
+        out, start = None, 0
+        for part in parts:
+            stop = start + part.shape[0]
+            y = conv2d(part, w[:, start:stop], stride=stride, pad=pad)
+            if y.ndim == 3:
+                y = y.reshape(y.shape[0], 1, *y.shape[1:])
+            out = y if out is None else out + y
+            start = stop
+        return out + b.reshape(-1, 1, 1, 1)
+
+    @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
+    def test_matches_composition(self, rng, k, stride, pad):
+        # a shared (C, H, W) part between two batched ones
+        arrays = [rng.normal(size=(2, 3, 7, 6)), rng.normal(size=(3, 7, 6)),
+                  rng.normal(size=(1, 3, 7, 6)), rng.normal(size=(4, 6, k, k)),
+                  rng.normal(size=4)]
+        assert_matches_composition(
+            lambda ts: conv2d(ts[:3], ts[3], stride=stride, pad=pad, bias=ts[4]),
+            lambda ts: self.unfused(ts[:3], ts[3], ts[4], stride, pad),
+            arrays,
+        )
+        whole = np.concatenate([arrays[0], np.repeat(arrays[1][:, None], 3, axis=1),
+                                arrays[2]])
+        got = conv2d([Tensor(a) for a in arrays[:3]], Tensor(arrays[3]), stride, pad)
+        want = conv2d(Tensor(whole), Tensor(arrays[3]), stride, pad)
+        assert np.abs(got.data - want.data).max() <= 1e-13 * np.abs(want.data).max()
+
+    def test_gradients(self, rng):
+        arrays = [rng.normal(size=(3, 4, 4)), rng.normal(size=(1, 2, 4, 4)),
+                  rng.normal(size=(2, 4, 3, 3)), rng.normal(size=2)]
+        mix = Tensor(rng.normal(size=(2, 2, 2, 2)))
+        check_gradients(
+            lambda ts: (conv2d(ts[:2], ts[2], stride=2, pad=1, bias=ts[3]) * mix).sum(),
+            arrays,
+        )
+
+    def test_one_node_keeping_only_phase_images(self, rng):
+        C, N, H, W = 2, 3, 6, 5
+        parts = [Tensor(rng.normal(size=(C, N, H, W)), requires_grad=True),
+                 Tensor(rng.normal(size=(C, H, W)), requires_grad=True)]
+        w = Tensor(rng.normal(size=(4, 2 * C, 3, 3)), requires_grad=True)
+        out = conv2d(parts, w, pad=1, bias=Tensor(np.zeros(4), requires_grad=True))
+        assert all(p._grad_fn is None for p in out._parents)
+        kept = own_arrays(out)
+        # one padded image per block of each part: the shared part's once
+        assert len(kept) == N + 1
+        assert all(a.shape == (1, C, (H + 2) * (W + 2) + 2) for a in kept)
+
+    def test_parts_must_agree(self, rng):
+        w = Tensor(rng.normal(size=(2, 4, 3, 3)))
+        with pytest.raises(DimensionError):  # extents differ
+            conv2d([Tensor(np.ones((2, 5, 5))), Tensor(np.ones((2, 5, 4)))], w)
+        with pytest.raises(DimensionError):  # block counts differ
+            conv2d([Tensor(np.ones((2, 2, 5, 5))), Tensor(np.ones((2, 3, 5, 5)))], w)
 
 
 class TestBackward:
