@@ -85,13 +85,13 @@ _CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def _axis_corners(coords: np.ndarray, n: int):
     """The floor and next grid line of each coordinate on an axis of n cells:
-    their indices (clamped, NaN to 0), zero-outside weights and weight slopes."""
+    their indices (clamped, NaN to 0), zero-outside weights and inside masks."""
     c0 = np.floor(coords)
     frac = coords - c0
     near = (c0 >= 0) & (c0 <= n - 1)
     far = (c0 >= -1) & (c0 <= n - 2)
     index = [np.fmin(np.fmax(c, 0), n - 1).astype(np.intp) for c in (c0, c0 + 1)]
-    return index, ((1 - frac) * near, frac * far), (-1.0 * near, 1.0 * far)
+    return index, ((1 - frac) * near, frac * far), (near, far)
 
 
 def _at_corners(op, fy, fx, dtype) -> np.ndarray:
@@ -122,8 +122,8 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
     C, H, W = f.data.shape
     M = ys_t.data.size
     coord_grad = T.grad_enabled() and (ys_t.requires_grad or xs_t.requires_grad)
-    iy, ry, sy = _axis_corners(ys_t.data.reshape(-1), H)
-    ix, rx, sx = _axis_corners(xs_t.data.reshape(-1), W)
+    iy, ry, my = _axis_corners(ys_t.data.reshape(-1), H)
+    ix, rx, mx = _axis_corners(xs_t.data.reshape(-1), W)
     # the index type scipy would pick, so that it keeps these arrays uncopied
     index = np.int32 if max(4 * M, H * W) < 2**31 else np.intp
     cols = _at_corners(np.add, [i * W for i in iy], ix, index)
@@ -145,7 +145,7 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
     weights = corners(ry, rx)
     iy = ix = None  # read no more: free them before the (C, M) output exists
     if not coord_grad:
-        ry = rx = sy = sx = None  # backward reads only the operator
+        ry = rx = my = mx = None  # backward reads only the operator
     out = apply(weights, out)
 
     y_shape, x_shape = ys_t.shape, xs_t.shape  # backward keeps no coordinates
@@ -154,8 +154,9 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
         gf = (g @ operator(weights)).reshape(C, H, W)
         if not coord_grad:
             return gf, None, None
-        gy = (g * apply(corners(sy, rx))).sum(axis=0)
-        gx = (g * apply(corners(ry, sx))).sum(axis=0)
+        # the weights' slopes along an axis are -near and far
+        gy = (g * apply(corners((-1.0 * my[0], 1.0 * my[1]), rx))).sum(axis=0)
+        gx = (g * apply(corners(ry, (-1.0 * mx[0], 1.0 * mx[1])))).sum(axis=0)
         return gf, gy.reshape(y_shape), gx.reshape(x_shape)
 
     return _node(out, (f, ys_t, xs_t), grad_fn)

@@ -28,12 +28,12 @@ from .tensor import (
     DimensionError,
     Tensor,
     _grad_mode,
+    _merge_columns,
     _node,
     _wrap,
-    concat,
     gather_rows,
     grad_enabled,
-    matmul,
+    matmul,  # noqa: F401  not called here; perfbench/spans.py wraps ss2d.matmul
     softplus,
 )
 
@@ -46,81 +46,57 @@ SCAN_CHUNK = 64
 
 @lru_cache(maxsize=128)
 def traversal_permutations(H: int, W: int):
-    """Sequence-index -> grid-index maps (and inverses) for each direction.
+    """Sequence-index -> grid-index maps and their inverses: two read-only
+    (H*W, 4) arrays, a column per direction in ``DIRECTIONS`` order.
 
-    ``perm[i]`` is the row-major grid position visited at sequence step i.
+    ``perm[i, r]`` is the row-major grid position direction r visits at step i.
     """
-    L = H * W
-    lr = np.arange(L, dtype=np.intp)
-    i = np.arange(L, dtype=np.intp)
-    td = (i % H) * W + i // H  # step i visits column i//H, row i%H
-    perms = {"lr": lr, "td": td, "rl": lr[::-1].copy(), "dt": td[::-1].copy()}
-    invs = {k: np.argsort(v) for k, v in perms.items()}
-    return perms, invs
+    lr = np.arange(H * W, dtype=np.intp)
+    td = (lr % H) * W + lr // H  # step i visits column i//H, row i%H
+    perm = np.stack([lr, td, lr[::-1], td[::-1]], axis=1)
+    inv = np.argsort(perm, axis=0)
+    for arr in (perm, inv):
+        arr.setflags(write=False)
+    return perm, inv
 
 
-def cross_scan(tokens: Tensor, H: int, W: int) -> tuple[Tensor, ...]:
-    """Unfold row-major (H*W, C) tokens along the four traversal paths, in
-    ``DIRECTIONS`` order (values copied)."""
+def cross_scan(tokens: Tensor, H: int, W: int) -> Tensor:
+    """Unfold row-major (H*W, C) tokens along the four traversal paths into
+    one (H*W, 4, C) stack, directions in ``DIRECTIONS`` order (values copied)."""
     if H < 1 or W < 1:
         raise DimensionError(f"grid must contain at least one position, got {H}x{W}")
     if tokens.ndim != 2 or tokens.shape[0] != H * W:
         raise DimensionError(
             f"expected ({H * W}, C) tokens for a {H}x{W} grid, got {tokens.shape}"
         )
-    perms, invs = traversal_permutations(H, W)
-    return tuple(gather_rows(tokens, perms[k], inverse=invs[k]) for k in DIRECTIONS)
+    perm, inv = traversal_permutations(H, W)
+    return gather_rows(tokens, perm, inverse=inv)
 
 
-def cross_merge(seqs, H: int, W: int, x=None, skip=None) -> Tensor:
-    """Scatter each (H*W, C) sequence back through its inverse traversal and
-    sum, giving row-major tokens, as one graph node.
+def cross_merge(seqs: Tensor, H: int, W: int, x=None, skip=None) -> Tensor:
+    """Scatter each direction of the (H*W, 4, C) stack ``seqs`` back through
+    its inverse traversal and sum, giving row-major tokens, as one graph node.
 
-    ``seqs`` is the four sequences in ``DIRECTIONS`` order, or their
-    (H*W, 4, C) stack.  Given a stack, ``x`` of its shape and ``skip`` (C,),
-    each sequence merged is ``seqs + x * skip``, the selective scan's skip
-    term; the node then keeps ``x`` and ``skip`` and nothing of its own.
+    Given ``x`` of the stack's shape and ``skip`` (C,), each sequence merged
+    is ``seqs + x * skip``, the selective scan's skip term; the node then
+    keeps ``x`` and ``skip`` and nothing of its own.
     """
     L = H * W
-    stacked = isinstance(seqs, Tensor)
-    if stacked:
-        if seqs.ndim != 3 or seqs.shape[:2] != (L, len(DIRECTIONS)):
-            raise DimensionError(
-                f"cross_merge needs ({L}, {len(DIRECTIONS)}, C) sequences, got {seqs.shape}"
-            )
-        parents = (seqs,)
-    else:
-        if len(seqs) != len(DIRECTIONS):
-            raise DimensionError(
-                f"cross_merge needs {len(DIRECTIONS)} sequences, got {len(seqs)}"
-            )
-        parents = tuple(_wrap(s) for s in seqs)
-        for name, seq in zip(DIRECTIONS, parents):
-            if seq.shape[0] != L:
-                raise DimensionError(
-                    f"{name} sequence has length {seq.shape[0]}, the grid needs {L}"
-                )
+    if seqs.ndim != 3 or seqs.shape[:2] != (L, len(DIRECTIONS)):
+        raise DimensionError(f"cross_merge needs ({L}, 4, C) sequences, got {seqs.shape}")
+    parents, y = (seqs,), seqs.data
     if skip is not None:
         x, skip = _wrap(x), _wrap(skip)
-        if not stacked or x.shape != seqs.shape or skip.shape != seqs.shape[2:]:
-            raise DimensionError("the skip term needs stacked sequences, x of their shape "
+        if x.shape != seqs.shape or skip.shape != seqs.shape[2:]:
+            raise DimensionError("the skip term needs x of the sequences' shape "
                                  "and one coefficient per channel")
         parents += (x, skip)
-    perms, invs = traversal_permutations(H, W)
-    if stacked:
-        y = seqs.data if skip is None else seqs.data + x.data * skip.data
-        ys = [y[:, r] for r in range(len(DIRECTIONS))]
-    else:
-        ys = [seq.data for seq in parents]
-    total = ys[0][invs[DIRECTIONS[0]]]
-    for name, y in zip(DIRECTIONS[1:], ys[1:]):
-        total += y[invs[name]]
+        y = y + x.data * skip.data
+    perm, inv = traversal_permutations(H, W)
+    total = _merge_columns(y, inv)
 
     def grad_fn(g):
-        back = [g[perms[name]] for name in DIRECTIONS]  # each sequence's gradient
-        if not stacked:
-            return tuple(back)
-        gy = np.stack(back, axis=1)
+        gy = g[perm]  # each sequence's gradient, (L, 4, C)
         if skip is None:
             return (gy,)
         return gy, gy * skip.data, (gy * x.data).sum(axis=(0, 1))
@@ -277,35 +253,45 @@ def _selective_scan_bwd(g, delta, a, b, c, x, states):
     return g_delta, g_a, g_b, g_c, g_x
 
 
+def _head_projection(x: Tensor, weights, biases=()) -> Tensor:
+    """``out[:, r] = x[:, r] @ weights[r] (+ biases[r])`` for each direction
+    r of the (L, R, C) stack ``x``, as one node whose GEMMs are R matmuls' own."""
+    out = np.empty(x.shape[:2] + weights[0].shape[1:])
+    for r, w in enumerate(weights):
+        np.matmul(x.data[:, r], w.data, out=out[:, r])
+        if biases:
+            out[:, r] += biases[r].data
+
+    def grad_fn(g):
+        gx = np.empty_like(x.data)
+        for r, w in enumerate(weights):
+            np.matmul(g[:, r], w.data.T, out=gx[:, r])
+        gw = [x.data[:, r].T @ g[:, r] for r in range(len(weights))]
+        return (gx, *gw, *(g[:, r].sum(axis=0) for r in range(len(biases))))
+
+    return _node(out, (x, *weights, *biases), grad_fn)
+
+
 def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
     """cross-scan -> per-direction selective scan -> cross-merge, on the
     row-major (H*W, C) tokens of an H x W grid.
 
-    All four directions run as one :func:`selective_scan`; per-channel state
-    transitions are shared across directions while each direction's head
-    supplies its own B/C/delta.
+    The directions travel as one (H*W, 4, C) stack, and all four run as one
+    :func:`selective_scan`; per-channel state transitions are shared across
+    directions while each direction's head supplies its own B/C/delta.
     """
     seqs = cross_scan(tokens, H, W)
-    L, C = seqs[0].shape
+    L, R, C = seqs.shape
     if C != weights.channels:
         raise DimensionError(f"tokens have {C} channels, SS2D expects {weights.channels}")
-    d = weights.state_dim
+    d, heads = weights.state_dim, weights.heads
     a_neg = -weights.a_log.exp()  # (C, d), strictly negative
-
-    # batch the four directions: (L, 4, C) sequences, (L, 4, d) projections
-    seq_all = concat([s.reshape(L, 1, C) for s in seqs], axis=1)
-    b_all = concat([matmul(s, h.w_b).reshape(L, 1, d) for s, h in zip(seqs, weights.heads)], axis=1)
-    c_all = concat([matmul(s, h.w_c).reshape(L, 1, d) for s, h in zip(seqs, weights.heads)], axis=1)
-    delta_all = concat(
-        [
-            softplus(matmul(s, h.w_delta, bias=h.b_delta)).reshape(L, 1, 1, 1)
-            for s, h in zip(seqs, weights.heads)
-        ],
-        axis=1,
-    )
-
-    y_all = selective_scan(
-        delta_all, a_neg, b_all.reshape(L, 4, 1, d), c_all.reshape(L, 4, 1, d),
-        seq_all.reshape(L, 4, C, 1),
+    b = _head_projection(seqs, [h.w_b for h in heads])
+    c = _head_projection(seqs, [h.w_c for h in heads])
+    delta = softplus(_head_projection(seqs, [h.w_delta for h in heads],
+                                      [h.b_delta for h in heads]))
+    y = selective_scan(
+        delta.reshape(L, R, 1, 1), a_neg, b.reshape(L, R, 1, d), c.reshape(L, R, 1, d),
+        seqs.reshape(L, R, C, 1),
     )  # (L, 4, C)
-    return cross_merge(y_all, H, W, x=seq_all, skip=weights.skip)
+    return cross_merge(y, H, W, x=seqs, skip=weights.skip)

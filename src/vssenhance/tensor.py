@@ -521,20 +521,22 @@ def stack(tensors, axis: int = 0) -> Tensor:
 
 
 def gather_rows(a, indices, inverse=None) -> Tensor:
-    """Select rows along axis 0: ``out[i] = a[indices[i]]``.
-
-    When ``indices`` is a permutation, pass its inverse so the backward pass
-    is a plain gather instead of a scatter-add.
-    """
+    """Select rows along axis 0: ``out[i] = a[indices[i]]``, or for (L, R)
+    ``indices`` ``out[i, r] = a[indices[i, r]]``.  When each column of
+    ``indices`` is a permutation, pass the columns' inverses so the backward
+    pass sums R plain gathers instead of a scatter-add."""
     a = _wrap(a)
     idx = np.asarray(indices, dtype=np.intp)
     data = a.data[idx]
 
     if inverse is not None:
         inv = np.asarray(inverse, dtype=np.intp)
+        if inv.shape != idx.shape:
+            raise DimensionError(f"inverse must be {idx.shape} like the indices, got {inv.shape}")
+        cols = inv.reshape(len(inv), -1)  # (L, R); R = 1 for (L,) indices
 
         def grad_fn(g):
-            return (np.ascontiguousarray(g[inv]),)
+            return (_merge_columns(g.reshape(cols.shape + a.data.shape[1:]), cols),)
 
     else:
 
@@ -544,6 +546,15 @@ def gather_rows(a, indices, inverse=None) -> Tensor:
             return (out,)
 
     return _node(data, (a,), grad_fn)
+
+
+def _merge_columns(g: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """``sum_r g[inv[:, r], r]`` in column order: the adjoint of gathering, into
+    the (L, R, ...) stack ``g``, the permutations whose inverses are ``inv``'s columns."""
+    out = g[inv[:, 0], 0]
+    for r in range(1, inv.shape[1]):
+        out += g[inv[:, r], r]
+    return out
 
 
 def pad2d_edges(a, top: int, bottom: int, left: int, right: int,

@@ -95,6 +95,10 @@ class TestBilinearSample:
         assert not [arr for arr in kept if arr.size == C * 4 * M]
         # only the output: backward forms the y and x derivatives from f
         assert sum(arr.shape == (C, M) for arr in kept) == 1
+        # per axis: the two corner weights as floats, their slopes as two
+        # boolean masks
+        per_axis = [arr for arr in kept if arr.shape == (M,)]
+        assert sorted(arr.dtype.kind for arr in per_axis) == ["b"] * 4 + ["f"] * 4
         # constant coordinates keep no per-axis factors either
         kept_const = retained_arrays(bilinear_gather(f, ys.data, xs.data))
         assert sum(arr.shape == (C, M) for arr in kept_const) == 1
@@ -339,11 +343,13 @@ class TestDeformableNode:
         assert all(p._grad_fn is None for p in out._parents)  # one node
         kept = [a for a in retained_arrays(out) if not np.shares_memory(a, out.data)]
         # each block's samples, and its gather's per-sample operator and
-        # corner factors: no block of the features or offsets, no sample
-        # positions and no pre-bias output
+        # corner factors (weights as floats, slopes as boolean masks): no
+        # block of the features or offsets, no sample positions and no
+        # pre-bias output
         assert sum(a.shape == (C, M) for a in kept) == N
         assert all(a.shape[0] in (M, M + 1) for a in kept if a.shape != (C, M))
-        assert sum(a.shape == (M,) and a.dtype == np.float64 for a in kept) == 8 * N
+        assert sum(a.shape == (M,) and a.dtype == np.float64 for a in kept) == 4 * N
+        assert sum(a.shape == (M,) and a.dtype == np.bool_ for a in kept) == 4 * N
         assert not any(a.size in (C * H * W, 18 * H * W, 3 * H * W) for a in kept)
 
 

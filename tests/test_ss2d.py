@@ -5,10 +5,12 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from vssenhance.layers import MANIFEST_NAME, load_checkpoint
 from vssenhance.ss2d import (
     DIRECTIONS,
     SCAN_CHUNK,
     SS2D,
+    _head_projection,
     cross_merge,
     cross_scan,
     selective_scan,
@@ -22,7 +24,14 @@ from vssenhance.ssm import (
     selective_readout,
     selective_zoh,
 )
-from vssenhance.tensor import DimensionError, Tensor, gather_rows, no_grad
+from vssenhance.tensor import (
+    DimensionError,
+    Tensor,
+    gather_rows,
+    matmul,
+    no_grad,
+    save_tensor,
+)
 
 from helpers import assert_matches_composition, check_gradients, retained_arrays
 
@@ -41,36 +50,42 @@ def tokens(grid) -> tuple[Tensor, int, int]:
     return Tensor(arr.reshape(C, H * W).T), H, W
 
 
+def directions(stack: Tensor) -> list[np.ndarray]:
+    """The (L, C) sequences of an (L, 4, C) stack, in ``DIRECTIONS`` order."""
+    return [stack.data[:, r] for r in range(len(DIRECTIONS))]
+
+
 class TestCrossScan:
     def test_two_by_two(self):
-        lr, td, rl, dt = cross_scan(*tokens([[1.0, 2.0], [3.0, 4.0]]))  # p00..p11 = 1..4
-        assert lr.data[:, 0].tolist() == [1, 2, 3, 4]
-        assert td.data[:, 0].tolist() == [1, 3, 2, 4]
-        assert rl.data[:, 0].tolist() == [4, 3, 2, 1]
-        assert dt.data[:, 0].tolist() == [4, 2, 3, 1]
+        seqs = cross_scan(*tokens([[1.0, 2.0], [3.0, 4.0]]))  # p00..p11 = 1..4
+        assert seqs.shape == (4, 4, 1)
+        lr, td, rl, dt = directions(seqs)
+        assert lr[:, 0].tolist() == [1, 2, 3, 4]
+        assert td[:, 0].tolist() == [1, 3, 2, 4]
+        assert rl[:, 0].tolist() == [4, 3, 2, 1]
+        assert dt[:, 0].tolist() == [4, 2, 3, 1]
 
     def test_single_cell(self):
         seqs = cross_scan(*tokens([[7.0]]))
-        for seq in seqs:
-            assert seq.data.tolist() == [[7.0]]
+        assert seqs.data.tolist() == [[[7.0]] * 4]
 
     def test_single_row(self, rng):
         row = rng.normal(size=(1, 1, 5))
-        lr, td, rl, dt = cross_scan(*tokens(row))
-        assert np.array_equal(lr.data[:, 0], row[0, 0])
-        assert np.array_equal(td.data, lr.data)
-        assert np.array_equal(rl.data[:, 0], row[0, 0][::-1])
-        assert np.array_equal(dt.data, rl.data)
+        lr, td, rl, dt = directions(cross_scan(*tokens(row)))
+        assert np.array_equal(lr[:, 0], row[0, 0])
+        assert np.array_equal(td, lr)
+        assert np.array_equal(rl[:, 0], row[0, 0][::-1])
+        assert np.array_equal(dt, rl)
 
     def test_reversal_structure(self, rng):
-        lr, td, rl, dt = cross_scan(*tokens(rng.normal(size=(3, 4, 6))))
-        assert np.array_equal(rl.data, lr.data[::-1])
-        assert np.array_equal(dt.data, td.data[::-1])
+        lr, td, rl, dt = directions(cross_scan(*tokens(rng.normal(size=(3, 4, 6)))))
+        assert np.array_equal(rl, lr[::-1])
+        assert np.array_equal(dt, td[::-1])
 
     def test_sequences_are_copies(self, rng):
         tok, H, W = tokens(rng.normal(size=(2, 3, 3)))
-        lr = cross_scan(tok, H, W)[0]
-        lr.data[0, 0] = 1e9
+        seqs = cross_scan(tok, H, W)
+        seqs.data[0, 0, 0] = 1e9
         assert tok.data[0, 0] != 1e9
 
     def test_token_count_must_match_grid(self, rng):
@@ -83,10 +98,17 @@ class TestCrossScan:
     def test_permutations_are_bijections(self):
         for H in range(1, 17):
             for W in range(1, 17):
-                perms, invs = traversal_permutations(H, W)
-                for k in DIRECTIONS:
-                    assert np.array_equal(np.sort(perms[k]), np.arange(H * W))
-                    assert np.array_equal(perms[k][invs[k]], np.arange(H * W))
+                perm, inv = traversal_permutations(H, W)
+                assert perm.shape == inv.shape == (H * W, len(DIRECTIONS))
+                for r in range(len(DIRECTIONS)):
+                    assert np.array_equal(np.sort(perm[:, r]), np.arange(H * W))
+                    assert np.array_equal(perm[inv[:, r], r], np.arange(H * W))
+
+    def test_permutations_are_cached_read_only(self):
+        perm, inv = traversal_permutations(3, 5)
+        assert traversal_permutations(3, 5)[0] is perm
+        with pytest.raises(ValueError):
+            inv[0, 0] = 1
 
     def test_horizontal_flip_equivariance_index_level(self):
         H, W = 5, 7
@@ -105,9 +127,9 @@ class TestCrossMerge:
 
     def test_single_branch_passthrough(self, rng):
         tok, H, W = tokens(rng.normal(size=(2, 2, 3)))
-        lr = cross_scan(tok, H, W)[0]
-        zero = Tensor(np.zeros_like(lr.data))
-        out = cross_merge([lr, zero, zero, zero], H, W)
+        seqs = cross_scan(tok, H, W).data.copy()
+        seqs[:, 1:] = 0.0  # keep the lr sequence only
+        out = cross_merge(Tensor(seqs), H, W)
         assert np.allclose(out.data, tok.data)
 
     def test_roundtrip_by_brute_force_enumeration(self, rng):
@@ -130,11 +152,20 @@ class TestCrossMerge:
 
     def test_length_mismatch_rejected(self, rng):
         seqs = cross_scan(*tokens(rng.normal(size=(1, 2, 2))))
-        bad = Tensor(np.zeros((3, 1)))
         with pytest.raises(DimensionError):
-            cross_merge([bad, *seqs[1:]], 2, 2)
-        with pytest.raises(DimensionError):
-            cross_merge(seqs[:3], 2, 2)
+            cross_merge(Tensor(np.zeros((3, 4, 1))), 2, 2)
+        with pytest.raises(DimensionError):  # three directions
+            cross_merge(Tensor(seqs.data[:, :3]), 2, 2)
+        with pytest.raises(DimensionError):  # one direction's (L, C) sequence
+            cross_merge(Tensor(seqs.data[:, 0]), 2, 2)
+        with pytest.raises(DimensionError):  # skip needs one coefficient per channel
+            cross_merge(seqs, 2, 2, x=seqs, skip=Tensor(np.ones(2)))
+
+    def test_gradients(self, rng):
+        H, W, C = 2, 3, 2
+        mix = Tensor(rng.normal(size=(H * W, C)))
+        check_gradients(lambda ts: (cross_merge(ts[0], H, W) * mix).sum(),
+                        [rng.normal(size=(H * W, 4, C))])
 
 
 class TestSkipMerge:
@@ -143,12 +174,11 @@ class TestSkipMerge:
     @staticmethod
     def unfused(y, x, skip, H, W):
         # the skip term, a slice per direction, its inverse gather, the sum
-        _, invs = traversal_permutations(H, W)
-        perms, _ = traversal_permutations(H, W)
+        perm, inv = traversal_permutations(H, W)
         z = y + x * skip.reshape(1, 1, -1)
         total = None
-        for r, name in enumerate(DIRECTIONS):
-            back = gather_rows(z[:, r], invs[name], inverse=perms[name])
+        for r in range(len(DIRECTIONS)):
+            back = gather_rows(z[:, r], inv[:, r], inverse=perm[:, r])
             total = back if total is None else total + back
         return total
 
@@ -171,22 +201,10 @@ class TestSkipMerge:
              rng.normal(size=C)],
         )
 
-    def test_stack_without_skip_matches_list(self, rng):
-        H, W, C = 3, 2, 2
-        y = rng.normal(size=(H * W, 4, C))
-        got = cross_merge(Tensor(y), H, W)
-        want = cross_merge([Tensor(y[:, r]) for r in range(4)], H, W)
-        assert np.array_equal(got.data, want.data)
-        with pytest.raises(DimensionError):
-            cross_merge(Tensor(y[:, :3]), H, W)
-        with pytest.raises(DimensionError):  # the skip term needs the stack
-            cross_merge([Tensor(y[:, r]) for r in range(4)], H, W, x=Tensor(y),
-                        skip=Tensor(np.ones(C)))
-
     def test_ss2d_keeps_no_skip_or_merge_intermediates(self, rng):
-        # of (L, 4, C) arrays only the scanned sequences (read by the scan
-        # and the skip term) and the scan's output; of (L, C) ones only the
-        # four unfolded sequences (read by the projections) and the output
+        # of (L, 4, C) arrays only the scanned sequences (read by the
+        # projections, the scan and the skip term) and the scan's output;
+        # of (L, C) ones only the output
         C, H, W, d = 3, 5, 4, 2
         L = H * W
         ss2d = SS2D(channels=C, state_dim=d, rng=rng)
@@ -194,8 +212,77 @@ class TestSkipMerge:
         out = ss2d(f, H, W)
         kept = retained_arrays(out)
         assert sum(a.size == L * 4 * C for a in kept) == 2
-        assert sum(a.size == L * C for a in kept) == 5
+        assert sum(a.size == L * C for a in kept) == 1
         assert all(p._grad_fn is not None and p.shape == (L, 4, C) for p in out._parents[:2])
+        # one call is at most 13 nodes: the gather, -exp(a_log), three
+        # projections, a softplus, four reshapes, the scan and the merge
+        seen, stack = set(), [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._grad_fn is not None:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert len(seen) <= 13
+
+
+class TestHeadProjection:
+    """B, C and delta: each one node over the (L, 4, C) stack, direction r
+    projected by head r's weights."""
+
+    @staticmethod
+    def arrays(rng, L, C, n, bias):
+        out = [rng.normal(size=(L, 4, C))] + [rng.normal(size=(C, n)) for _ in range(4)]
+        return out + ([rng.normal(size=n) for _ in range(4)] if bias else [])
+
+    @pytest.mark.parametrize("n, bias", [(3, False), (1, True)])
+    def test_forward_bitwise_equal_to_per_direction_matmul(self, rng, n, bias):
+        x, *rest = self.arrays(rng, 13, 5, n, bias)
+        ws, bs = rest[:4], rest[4:]
+        out = _head_projection(Tensor(x), [Tensor(w) for w in ws], [Tensor(b) for b in bs])
+        assert out.shape == (13, 4, n)
+        for r in range(4):
+            col = Tensor(np.ascontiguousarray(x[:, r]))
+            want = matmul(col, Tensor(ws[r]), bias=Tensor(bs[r]) if bias else None)
+            assert np.array_equal(out.data[:, r], want.data)
+
+    @pytest.mark.parametrize("n, bias", [(3, False), (1, True)])
+    def test_gradients(self, rng, n, bias):
+        arrays = self.arrays(rng, 6, 3, n, bias)
+        mix = Tensor(rng.normal(size=(6, 4, n)))
+
+        def loss(ts):
+            return (_head_projection(ts[0], ts[1:5], ts[5:]) * mix).sum()
+
+        check_gradients(loss, arrays)
+
+
+class TestSS2DParameters:
+    """Names, shapes and order are what checkpoints and the optimizer key on."""
+
+    C, D = 3, 2
+
+    def layout(self):
+        head = [("w_b", (self.C, self.D)), ("w_c", (self.C, self.D)),
+                ("w_delta", (self.C, 1)), ("b_delta", (1,))]
+        names = [(f"heads.{r}.{k}", shape) for r in range(4) for k, shape in head]
+        return names + [("a_log", (self.C, self.D)), ("skip", (self.C,))]
+
+    def test_names_shapes_and_order_pinned(self, rng):
+        ss2d = SS2D(channels=self.C, state_dim=self.D, rng=rng)
+        assert [(n, p.shape) for n, p in ss2d.named_parameters()] == self.layout()
+
+    def test_checkpoint_in_per_head_layout_loads(self, rng, tmp_path):
+        values = {name: rng.normal(size=shape) for name, shape in self.layout()}
+        lines = []
+        for i, (name, arr) in enumerate(values.items()):
+            save_tensor(arr, tmp_path / f"{i:04d}.vsst")
+            shape = ",".join(str(n) for n in arr.shape)
+            lines.append(f"{name}\t{i:04d}.vsst\t{shape}\tss2d")
+        (tmp_path / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
+        ss2d = SS2D(channels=self.C, state_dim=self.D, rng=rng)
+        load_checkpoint(ss2d, tmp_path)
+        for name, p in ss2d.named_parameters():
+            assert np.array_equal(p.data, values[name]), name
 
 
 class TestSS2DForward:
@@ -254,15 +341,16 @@ class TestSS2DForward:
 
         seqs = cross_scan(tok, H, W)
         processed = []
-        for head, seq in zip(ss2d.heads, seqs):
+        for r, head in enumerate(ss2d.heads):
+            seq = Tensor(seqs.data[:, r])
             cols = []
             for c in range(C):
                 params = selective_parameterize(
                     seq, head, Tensor(-np.exp(ss2d.a_log.data[c])), float(ss2d.skip.data[c])
                 )
                 cols.append(scan_sequential(params, seq[:, c]).data)
-            processed.append(Tensor(np.stack(cols, axis=1)))
-        expected = cross_merge(processed, H, W).data
+            processed.append(np.stack(cols, axis=1))
+        expected = cross_merge(Tensor(np.stack(processed, axis=1)), H, W).data
         assert np.abs(fused - expected).max() < 1e-10
 
     def test_gradients(self, rng):

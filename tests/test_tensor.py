@@ -559,20 +559,35 @@ class TestBackward:
 class TestShapingOps:
     def test_gather_rows_permutation(self, rng):
         x = rng.normal(size=(6, 3))
-        perm = np.array([3, 1, 5, 0, 2, 4])
-        inv = np.argsort(perm)
-        out = gather_rows(Tensor(x), perm, inverse=inv)
-        assert np.array_equal(out.data, x[perm])
-        mix = rng.normal(size=(6, 3))
-        check_gradients(
-            lambda ts: (gather_rows(ts[0], perm, inverse=inv) * Tensor(mix)).sum(),
+        # (L,) indices, and (L, R) ones whose columns are permutations: R
+        # gathers stacked on axis 1
+        perms = [np.array([3, 1, 5, 0, 2, 4]),
+                 np.stack([rng.permutation(6) for _ in range(3)], axis=1)]
+        for perm in perms:
+            inv = np.argsort(perm, axis=0)
+            out = gather_rows(Tensor(x), perm, inverse=inv)
+            assert np.array_equal(out.data, x[perm])
+            mix = rng.normal(size=out.shape)
+            check_gradients(
+                lambda ts: (gather_rows(ts[0], perm, inverse=inv) * Tensor(mix)).sum(),
+                [x],
+            )
+        # the (L, R) gather against R separate ones
+        assert_matches_composition(
+            lambda ts: gather_rows(ts[0], perm, inverse=inv),
+            lambda ts: T.stack([gather_rows(ts[0], perm[:, r], inverse=inv[:, r])
+                                for r in range(perm.shape[1])], axis=1),
             [x],
         )
+        with pytest.raises(DimensionError):
+            gather_rows(Tensor(x), perm, inverse=inv[:, 0])
 
     def test_gather_rows_with_repeats(self, rng):
         x = rng.normal(size=(4, 2))
         idx = np.array([0, 0, 3])
         check_gradients(lambda ts: (gather_rows(ts[0], idx) ** 2.0).sum(), [x])
+        cols = np.array([[0, 1], [0, 3], [3, 3]])  # (L, R) indices, no inverse
+        check_gradients(lambda ts: (gather_rows(ts[0], cols) ** 2.0).sum(), [x])
 
     def test_concat_and_slice_gradients(self, rng):
         a = rng.normal(size=(2, 3))

@@ -11,7 +11,8 @@ JSON line, the machine facts it prints (nproc, BLAS threads, Python and numpy
 versions), the 128x128 window's extract, PCD and net times, the 128x128
 training step's time and autograd graph bytes, the 1080p frame's
 ``read_image`` time, the tier-1 wall time and the duration of
-``test_06_toy_overfit`` go into ``BENCH_<tag>.json`` at the repository root.
+``test_06_toy_overfit`` go into ``BENCH_<tag>.json`` at the repository root,
+with the ``HEAD`` commit and whether the working tree differs from it.
 To record another commit, run the script from a checkout of it.  Run it on
 an otherwise idle machine: the numbers are single runs.
 """
@@ -187,8 +188,8 @@ def tier1() -> dict:
     }
 
 
-def git_head() -> str | None:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+def git(*args: str) -> str | None:
+    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
     return proc.stdout.strip() or None
 
 
@@ -205,7 +206,10 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]  # in-process measurements
     record = {
         "tag": args.tag,
-        "commit": git_head(),
+        "commit": git("rev-parse", "HEAD"),
+        # "<commit>-dirty" when tracked files differ from it: then the numbers
+        # are the working tree's, not the commit's
+        "tree": git("describe", "--always", "--dirty"),
         "recorded_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "machine": next((r["machine"] for r in runs if "machine" in r), None),
         "runs": runs,
