@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from . import tensor as T
 from .layers import Conv2d, Module
@@ -110,10 +111,12 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
     coordinates (piecewise, with kinks at integer coordinates).
 
     The read is one sparse (M, H*W) operator: forward applies it, backward its
-    transpose.  Backward keeps the operator's arrays; when the coordinates
-    need a gradient it also keeps the per-axis corner factors and forms the
-    two (C, M) coordinate derivatives there, from the values ``f``.  The
-    samples are written into ``out``, a (C, M) buffer, if one is given.
+    transpose.  Backward keeps the operator's arrays.  When the coordinates
+    need a gradient it keeps the per-axis corner factors instead of the
+    operator's weights: it rebuilds the weights from them, and forms the two
+    (C, M) coordinate derivatives there, from the values ``f``.  The samples
+    are written into ``out``, a (C, M) buffer whose old values are ignored,
+    if one is given.
     """
     f = _wrap(f)
     if f.data.ndim != 3:
@@ -136,22 +139,25 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
         return sparse.csr_matrix((data, cols, indptr), shape=(M, H * W))
 
     def apply(data, out=None):  # (C, M); a channel at a time, so nothing is transposed
-        op = operator(data)
         out = np.empty((C, M)) if out is None else out
+        out.fill(0.0)
         for c, row in enumerate(f.data.reshape(C, H * W)):
-            out[c] = op @ row
+            # what ``operator(data) @ row`` runs, adding straight into out[c]
+            _sparsetools.csr_matvec(M, H * W, indptr, cols, data, row, out[c])
         return out
 
     weights = corners(ry, rx)
     iy = ix = None  # read no more: free them before the (C, M) output exists
-    if not coord_grad:
-        ry = rx = my = mx = None  # backward reads only the operator
     out = apply(weights, out)
+    if coord_grad:
+        weights = None  # rebuilt from ry and rx, which backward keeps anyway
+    else:
+        ry = rx = my = mx = None  # backward reads only the operator
 
     y_shape, x_shape = ys_t.shape, xs_t.shape  # backward keeps no coordinates
 
     def grad_fn(g):
-        gf = (g @ operator(weights)).reshape(C, H, W)
+        gf = (g @ operator(corners(ry, rx) if coord_grad else weights)).reshape(C, H, W)
         if not coord_grad:
             return gf, None, None
         # the weights' slopes along an axis are -near and far
@@ -212,10 +218,12 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor,
     A window ``f`` of (C, N, H, W) takes (2*k*k, N, H, W) offsets.
 
     One node: each block is sampled in place by its own ``bilinear_gather``
-    and multiplied on its own.  The node keeps each block's samples and its
-    gather's backward, no copy of a block or of its sample positions, and
-    backward writes each block's gradients straight into window-sized
-    arrays.  Without a graph the blocks share one sample buffer.
+    into one shared sample buffer and multiplied on its own.  The node keeps
+    each block's gather backward and no array of its own: backward samples
+    each block again, under ``no_grad`` at the same positions, into one
+    buffer for its weight gradient, overwrites them there with their own
+    gradient, and writes each block's gradients straight into window-sized
+    arrays.
     """
     f, offsets, w = _wrap(f), _wrap(offsets), _wrap(w)
     C_out, C_in, k, k2 = w.shape
@@ -238,23 +246,23 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor,
     f4 = f.data.reshape(C, N, H, W)
     off4 = offsets.data.reshape(2 * kk, N, H, W)
     limit = float(max(H, W))
-    base_y, base_x = _tap_positions(k, H, W)
     w_taps = np.ascontiguousarray(T._taps(w.data))
+
+    def positions(n, base_y, base_x):  # block n's (k*k*M,) sample rows and columns
+        off = np.clip(off4[:, n], -limit, limit).reshape(kk, 2, M)
+        return (off[:, 0] + base_y).reshape(-1), (off[:, 1] + base_x).reshape(-1)
 
     def tap_views(a):  # (C, k*k*M) -> each tap's (C, M) view
         return list(a.reshape(C, kk, M).transpose(1, 0, 2))
 
     data, tmp = np.empty((C_out, N, M)), np.empty((C_out, M))
-    buf = None if keep else np.empty((C, kk * M))
-    samples, gathers = [], []  # per block, kept for backward
+    buf, base = np.empty((C, kk * M)), _tap_positions(k, H, W)
+    gathers = []  # per block, kept for backward
     for n in range(N):
-        off = np.clip(off4[:, n], -limit, limit).reshape(kk, 2, M)
-        ys = Tensor((off[:, 0] + base_y).reshape(-1), requires_grad=keep)
-        xs = Tensor((off[:, 1] + base_x).reshape(-1), requires_grad=keep)
+        ys, xs = (Tensor(a, requires_grad=keep) for a in positions(n, *base))
         sampled = bilinear_gather(_read_in_place(f4[:, n]), ys, xs, out=buf)
         T._tap_sum(w_taps, tap_views(sampled.data), data[:, n], tmp)
         if keep:
-            samples.append(sampled.data)
             gathers.append(sampled._grad_fn)
     if bias:
         data += bias[0].data.reshape(-1, 1, 1)
@@ -264,11 +272,14 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor,
         w_taps = np.ascontiguousarray(T._taps(w.data))
         gf, g_off = np.empty((C, N, H, W)), np.empty((2 * kk, N, H, W))
         gw = np.zeros(w.shape)
-        gs = np.empty((C, kk * M))
-        for n, (sampled, gather_bwd) in enumerate(zip(samples, gathers)):
-            T._tap_adjoint(w_taps, g3[:, n], tap_views(gs), None)  # taps do not overlap
-            T._tap_weight_grad(g3[:, n], tap_views(sampled), T._taps(gw))
-            gf[:, n], gy, gx = gather_bwd(gs)
+        buf, base = np.empty((C, kk * M)), _tap_positions(k, H, W)
+        for n, gather_bwd in enumerate(gathers):
+            with T.no_grad():  # the samples forward multiplied, bitwise
+                bilinear_gather(_read_in_place(f4[:, n]), *positions(n, *base), out=buf)
+            T._tap_weight_grad(g3[:, n], tap_views(buf), T._taps(gw))
+            # then the samples' gradient, in the same buffer: taps do not overlap
+            T._tap_adjoint(w_taps, g3[:, n], tap_views(buf), None)
+            gf[:, n], gy, gx = gather_bwd(buf)
             g_block = g_off[:, n].reshape(kk, 2, M)
             g_block[:, 0], g_block[:, 1] = gy.reshape(kk, M), gx.reshape(kk, M)
             g_off[:, n] *= (off4[:, n] >= -limit) & (off4[:, n] <= limit)  # clip

@@ -56,6 +56,11 @@ def _paired_frames(low_dir: str, gt_dir: str):
             "unpaired frames between the two directories; "
             f"only in low: {low_only}, only in ground truth: {gt_only}"
         )
+    for path, a, b in zip(low.paths, low.frames, gt.frames):  # same names, same order
+        if a.shape != b.shape:
+            raise IngestionError(
+                f"{path.name}: low-light frame is {a.shape} but its ground truth is {b.shape}"
+            )
     return low, gt
 
 

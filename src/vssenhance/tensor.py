@@ -408,15 +408,28 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def gelu(a) -> Tensor:
-    """Exact (erf-based) GELU."""
+    """Exact (erf-based) GELU.  Backward keeps no array: it recovers the CDF
+    as output / input, within a few ulp, and as 1/2 where x * x underflows
+    to zero (|x| below about 1.5e-162), where forward's CDF is exactly 1/2
+    and the quotient would be 0/0 or, for subnormal x, inexact."""
     a = _wrap(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    data = x * cdf
+    data = x * (0.5 * (1.0 + erf(x * _INV_SQRT2)))
 
     def grad_fn(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (cdf + x * pdf),)
+        # g * (cdf + x * pdf), formed in place: each fresh array this large
+        # costs page faults as well as a pass
+        out = x * x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cdf = data / x
+        cdf[out == 0.0] = 0.5
+        out *= -0.5
+        np.exp(out, out=out)
+        out *= _INV_SQRT2PI
+        out *= x
+        out += cdf
+        out *= g
+        return (out,)
 
     return _node(data, (a,), grad_fn)
 
@@ -631,10 +644,10 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    data = gamma.data * xhat + beta.data
+    data = gamma.data * (xc * inv_std) + beta.data
 
-    def grad_fn(g):
+    def grad_fn(g):  # keeps the per-row mu and inv_std, and recomputes x-hat
+        xhat = (x.data - mu) * inv_std
         gxhat = g * gamma.data
         # d/dx of (x - mu) / sigma, folded into the usual three-term form
         m1 = gxhat.mean(axis=-1, keepdims=True)
@@ -789,12 +802,11 @@ def conv2d(x, w, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
 
     ``x`` may also be a batch (C_in, N, H, W), giving (C_out, N, Ho, Wo): one
     node that convolves one block at a time, each exactly as an unbatched
-    call does, and without a graph through one set of buffers.  ``x`` may
-    also be a list of parts that hold the input channels in order, each
-    convolved by its slice of ``w`` and added, in part order, into one
-    output; a (C_i, H, W) part among batched ones is shared by every block,
-    so it is convolved once.  Backward keeps each block's phase images,
-    about the padded input's size, and no other array.
+    call does, through one set of buffers.  ``x`` may also be a list of
+    parts that hold the input channels in order, each convolved by its slice
+    of ``w`` and added, in part order, into one output; a (C_i, H, W) part
+    among batched ones is shared by every block, so it is convolved once.
+    Backward keeps no array: it splits each block into phase images again.
     """
     parts = [_wrap(p) for p in x] if isinstance(x, (list, tuple)) else [_wrap(x)]
     w = _wrap(w)
@@ -816,46 +828,45 @@ def conv2d(x, w, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
     grid = _TapGrid(H, W, k, stride, pad)
     Ho, Wo = grid.Ho, grid.Wo
     bias = _bias(bias, C_out)
-    keep = _GRAD_ENABLED and any(t.requires_grad for t in (*parts, w, *bias))
+
+    views, start = [], 0  # per part: its (C, n, H, W) blocks and its channels of w
+    for part in parts:
+        x4 = part.data if part.data.ndim == 4 else part.data[:, None]
+        views.append((x4, slice(start, start + len(x4))))
+        start += len(x4)
+
     data = np.empty((C_out, N, Ho, Wo))
     acc = np.empty((C_out, grid.wide))
     tmp = np.empty_like(acc) if k > 1 else None
-    kept, start = [], 0  # per part, each block's phase images
-    for i, part in enumerate(parts):
-        x4 = part.data if part.data.ndim == 4 else part.data[:, None]
-        w_taps = np.ascontiguousarray(_taps(w.data[:, start : start + x4.shape[0]]))
-        phases, buf = [], None
+    for i, (x4, cs) in enumerate(views):
+        w_taps = np.ascontiguousarray(_taps(w.data[:, cs]))
+        buf = None
         for n in range(x4.shape[1]):
-            buf = grid.split(x4[:, n], None if keep else buf)
-            if keep:
-                phases.append(buf)
+            buf = grid.split(x4[:, n], buf)
             y = grid.crop(_tap_sum(w_taps, grid.sources(buf), acc, tmp))[:, None]
             dst = data[:, n : n + 1] if x4.shape[1] == N else data
             if i == 0:
                 dst[...] = y
             else:
                 dst += y
-        kept.append(phases)
-        start += x4.shape[0]
     if bias:
         data += bias[0].data.reshape(-1, 1, 1, 1)
 
     def grad_fn(g):
         g4 = g.reshape(C_out, N, Ho, Wo)
         gw = np.zeros(w.data.shape)
-        grads, start = [], 0
-        for part, phases in zip(parts, kept):
-            C = part.data.shape[0]
-            w_taps = np.ascontiguousarray(_taps(w.data[:, start : start + C]))
-            gw_taps = _taps(gw[:, start : start + C])  # a view: adds land in gw
-            gp = g4 if len(phases) == N else g4.sum(axis=1, keepdims=True)
-            gx = np.empty((C, len(phases), H, W))
-            for n, buf in enumerate(phases):
+        grads = []
+        for part, (x4, cs) in zip(parts, views):
+            w_taps = np.ascontiguousarray(_taps(w.data[:, cs]))
+            gw_taps = _taps(gw[:, cs])  # a view: adds land in gw
+            gp = g4 if x4.shape[1] == N else g4.sum(axis=1, keepdims=True)
+            gx, buf = np.empty(x4.shape), None
+            for n in range(x4.shape[1]):
                 g_wide = grid.widen(gp[:, n])
+                buf = grid.split(x4[:, n], buf)  # the phase images forward read
                 _tap_weight_grad(g_wide, grid.sources(buf), gw_taps)
                 grid.input_grad(w_taps, g_wide, gx[:, n])
             grads.append(gx.reshape(part.data.shape))
-            start += C
         grads.append(gw)
         if bias:
             grads.append(g4.sum(axis=(1, 2, 3)))

@@ -14,6 +14,7 @@ from vssenhance.align import (
     resize_bilinear,
 )
 from vssenhance.layers import Conv2d
+from vssenhance import align
 from vssenhance import tensor as T
 from vssenhance.optim import AdamW
 from vssenhance.tensor import DimensionError, Tensor, conv2d, no_grad
@@ -86,6 +87,25 @@ class TestBilinearSample:
         assert with_grad.requires_grad and not without.requires_grad
         assert np.array_equal(with_grad.data, without.data)
 
+    def test_samples_match_corner_loop_bitwise(self, rng):
+        # each sample adds its four corners' weight * value in corner order,
+        # also when written into a buffer that holds older values
+        C, H, W, M = 2, 4, 5, 30
+        f = rng.normal(size=(C, H, W))
+        ys, xs = rng.uniform(-1.5, H + 0.5, size=M), rng.uniform(-1.5, W + 0.5, size=M)
+        want = np.zeros((C, M))
+        for m, (y, x) in enumerate(zip(ys, xs)):
+            y0, x0 = np.floor(y), np.floor(x)
+            for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                wy = (y - y0 if dy else 1 - (y - y0)) * (0 <= y0 + dy <= H - 1)
+                wx = (x - x0 if dx else 1 - (x - x0)) * (0 <= x0 + dx <= W - 1)
+                iy, ix = int(min(max(y0 + dy, 0), H - 1)), int(min(max(x0 + dx, 0), W - 1))
+                want[:, m] += wy * wx * f[:, iy, ix]
+        buf = np.full((C, M), np.nan)
+        out = bilinear_gather(Tensor(f), ys, xs, out=buf)
+        assert np.shares_memory(out.data, buf)
+        assert np.array_equal(out.data, want)
+
     def test_backward_keeps_no_corner_reads(self, rng):
         C, M = 3, 10
         f = Tensor(rng.normal(size=(C, 4, 5)), requires_grad=True)
@@ -96,12 +116,14 @@ class TestBilinearSample:
         # only the output: backward forms the y and x derivatives from f
         assert sum(arr.shape == (C, M) for arr in kept) == 1
         # per axis: the two corner weights as floats, their slopes as two
-        # boolean masks
+        # boolean masks; the operator's weights are rebuilt from them
         per_axis = [arr for arr in kept if arr.shape == (M,)]
         assert sorted(arr.dtype.kind for arr in per_axis) == ["b"] * 4 + ["f"] * 4
-        # constant coordinates keep no per-axis factors either
+        assert not [arr for arr in kept if arr.dtype.kind == "f" and arr.size == 4 * M]
+        # constant coordinates keep the weights and no per-axis factors
         kept_const = retained_arrays(bilinear_gather(f, ys.data, xs.data))
         assert sum(arr.shape == (C, M) for arr in kept_const) == 1
+        assert sum(arr.dtype.kind == "f" and arr.size == 4 * M for arr in kept_const) == 1
         assert sum(arr.shape == (M,) for arr in kept_const) < sum(
             arr.shape == (M,) for arr in kept
         )
@@ -253,20 +275,35 @@ class TestDeformableConv:
                 assert np.allclose(out[:, i, j], v, atol=1e-12)
 
     def test_one_sample_buffer_and_no_transpose(self, rng, monkeypatch):
-        # the samples are already in the patch layout: no transpose, no copy
-        C, H, W, k = 3, 4, 5, 3
-        calls = []
-        transpose = T.transpose
+        # the samples are already in the patch layout: no transpose, no copy;
+        # forward samples every block into one buffer, and backward samples
+        # them again, at the same positions, into another
+        C, N, H, W, k = 3, 3, 4, 5, 3
+        calls, buffers = [], []
+        transpose, gather = T.transpose, align.bilinear_gather
         monkeypatch.setattr(
             T, "transpose", lambda a, *axes: calls.append(axes) or transpose(a, *axes)
         )
-        f = Tensor(rng.normal(size=(C, H, W)), requires_grad=True)
+
+        def recording_gather(f, ys, xs, out=None):
+            sampled = gather(f, ys, xs, out=out)
+            buffers.append((out, np.array(getattr(ys, "data", ys)), sampled.data.copy()))
+            return sampled
+
+        monkeypatch.setattr(align, "bilinear_gather", recording_gather)
+        f = Tensor(rng.normal(size=(C, N, H, W)), requires_grad=True)
         w = Tensor(rng.normal(size=(2, C, k, k)), requires_grad=True)
-        offsets = Tensor(rng.uniform(-1, 1, size=(2 * k * k, H, W)))
+        offsets = Tensor(rng.uniform(-1, 1, size=(2 * k * k, N, H, W)), requires_grad=True)
         out = deformable_conv2d(f, offsets, w)
         assert calls == []
-        kept = retained_arrays(out)
-        assert sum(arr.size == C * k * k * H * W for arr in kept) == 1
+        assert not [arr for arr in retained_arrays(out) if arr.size == C * k * k * H * W]
+        out.sum().backward()
+        forward, backward = buffers[:N], buffers[N:]
+        assert len(backward) == N
+        assert all(b is not None for b, _, _ in buffers)
+        assert len({id(b) for b, _, _ in forward}) == len({id(b) for b, _, _ in backward}) == 1
+        for (_, ys, samples), (_, ys_again, again) in zip(forward, backward):
+            assert np.array_equal(ys, ys_again) and np.array_equal(samples, again)
 
     def test_offset_shape_mismatch(self, rng):
         f = fmap(rng.normal(size=(1, 4, 4)))
@@ -342,12 +379,12 @@ class TestDeformableNode:
         out = deformable_conv2d(f, offsets, w, b)
         assert all(p._grad_fn is None for p in out._parents)  # one node
         kept = [a for a in retained_arrays(out) if not np.shares_memory(a, out.data)]
-        # each block's samples, and its gather's per-sample operator and
-        # corner factors (weights as floats, slopes as boolean masks): no
-        # block of the features or offsets, no sample positions and no
-        # pre-bias output
-        assert sum(a.shape == (C, M) for a in kept) == N
-        assert all(a.shape[0] in (M, M + 1) for a in kept if a.shape != (C, M))
+        # only each block's gather's per-sample columns and per-axis corner
+        # factors (weights as floats, slopes as boolean masks): no samples,
+        # no corner weights, no block of the features or offsets, no sample
+        # positions and no pre-bias output
+        assert all(a.shape[0] in (M, M + 1) for a in kept)
+        assert not [a for a in kept if a.dtype == np.float64 and a.shape != (M,)]
         assert sum(a.shape == (M,) and a.dtype == np.float64 for a in kept) == 4 * N
         assert sum(a.shape == (M,) and a.dtype == np.bool_ for a in kept) == 4 * N
         assert not any(a.size in (C * H * W, 18 * H * W, 3 * H * W) for a in kept)

@@ -445,6 +445,17 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "0003.png" in err and "0009.png" in err
 
+    def test_train_mismatched_pair_shapes_fail_before_any_checkpoint(self, tmp_path, rng,
+                                                                      capsys):
+        config, low_dir, gt_dir, ckpt = self._setup_run(tmp_path, rng, size=32)
+        write_clip(gt_dir, [rng.uniform(0.2, 0.9, size=(3, 16, 16)) for _ in range(4)])
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert "0000.png" in err and "(3, 32, 32)" in err and "(3, 16, 16)" in err
+        assert not ckpt.exists()
+
     def test_enhance_with_color_adaptation(self, tmp_path, rng):
         config, low_dir, _, _ = self._setup_run(tmp_path, rng)
         assert main(["train", "--config", str(config)]) == 0

@@ -9,8 +9,8 @@ one default-config training step at 128x128 and the decode of one 1920x1080
 RGB16 PNG in this process, then the tier-1 test command.  Each run's last
 JSON line, the machine facts it prints (nproc, BLAS threads, Python and numpy
 versions), the 128x128 window's extract, PCD and net times, the 128x128
-training step's time and autograd graph bytes, the 1080p frame's
-``read_image`` time, the tier-1 wall time and the duration of
+training step's time, minor page faults and autograd graph bytes, the 1080p
+frame's ``read_image`` time, the tier-1 wall time and the duration of
 ``test_06_toy_overfit`` go into ``BENCH_<tag>.json`` at the repository root,
 with the ``HEAD`` commit and whether the working tree differs from it.
 To record another commit, run the script from a checkout of it.  Run it on
@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -111,7 +112,9 @@ def train_step() -> dict:
     """Time default-config training steps (batch 1) at WINDOW_SIZE, as the
     ``train`` command runs them on a fresh model, on a low-light window and
     its bright center frame made by ``perfbench/generate.py``'s functions,
-    and measure the autograd graph one step's loss retains."""
+    count the minor page faults each step takes (``ru_minflt``: the heap
+    pages glibc returned to the system and the step touched again), and
+    measure the autograd graph one step's loss retains."""
     print(f"running: {WINDOW_SIZE[0]}x{WINDOW_SIZE[1]} training steps", flush=True)
     import generate
     import numpy as np
@@ -130,14 +133,17 @@ def train_step() -> dict:
     bright = generate._bright_scene(rng, 5, *WINDOW_SIZE)
     window = [T.Tensor(frame) for frame in generate._low_light(rng, bright)]
     batch = [(window, T.Tensor(bright[len(window) // 2]))]
-    times = []
+    times, faults = [], []
     for _ in range(TRAIN_REPEATS + 1):
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         training_step(model, optimizer, batch)
         times.append((time.perf_counter() - start) * 1e3)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
     nodes, graph_bytes = spans.graph_footprint(charbonnier(model(window), batch[0][1]))
     return {"size": list(WINDOW_SIZE), "frames": len(window), "repeats": TRAIN_REPEATS,
             "step_ms": round(statistics.median(times[1:]), 1),
+            "minflt_per_step": statistics.median(faults[1:]),
             "graph_nodes": nodes, "graph_bytes": graph_bytes}
 
 
