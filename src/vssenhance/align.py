@@ -217,13 +217,14 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor,
     offset field reproduces ``conv2d(f, w, stride=1, pad=(k-1)/2)`` bitwise.
     A window ``f`` of (C, N, H, W) takes (2*k*k, N, H, W) offsets.
 
-    One node: each block is sampled in place by its own ``bilinear_gather``
-    into one shared sample buffer and multiplied on its own.  The node keeps
-    each block's gather backward and no array of its own: backward samples
-    each block again, under ``no_grad`` at the same positions, into one
-    buffer for its weight gradient, overwrites them there with their own
-    gradient, and writes each block's gradients straight into window-sized
-    arrays.
+    One node: each block is sampled in place by its own ``bilinear_gather``,
+    under ``no_grad``, into one shared sample buffer and multiplied on its
+    own.  The node keeps no array of its own, not even a block's read
+    operator: backward rebuilds each block's gather at the same positions,
+    now differentiable in them, into one buffer.  Those samples give the
+    weight gradient; they are then overwritten there by their own gradient,
+    which the rebuilt gather's backward takes to the features and offsets,
+    and each block's gradients go straight into window-sized arrays.
     """
     f, offsets, w = _wrap(f), _wrap(offsets), _wrap(w)
     C_out, C_in, k, k2 = w.shape
@@ -241,7 +242,6 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor,
             f"offset field must be {(2 * k * k,) + f.shape[1:]}, got {offsets.shape}"
         )
     bias = T._bias(bias, C_out)
-    keep = T.grad_enabled() and any(t.requires_grad for t in (f, offsets, w, *bias))
     N, M, kk = (1 if f.ndim == 3 else f.shape[1]), H * W, k * k
     f4 = f.data.reshape(C, N, H, W)
     off4 = offsets.data.reshape(2 * kk, N, H, W)
@@ -257,13 +257,10 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor,
 
     data, tmp = np.empty((C_out, N, M)), np.empty((C_out, M))
     buf, base = np.empty((C, kk * M)), _tap_positions(k, H, W)
-    gathers = []  # per block, kept for backward
-    for n in range(N):
-        ys, xs = (Tensor(a, requires_grad=keep) for a in positions(n, *base))
-        sampled = bilinear_gather(_read_in_place(f4[:, n]), ys, xs, out=buf)
-        T._tap_sum(w_taps, tap_views(sampled.data), data[:, n], tmp)
-        if keep:
-            gathers.append(sampled._grad_fn)
+    with T.no_grad():
+        for n in range(N):
+            bilinear_gather(_read_in_place(f4[:, n]), *positions(n, *base), out=buf)
+            T._tap_sum(w_taps, tap_views(buf), data[:, n], tmp)
     if bias:
         data += bias[0].data.reshape(-1, 1, 1)
 
@@ -273,13 +270,14 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor,
         gf, g_off = np.empty((C, N, H, W)), np.empty((2 * kk, N, H, W))
         gw = np.zeros(w.shape)
         buf, base = np.empty((C, kk * M)), _tap_positions(k, H, W)
-        for n, gather_bwd in enumerate(gathers):
-            with T.no_grad():  # the samples forward multiplied, bitwise
-                bilinear_gather(_read_in_place(f4[:, n]), *positions(n, *base), out=buf)
+        for n in range(N):
+            with T._grad_mode(True):  # the samples forward multiplied, bitwise
+                ys, xs = (Tensor(a, requires_grad=True) for a in positions(n, *base))
+                sampled = bilinear_gather(_read_in_place(f4[:, n]), ys, xs, out=buf)
             T._tap_weight_grad(g3[:, n], tap_views(buf), T._taps(gw))
             # then the samples' gradient, in the same buffer: taps do not overlap
             T._tap_adjoint(w_taps, g3[:, n], tap_views(buf), None)
-            gf[:, n], gy, gx = gather_bwd(buf)
+            gf[:, n], gy, gx = sampled._grad_fn(buf)
             g_block = g_off[:, n].reshape(kk, 2, M)
             g_block[:, 0], g_block[:, 1] = gy.reshape(kk, M), gx.reshape(kk, M)
             g_off[:, n] *= (off4[:, n] >= -limit) & (off4[:, n] <= limit)  # clip

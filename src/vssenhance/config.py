@@ -111,8 +111,10 @@ _SCHEMA = {
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate configuration text; unknown keys are hard errors."""
+    """Parse and validate configuration text; unknown and repeated keys are
+    hard errors."""
     values: dict[str, dict[str, object]] = {s: {} for s in _SCHEMA}
+    first_line: dict[tuple[str, str], int] = {}
     section = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -131,6 +133,11 @@ def parse_config(text: str) -> RunConfig:
         schema = _SCHEMA[section]
         if key not in schema:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        first = first_line.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ConfigurationError(
+                f"line {lineno}: [{section}] {key} is already set on line {first}"
+            )
         parser, validate, requirement = schema[key]
         value = parser(raw_value, f"[{section}] {key}") if parser is not str.strip else raw_value.strip()
         if not validate(value):
@@ -153,4 +160,10 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file {path} does not exist")
-    return parse_config(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"config file {path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    return parse_config(text)

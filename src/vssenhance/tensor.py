@@ -84,6 +84,11 @@ def _as_array(data) -> np.ndarray:
     return arr
 
 
+def _spent(g):
+    """The backward closure of an interior node that backward() has run."""
+    raise ContractError("backward() already ran through this graph")
+
+
 class Tensor:
     """A float64 array plus an optional position in a computation graph.
 
@@ -142,9 +147,13 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode accumulation of d(self)/d(leaf) into leaf ``.grad``.
 
-        ``self`` must be a scalar.  Repeated calls without ``zero_grad`` add
-        into the existing buffers.  Traversal is iterative so long op chains
-        (e.g. unrolled recurrences) cannot hit the recursion limit.
+        ``self`` must be a scalar.  Gradients of several graphs, built and
+        run in turn without ``zero_grad``, add into the existing buffers.
+        Traversal is iterative so long op chains (e.g. unrolled recurrences)
+        cannot hit the recursion limit.  The graph is spent as the walk goes:
+        each interior node drops its backward closure and its parent links
+        once that closure has run, so a second ``backward()`` through any of
+        them raises ``ContractError``.
         """
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss")
@@ -166,7 +175,8 @@ class Tensor:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
             if g is None:
                 continue
@@ -177,8 +187,12 @@ class Tensor:
                 else:
                     node.grad += g
                 continue
+            parents = node._parents
             parent_grads = node._grad_fn(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            # release the node's closure and parent links: what only they
+            # keep is freed as the walk goes, not when it returns
+            node._grad_fn, node._parents = _spent, ()
+            for parent, pg in zip(parents, parent_grads):
                 if pg is None or not parent.requires_grad:
                     continue
                 acc = grads.get(id(parent))

@@ -313,6 +313,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             parse_config("[train]\nlr = -1\n")
 
+    def test_repeated_key_rejected_naming_both_lines(self):
+        with pytest.raises(ConfigurationError, match="line 3: .*state_dim.* line 2"):
+            parse_config("[model]\nstate_dim = 2\nstate_dim = 3\n")
+        with pytest.raises(ConfigurationError, match="line 5: .*lr.* line 2"):
+            parse_config("[train]\nlr = 0.1\n[model]\n[train]\nlr = 0.2\n")
+
     def test_env_seed_override(self, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "12345")
         cfg = parse_config("[train]\nseed = 7\n")
@@ -403,6 +409,18 @@ class TestCLI:
         ]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "absent.cfg" in err
+
+    def test_enhance_non_utf8_config_fails(self, tmp_path, rng, capsys):
+        _, low_dir, _, _ = self._setup_run(tmp_path, rng)
+        config = tmp_path / "utf16.cfg"
+        config.write_bytes(b"\xff\xfe[model]\n")
+        assert main([
+            "enhance", "--config", str(config),
+            "--input", str(low_dir), "--output", str(tmp_path / "o"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err and "utf16.cfg" in err
 
     def test_enhance_mismatched_checkpoint_fails(self, tmp_path, rng, capsys):
         config, low_dir, _, _ = self._setup_run(tmp_path, rng)

@@ -1,5 +1,7 @@
 """Tensor engine: forward semantics, gradients vs finite differences, persistence."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -568,12 +570,35 @@ class TestBackward:
 
     def test_repeated_backward_accumulates(self):
         x = Tensor([2.0], requires_grad=True)
-        loss = (x * x).sum()
-        loss.backward()
-        loss.backward()
+        for _ in range(2):  # one graph, then another
+            (x * x).sum().backward()
         assert np.allclose(x.grad, [8.0])
         x.zero_grad()
         assert x.grad is None
+
+    def test_second_backward_through_spent_graph_rejected(self):
+        x = Tensor([2.0], requires_grad=True)
+        y = x * x
+        loss = y.sum()
+        loss.backward()
+        with pytest.raises(ContractError, match="already ran"):
+            loss.backward()
+        with pytest.raises(ContractError, match="already ran"):
+            (y * 3.0).sum().backward()  # a new graph over a spent node
+        assert np.allclose(x.grad, [4.0])
+
+    def test_backward_frees_closure_arrays(self):
+        def scaled(x):  # x * 3 as a node whose closure alone keeps the 3s
+            kept = np.full(4, 3.0)
+            return T._node(x.data * kept, (x,), lambda g: (g * kept,)), weakref.ref(kept)
+
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        out, ref = scaled(x)
+        loss = out.sum()
+        assert ref() is not None
+        loss.backward()
+        assert ref() is None
+        assert np.array_equal(x.grad, np.full(4, 3.0))
 
     def test_deep_chain_does_not_recurse(self):
         x = Tensor([1.0], requires_grad=True)

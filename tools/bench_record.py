@@ -10,9 +10,10 @@ RGB16 PNG in this process, then the tier-1 test command.  Each run's last
 JSON line, the machine facts it prints (nproc, BLAS threads, Python and numpy
 versions), the 128x128 window's extract, PCD and net times, the 128x128
 training step's time, minor page faults and autograd graph bytes, the 1080p
-frame's ``read_image`` time, the tier-1 wall time and the duration of
-``test_06_toy_overfit`` go into ``BENCH_<tag>.json`` at the repository root,
-with the ``HEAD`` commit and whether the working tree differs from it.
+frame's ``read_image`` time, the tier-1 wall time, the ids of the tests that
+failed or errored and the duration of ``test_06_toy_overfit`` go into
+``BENCH_<tag>.json`` at the repository root, with the ``HEAD`` commit and
+whether the working tree differs from it.
 To record another commit, run the script from a checkout of it.  Run it on
 an otherwise idle machine: the numbers are single runs.
 """
@@ -42,6 +43,8 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 MACHINE = re.compile(r"nproc=(\d+) blas_threads=(\S+) python=(\S+) numpy=(\S+)")
 SUMMARY = re.compile(r"(\d+) (passed|failed|error|errors|skipped)")
 TEST_06 = re.compile(r"([\d.]+)s call\s+\S*test_06_toy_overfit")
+# a failing or erroring test's id in pytest's short summary
+FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
 WINDOW_SIZE = (128, 128)  # perfbench runs 64x64 only
 WINDOW_REPEATS = 3  # timed windows after one warm-up; stage times are medians
 TRAIN_REPEATS = 2  # timed training steps after one warm-up; the time is their median
@@ -190,6 +193,7 @@ def tier1() -> dict:
         "summary": tail,
         "passed": counts.get("passed", 0),
         "failed": counts.get("failed", 0),
+        "failures": FAILURE.findall(proc.stdout),
         "test_06_toy_overfit_s": float(test_06.group(1)) if test_06 else None,
     }
 
