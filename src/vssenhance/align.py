@@ -406,7 +406,7 @@ def pcd_align(
         H, W = nbr.shape[-2:]
         parts = [nbr, reference.levels[lvl]]
         if offsets is not None:
-            parts.append(resize_bilinear(offsets, H, W) * 2.0)
+            parts.append(resize_bilinear(offsets * 2.0, H, W))  # exact: a power of two
         offsets = _offset_field(weights.off_a[lvl], weights.off_b[lvl],
                                 weights.off_head[lvl], parts)
         del parts

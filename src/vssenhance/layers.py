@@ -56,7 +56,8 @@ def kaiming(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
 
 
 class Linear(Module):
-    """y = x @ W + b on (..., in_features) token layouts (2-D inputs)."""
+    """y = x @ W + b on (..., in_features) token layouts (2-D inputs), plus
+    ``residual`` inside the same node if given."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
                  zero_init: bool = False):
@@ -66,8 +67,8 @@ class Linear(Module):
             self.weight = kaiming(rng, (in_features, out_features), in_features)
         self.bias = param(np.zeros(out_features))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, self.weight, bias=self.bias)
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        return T.matmul(x, self.weight, bias=self.bias, residual=residual)
 
 
 class Conv2d(Module):

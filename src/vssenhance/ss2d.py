@@ -137,6 +137,32 @@ def _zoh_terms(delta, a, b, x, a_bar, q, u) -> None:
     np.multiply(u, x, out=u)
 
 
+def _scan_chunks(delta, a, b, c, x):
+    """The chunk loop of :func:`selective_scan` on its operands' arrays:
+    returns y, (L, R, C, 1), and the (R, C, d) state entering each chunk,
+    None for the first."""
+    L, R, C, _ = x.shape
+    d = a.shape[1]
+    y = np.empty((L, R, C, 1))
+    states = []
+    T = min(L, SCAN_CHUNK)
+    a_bar, q, u = (np.empty((T, R, C, d)) for _ in range(3))
+    h0 = None
+    for t0 in range(0, L, SCAN_CHUNK):
+        t1 = min(t0 + SCAN_CHUNK, L)
+        T = t1 - t0
+        ab, uu = a_bar[:T], u[:T]
+        _zoh_terms(delta[t0:t1], a, b[t0:t1], x[t0:t1], ab, q[:T], uu)
+        if h0 is not None:
+            uu[0] += ab[0] * h0
+        states.append(h0)
+        h = linear_recurrence(ab.reshape(T, -1), uu.reshape(T, -1), mode="sequential")
+        h = h.data.reshape(T, R, C, d)
+        np.matmul(h, c[t0:t1].reshape(T, R, d, 1), out=y[t0:t1])
+        h0 = h[-1].copy()
+    return y, states
+
+
 def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Tensor:
     """Selective scan of R sequences of C channels with state size d, as one
     graph node, on operands that broadcast to (L, R, C, d):
@@ -166,28 +192,9 @@ def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) ->
         if t.shape != shape:
             raise DimensionError(f"selective_scan {name} must be {shape}, got {t.shape}")
     parents = (delta, a, b, c, x)
-    keep = grad_enabled() and any(t.requires_grad for t in parents)
-
-    y = np.empty((L, R, C, 1))
-    states = []  # state entering each chunk, None for the first
-    T = min(L, SCAN_CHUNK)
-    a_bar, q, u = (np.empty((T, R, C, d)) for _ in range(3))
-    h0 = None
-    for t0 in range(0, L, SCAN_CHUNK):
-        t1 = min(t0 + SCAN_CHUNK, L)
-        T = t1 - t0
-        ab, uu = a_bar[:T], u[:T]
-        _zoh_terms(delta.data[t0:t1], a.data, b.data[t0:t1], x.data[t0:t1], ab, q[:T], uu)
-        if h0 is not None:
-            uu[0] += ab[0] * h0
-        if keep:
-            states.append(h0)
-        h = linear_recurrence(ab.reshape(T, -1), uu.reshape(T, -1), mode="sequential")
-        h = h.data.reshape(T, R, C, d)
-        np.matmul(h, c.data[t0:t1].reshape(T, R, d, 1), out=y[t0:t1])
-        h0 = h[-1].copy()
+    y, states = _scan_chunks(*(t.data for t in parents))
     y = y.reshape(L, R, C)
-    if not keep:
+    if not (grad_enabled() and any(t.requires_grad for t in parents)):
         return Tensor(y)
 
     def grad_fn(g):
@@ -272,26 +279,74 @@ def _head_projection(x: Tensor, weights, biases=()) -> Tensor:
     return _node(out, (x, *weights, *biases), grad_fn)
 
 
+def _projections(seqs: Tensor, heads):
+    """B, C and the pre-softplus Δ of the (L, 4, C) stack, one node each;
+    ``heads`` holds each direction's (w_b, w_c, w_delta, b_delta)."""
+    w_b, w_c, w_delta, b_delta = zip(*heads)
+    return (_head_projection(seqs, w_b), _head_projection(seqs, w_c),
+            _head_projection(seqs, w_delta, b_delta))
+
+
 def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
     """cross-scan -> per-direction selective scan -> cross-merge, on the
-    row-major (H*W, C) tokens of an H x W grid.
+    row-major (H*W, C) tokens of an H x W grid, as one graph node.
 
-    The directions travel as one (H*W, 4, C) stack, and all four run as one
-    :func:`selective_scan`; per-channel state transitions are shared across
+    The directions travel as one (H*W, 4, C) stack, and all four run through
+    the chunked scan at once; per-channel state transitions are shared across
     directions while each direction's head supplies its own B/C/delta.
+
+    The node's parents are ``tokens`` and the 18 parameters (each head's
+    ``w_b``, ``w_c``, ``w_delta``, ``b_delta``, then ``a_log`` and ``skip``).
+    Forward runs the composition with graph building off and keeps only the
+    (4, C, d) state entering each scan chunk.  Backward rebuilds the stack
+    as a gather node on the tokens, recomputes B, C and Δ from it, runs the
+    scan's adjoint from the kept states and takes the stack's gradient back
+    to the tokens through the rebuilt gather (activation checkpointing), so
+    no (L, 4, C) array outlives the call.
     """
-    seqs = cross_scan(tokens, H, W)
-    L, R, C = seqs.shape
-    if C != weights.channels:
-        raise DimensionError(f"tokens have {C} channels, SS2D expects {weights.channels}")
-    d, heads = weights.state_dim, weights.heads
-    a_neg = -weights.a_log.exp()  # (C, d), strictly negative
-    b = _head_projection(seqs, [h.w_b for h in heads])
-    c = _head_projection(seqs, [h.w_c for h in heads])
-    delta = softplus(_head_projection(seqs, [h.w_delta for h in heads],
-                                      [h.b_delta for h in heads]))
-    y = selective_scan(
-        delta.reshape(L, R, 1, 1), a_neg, b.reshape(L, R, 1, d), c.reshape(L, R, 1, d),
-        seqs.reshape(L, R, C, 1),
-    )  # (L, 4, C)
-    return cross_merge(y, H, W, x=seqs, skip=weights.skip)
+    tokens = _wrap(tokens)
+    heads = [(h.w_b, h.w_c, h.w_delta, h.b_delta) for h in weights.heads]
+    params = (*(p for head in heads for p in head), weights.a_log, weights.skip)
+    with _grad_mode(False):
+        seqs = cross_scan(tokens, H, W)
+        L, R, C = seqs.shape
+        if C != weights.channels:
+            raise DimensionError(f"tokens have {C} channels, SS2D expects {weights.channels}")
+        d = weights.state_dim
+        b, c, delta = _projections(seqs, heads)
+        a_neg = -np.exp(weights.a_log.data)  # (C, d), strictly negative
+        y, states = _scan_chunks(softplus(delta).data.reshape(L, R, 1, 1), a_neg,
+                                 b.data.reshape(L, R, 1, d), c.data.reshape(L, R, 1, d),
+                                 seqs.data.reshape(L, R, C, 1))
+        out = cross_merge(Tensor(y.reshape(L, R, C)), H, W, x=seqs, skip=weights.skip)
+    parents = (tokens, *params)
+    if not (grad_enabled() and any(t.requires_grad for t in parents)):
+        return out
+
+    def grad_fn(g):
+        with _grad_mode(True):
+            seqs = cross_scan(Tensor(tokens.data, requires_grad=True), H, W)
+            proj = _projections(seqs, heads)
+            delta = softplus(proj[2])
+        x = seqs.data
+        a_neg = -np.exp(params[-2].data)
+        g_y = g[traversal_permutations(H, W)[0]]  # the merge's adjoint, (L, 4, C)
+        g_delta, g_a, g_b, g_c, g_x = _selective_scan_bwd(
+            g_y, delta.data.reshape(L, R, 1, 1), a_neg, proj[0].data.reshape(L, R, 1, d),
+            proj[1].data.reshape(L, R, 1, d), x.reshape(L, R, C, 1), states)
+        g_skip = (g_y * x).sum(axis=(0, 1))
+        g_pre = delta._grad_fn(g_delta.reshape(L, R, 1))[0]
+        g_proj = [p._grad_fn(gp) for p, gp in zip(proj, (g_b.reshape(L, R, d),
+                                                          g_c.reshape(L, R, d), g_pre))]
+        # the stack's gradient, summed in the order the engine sums the
+        # composition's: skip term, then the Δ, B and C projections, then x
+        g_seqs = g_y * params[-1].data
+        for gp in (g_proj[2], g_proj[0], g_proj[1]):
+            g_seqs += gp[0]
+        g_seqs += g_x.reshape(L, R, C)
+        (g_tokens,) = seqs._grad_fn(g_seqs)
+        gb, gc, gd = (gp[1:] for gp in g_proj)  # gd: four w_delta, then four b_delta
+        per_head = [(gb[r], gc[r], gd[r], gd[R + r]) for r in range(R)]
+        return (g_tokens, *(gr for head in per_head for gr in head), g_a * a_neg, g_skip)
+
+    return _node(out.data, parents, grad_fn)

@@ -622,9 +622,10 @@ def pad2d_edges(a, top: int, bottom: int, left: int, right: int,
 # ---- matmul ----------------------------------------------------------------
 
 
-def matmul(a, b, bias=None) -> Tensor:
+def matmul(a, b, bias=None, residual=None) -> Tensor:
     """Standard 2-D matrix product with gradients for both operands, plus
-    ``bias`` on every row if given."""
+    ``bias`` on every row and then ``residual`` (of the product's shape) if
+    given: ``(a @ b + bias) + residual``, the sum a separate ``add`` forms."""
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError("matmul expects rank-2 operands")
@@ -636,11 +637,18 @@ def matmul(a, b, bias=None) -> Tensor:
     data = a.data @ b.data
     if bias:
         data += bias[0].data
+    residual = () if residual is None else (_wrap(residual),)
+    if residual:
+        if residual[0].data.shape != data.shape:
+            raise DimensionError(f"residual must have the product's shape {data.shape}, "
+                                 f"got {residual[0].data.shape}")
+        data += residual[0].data
 
     def grad_fn(g):
-        return (g @ b.data.T, a.data.T @ g) + ((g.sum(axis=0),) if bias else ())
+        return ((g @ b.data.T, a.data.T @ g) + ((g.sum(axis=0),) if bias else ())
+                + ((g,) if residual else ()))
 
-    return _node(data, (a, b) + bias, grad_fn)
+    return _node(data, (a, b) + bias + residual, grad_fn)
 
 
 # ---- layer normalization ----------------------------------------------------

@@ -16,7 +16,8 @@ from .tensor import DimensionError, Tensor, gelu
 
 
 class FeedForward(Module):
-    """linear -> GELU -> linear on (L, C) tokens, expansion ratio r."""
+    """linear -> GELU -> linear on (L, C) tokens, expansion ratio r; a
+    ``residual`` is added inside the last linear's node."""
 
     def __init__(self, channels: int, rng: np.random.Generator, ratio: int = 2):
         if ratio < 1:
@@ -25,8 +26,8 @@ class FeedForward(Module):
         self.expand = Linear(channels, hidden, rng)
         self.project = Linear(hidden, channels, rng, zero_init=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.project(gelu(self.expand(x)))
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        return self.project(gelu(self.expand(x)), residual=residual)
 
 
 class VSSBlock(Module):
@@ -49,8 +50,8 @@ def vss_forward(h_in: Tensor, block: VSSBlock) -> Tensor:
 
     The grid becomes row-major (H*W, C) tokens once on the way in and goes
     back once on the way out; layer norm acts over channels at each spatial
-    position, and the scan branch output goes through the zero-initialized
-    channel projection before the residual add.
+    position, and each branch's zero-initialized output projection adds the
+    residual inside its own node.
     """
     if h_in.ndim != 3:
         raise DimensionError(f"VSS block expects a (C, H, W) grid, got {h_in.shape}")
@@ -59,6 +60,6 @@ def vss_forward(h_in: Tensor, block: VSSBlock) -> Tensor:
         raise DimensionError(f"input has {C} channels, block expects {block.channels}")
     tokens = h_in.reshape(C, H * W).transpose(1, 0)  # (L, C)
 
-    mid = block.scan_project(block.ss2d(block.norm1(tokens), H, W)) + tokens
-    out = block.ffn(block.norm2(mid)) + mid
+    mid = block.scan_project(block.ss2d(block.norm1(tokens), H, W), residual=tokens)
+    out = block.ffn(block.norm2(mid), residual=mid)
     return out.transpose(1, 0).reshape(C, H, W)

@@ -31,9 +31,10 @@ from vssenhance.tensor import (
     matmul,
     no_grad,
     save_tensor,
+    softplus,
 )
 
-from helpers import assert_matches_composition, check_gradients, retained_arrays
+from helpers import assert_matches_composition, check_gradients, perturbed, retained_arrays
 
 
 @pytest.fixture
@@ -202,27 +203,18 @@ class TestSkipMerge:
         )
 
     def test_ss2d_keeps_no_skip_or_merge_intermediates(self, rng):
-        # of (L, 4, C) arrays only the scanned sequences (read by the
-        # projections, the scan and the skip term) and the scan's output;
-        # of (L, C) ones only the output
+        # one node per call, whose parents are the tokens and the parameters;
+        # no (L, 4, C) array is kept, and of (L, C) ones only the output
         C, H, W, d = 3, 5, 4, 2
         L = H * W
         ss2d = SS2D(channels=C, state_dim=d, rng=rng)
         f = Tensor(rng.normal(size=(L, C)), requires_grad=True)
         out = ss2d(f, H, W)
         kept = retained_arrays(out)
-        assert sum(a.size == L * 4 * C for a in kept) == 2
-        assert sum(a.size == L * C for a in kept) == 1
-        assert all(p._grad_fn is not None and p.shape == (L, 4, C) for p in out._parents[:2])
-        # one call is at most 13 nodes: the gather, -exp(a_log), three
-        # projections, a softplus, four reshapes, the scan and the merge
-        seen, stack = set(), [out]
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen and node._grad_fn is not None:
-                seen.add(id(node))
-                stack.extend(node._parents)
-        assert len(seen) <= 13
+        assert sum(a.size == L * 4 * C for a in kept) == 0
+        assert [a.size for a in kept if a.size == L * C] == [L * C]
+        assert out._parents == (f, *ss2d.parameters())
+        assert all(p._grad_fn is None for p in out._parents)
 
 
 class TestHeadProjection:
@@ -361,15 +353,9 @@ class TestSS2DForward:
         arrays = [x] + [p.data.copy() for p in ss2d.parameters()]
 
         def loss(ts):
-            probe = SS2D(channels=C, state_dim=d, rng=np.random.default_rng(0))
-            it = iter(ts[1:])
-            for head in probe.heads:
-                head.w_b, head.w_c = next(it), next(it)
-                head.w_delta, head.b_delta = next(it), next(it)
-            probe.a_log = next(it)
-            probe.skip = next(it)
             tok = ts[0].reshape(C, H * W).transpose(1, 0)
-            out = ss2d_forward(tok, H, W, probe).transpose(1, 0).reshape(C, H, W)
+            out = ss2d_forward(tok, H, W, with_parameters(ts[1:], C, d))
+            out = out.transpose(1, 0).reshape(C, H, W)
             return (out * Tensor(mix)).sum()
 
         check_gradients(loss, arrays, rtol=1e-4)
@@ -393,6 +379,75 @@ class TestSS2DForward:
         kept = retained_arrays(ss2d(f, H, W).sum())
         assert sum(arr.size >= H * W * 4 * C * d for arr in kept) == 0
         assert sum(arr.shape == (4, C, d) for arr in kept) == 1  # L = 72: two chunks
+
+
+def with_parameters(ts, C, d):
+    """An SS2D whose 18 parameters are the Tensors ``ts``, in
+    ``named_parameters`` order."""
+    probe = SS2D(channels=C, state_dim=d, rng=np.random.default_rng(0))
+    it = iter(ts)
+    for head in probe.heads:
+        head.w_b, head.w_c, head.w_delta, head.b_delta = (next(it) for _ in range(4))
+    probe.a_log, probe.skip = next(it), next(it)
+    return probe
+
+
+def chain_ss2d(tokens, H, W, weights):
+    """The 13-node composition the fused SS2D node replaces, from public ops."""
+    seqs = cross_scan(tokens, H, W)
+    L, R, C = seqs.shape
+    d, heads = weights.state_dim, weights.heads
+    a_neg = -weights.a_log.exp()
+    b = _head_projection(seqs, [h.w_b for h in heads])
+    c = _head_projection(seqs, [h.w_c for h in heads])
+    delta = softplus(_head_projection(seqs, [h.w_delta for h in heads],
+                                      [h.b_delta for h in heads]))
+    y = selective_scan(delta.reshape(L, R, 1, 1), a_neg, b.reshape(L, R, 1, d),
+                       c.reshape(L, R, 1, d), seqs.reshape(L, R, C, 1))
+    return cross_merge(y, H, W, x=seqs, skip=weights.skip)
+
+
+class TestSS2DNode:
+    """``ss2d_forward`` is one node over the tokens and the 18 parameters that
+    keeps the chunk states and rebuilds the stack, B, C and Δ in backward."""
+
+    C, H, W, D = 2, 9, 8, 2  # L = 72: two scan chunks
+
+    def arrays(self, rng):
+        ss2d = perturbed(SS2D(channels=self.C, state_dim=self.D, rng=rng), rng)
+        return [rng.normal(size=(self.H * self.W, self.C))] + [p.data for p in ss2d.parameters()]
+
+    def fused(self, ts):
+        return ss2d_forward(ts[0], self.H, self.W, with_parameters(ts[1:], self.C, self.D))
+
+    def test_gradients(self, rng):
+        assert self.H * self.W > SCAN_CHUNK
+        arrays = self.arrays(rng)
+        assert len(arrays) == 19
+        mix = Tensor(rng.normal(size=(self.H * self.W, self.C)))
+        check_gradients(lambda ts: (self.fused(ts) * mix).sum(), arrays, rtol=1e-5)
+
+    def test_matches_composition(self, rng):
+        assert_matches_composition(
+            self.fused,
+            lambda ts: chain_ss2d(ts[0], self.H, self.W, with_parameters(ts[1:], self.C, self.D)),
+            self.arrays(rng),
+        )
+
+    def test_backward_under_no_grad_is_bitwise_equal(self, rng):
+        # backward rebuilds the gather, the projections and the scan's chunk
+        # recurrences as nodes even when the caller has switched graphs off
+        arrays = self.arrays(rng)
+        mix = Tensor(rng.normal(size=(self.H * self.W, self.C)))
+        grads = []
+        for mode in (nullcontext, no_grad):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            loss = (self.fused(leaves) * mix).sum()
+            with mode():
+                loss.backward()
+            grads.append([leaf.grad for leaf in leaves])
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
 
 
 def scan_operands(rng, L, C, d):

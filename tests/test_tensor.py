@@ -458,6 +458,31 @@ class TestBiasInsideTheNode:
         out = matmul(at, wt, bias=bt)
         assert own_arrays(out) == []
 
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_matmul_residual(self, rng, bias):
+        # (a @ w + b) + r in one node, bitwise the product and then an add
+        a, w, b, r = (rng.normal(size=s) for s in ((6, 4), (4, 3), (3,), (6, 3)))
+        arrays = [a, w, r] + ([b] if bias else [])
+
+        def fused(ts):
+            return matmul(ts[0], ts[1], bias=ts[3] if bias else None, residual=ts[2])
+
+        def unfused(ts):
+            return matmul(ts[0], ts[1], bias=ts[3] if bias else None) + ts[2]
+
+        assert_matches_composition(fused, unfused, arrays)
+        mix = Tensor(rng.normal(size=(6, 3)))
+        check_gradients(lambda ts: (fused(ts) * mix).sum(), arrays)
+        leaves = [Tensor(v, requires_grad=True) for v in arrays]
+        out = fused(leaves)
+        assert all(p._grad_fn is None for p in out._parents)  # one node
+        assert own_arrays(out) == []
+
+    def test_residual_shape_checked(self):
+        with pytest.raises(DimensionError):
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))),
+                   residual=Tensor(np.ones((2, 3))))
+
     def test_bias_shape_checked(self, rng):
         with pytest.raises(DimensionError):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), bias=Tensor(np.ones(3)))

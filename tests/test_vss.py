@@ -88,6 +88,27 @@ class TestVSSForward:
         expected = final.data.T.reshape(C, H, W)
         assert np.abs(out - expected).max() < 1e-12
 
+    def test_residuals_add_inside_the_output_projections(self, rng):
+        # each branch's output projection is the node that adds its residual,
+        # so the graph keeps no separate projection output and has no add node
+        C, H, W = 3, 4, 5
+        block = VSSBlock(channels=C, state_dim=2, rng=rng)
+        randomize_projections(block, rng)
+        f = Tensor(rng.normal(size=(C, H, W)), requires_grad=True)
+        exit_node = vss_forward(f, block)._parents[0]._parents[0]  # the transpose's input
+        ffn_params = (block.ffn.project.weight, block.ffn.project.bias)
+        assert exit_node._parents[1:3] == ffn_params
+        mid = exit_node._parents[3]
+        assert mid._parents[1:3] == (block.scan_project.weight, block.scan_project.bias)
+        seen, stack = set(), [exit_node]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen or node._grad_fn is None:
+                continue
+            seen.add(id(node))
+            assert node._grad_fn.__qualname__.split(".")[0] != "add"
+            stack.extend(node._parents)
+
     def test_gradients(self, rng):
         C, H, W = 4, 2, 3
         block = VSSBlock(channels=C, state_dim=2, rng=rng)
