@@ -375,9 +375,14 @@ class PCDAlign(Module):
 
 def _offset_field(conv_a: Conv2d, conv_b: Conv2d, head: Conv2d, parts: list[Tensor]) -> Tensor:
     """An offset field predicted from ``parts``: ``conv_a`` of their channel
-    concatenation, gelu, ``conv_b``, gelu, ``head``."""
-    feat = gelu(conv_a(parts))
-    return head(gelu(conv_b(feat)))
+    concatenation, gelu, ``conv_b``, gelu, ``head``, as one node that keeps
+    only the parts (see :func:`~vssenhance.tensor.recompute`)."""
+
+    def chain(*parts):
+        return head(gelu(conv_b(gelu(conv_a(list(parts))))))
+
+    return T.recompute(chain, parts, conv_a.parameters() + conv_b.parameters()
+                       + head.parameters())
 
 
 def pcd_align(

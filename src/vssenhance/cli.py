@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import statistics
 import sys
 import time
@@ -32,6 +34,30 @@ BENCH_TOLERANCE = 1e-8
 # reported as one ``error:`` line and exit code 1 instead of a traceback
 USER_ERRORS = (ConfigurationError, ContractError, DimensionError, IngestionError,
                TrainingDiverged)
+
+
+# glibc's mallopt parameters (malloc.h) and the values the CLI sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20  # glibc's largest: buffers below it come from the heap
+TRIM_THRESHOLD = 1 << 30  # free heap top kept up to this size
+
+
+@functools.cache
+def keep_heap() -> bool:
+    """Fix glibc's mmap and trim thresholds, once per process, so that the
+    heap a training step or an enhanced window frees is kept for the next
+    one rather than handed back to the system and faulted in again page by
+    page.  glibc raises both thresholds only as far as the largest buffer
+    freed so far, below a step's working set; fixed, they stay put.  Returns
+    whether both were set; where ``mallopt`` does not exist it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
 
 
 def _fail(message: str) -> int:
@@ -276,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_heap()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

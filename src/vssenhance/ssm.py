@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .layers import Module
 from .tensor import (
@@ -205,6 +204,8 @@ def discretize_zoh(params: SSMParams, delta: float, b_mode: str = "exact") -> Di
         else:
             b_bar = delta * b
     else:
+        from scipy.linalg import expm  # only dense A needs it; importing costs ~6 MB RSS
+
         a_bar = expm(delta * a)
         if b_mode == "exact":
             # exp of [[A, B], [0, 0]]·delta has the hold integral in its

@@ -33,6 +33,7 @@ __all__ = [
     "gather_rows",
     "pad2d_edges",
     "stack",
+    "recompute",
     "no_grad",
     "grad_enabled",
     "save_tensor",
@@ -87,6 +88,71 @@ def _as_array(data) -> np.ndarray:
 def _spent(g):
     """The backward closure of an interior node that backward() has run."""
     raise ContractError("backward() already ran through this graph")
+
+
+def _persist(leaf: "Tensor", g: np.ndarray) -> None:
+    """Add a leaf's gradient into its ``.grad``."""
+    if leaf.grad is None:
+        leaf.grad = g.copy()
+    else:
+        leaf.grad += g
+
+
+def _walk(root: "Tensor", g: np.ndarray, leaf) -> None:
+    """Reverse-mode accumulation from ``g``, the gradient of ``root``: each
+    interior node's closure runs once, in reverse topological order, on the
+    sum of what reached the node, and ``leaf(node, grad)`` takes each leaf's
+    sum.  Traversal is iterative, so long op chains (e.g. unrolled
+    recurrences) cannot hit the recursion limit.  Each interior node drops
+    its closure and parent links once that closure has run, so what only
+    they kept is freed as the walk goes, not when it returns.
+
+    A node's first contribution is stored by reference: ops may hand one
+    array to several parents (``add`` gives both operands ``g`` itself), so
+    the second contribution is added into a fresh array, which the walk owns
+    and adds any further ones into in place.
+    """
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
+
+    grads: dict[int, np.ndarray] = {id(root): g}
+    owned: set[int] = set()  # nodes whose summed gradient the walk allocated
+    while topo:
+        node = topo.pop()
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._grad_fn is None:
+            leaf(node, g)
+            continue
+        parents = node._parents
+        parent_grads = node._grad_fn(g)
+        node._grad_fn, node._parents = _spent, ()
+        for parent, pg in zip(parents, parent_grads):
+            if pg is None or not parent.requires_grad:
+                continue
+            key = id(parent)
+            acc = grads.get(key)
+            if acc is None:
+                grads[key] = pg
+            elif key in owned:
+                acc += pg
+            else:
+                grads[key] = acc + pg
+                owned.add(key)
 
 
 class Tensor:
@@ -149,57 +215,13 @@ class Tensor:
 
         ``self`` must be a scalar.  Gradients of several graphs, built and
         run in turn without ``zero_grad``, add into the existing buffers.
-        Traversal is iterative so long op chains (e.g. unrolled recurrences)
-        cannot hit the recursion limit.  The graph is spent as the walk goes:
-        each interior node drops its backward closure and its parent links
-        once that closure has run, so a second ``backward()`` through any of
-        them raises ``ContractError``.
+        The graph is spent as the walk (:func:`_walk`) goes, so a second
+        ``backward()`` through any of its interior nodes raises
+        ``ContractError``.
         """
         if self.data.size != 1:
             raise ContractError("backward() requires a scalar loss")
-
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
-
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        while topo:
-            node = topo.pop()
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._grad_fn is None:
-                # Leaf: persist the gradient.
-                if node.grad is None:
-                    node.grad = g.copy()
-                else:
-                    node.grad += g
-                continue
-            parents = node._parents
-            parent_grads = node._grad_fn(g)
-            # release the node's closure and parent links: what only they
-            # keep is freed as the walk goes, not when it returns
-            node._grad_fn, node._parents = _spent, ()
-            for parent, pg in zip(parents, parent_grads):
-                if pg is None or not parent.requires_grad:
-                    continue
-                acc = grads.get(id(parent))
-                if acc is None:
-                    grads[id(parent)] = pg
-                else:
-                    acc += pg
+        _walk(self, np.ones_like(self.data), _persist)
 
     # ---- operator sugar --------------------------------------------------
 
@@ -428,7 +450,11 @@ def gelu(a) -> Tensor:
     and the quotient would be 0/0 or, for subnormal x, inexact."""
     a = _wrap(a)
     x = a.data
-    data = x * (0.5 * (1.0 + erf(x * _INV_SQRT2)))
+    data = x * _INV_SQRT2  # x * (0.5 * (1.0 + erf(x / sqrt 2))), formed in place
+    erf(data, out=data)
+    data += 1.0
+    data *= 0.5
+    data *= x
 
     def grad_fn(g):
         # g * (cdf + x * pdf), formed in place: each fresh array this large
@@ -939,6 +965,48 @@ def conv_transpose2d(x, w, stride: int = 1, pad: int = 0, bias=None) -> Tensor:
         return (np.ascontiguousarray(grid.crop(wide)), gw) + gb
 
     return _node(data, (x, w) + bias, grad_fn)
+
+
+# ---- activation checkpointing -------------------------------------------------
+
+
+def recompute(fn, inputs, params=()) -> Tensor:
+    """``fn(*inputs)`` as one graph node that keeps only its inputs
+    (activation checkpointing; Chen et al. 2016, arXiv:1604.06174).
+
+    Forward runs ``fn`` without building a graph.  Backward runs it again,
+    with graphs on, on leaves that share the inputs' data, walks that
+    subgraph from the node's gradient and hands what reaches the leaves and
+    ``params`` to the outer walk, so the chain's interior outputs live only
+    while its own backward runs.  ``fn`` must read graph tensors only
+    through its inputs, and every tensor it reads that requires a gradient
+    must be an input or in ``params``.  With graphs off this is ``fn(*inputs)``.
+    """
+    inputs, params = tuple(_wrap(t) for t in inputs), tuple(params)
+    parents = inputs + params
+    if not (_GRAD_ENABLED and any(p.requires_grad for p in parents)):
+        return fn(*inputs)
+    with _grad_mode(False):
+        out = fn(*inputs)
+
+    def grad_fn(g):
+        leaves = [Tensor(t.data, requires_grad=t.requires_grad) for t in inputs]
+        with _grad_mode(True):
+            rebuilt = fn(*leaves)
+        slot = {id(t): i for i, t in enumerate((*leaves, *params))}
+        grads = [None] * len(parents)
+
+        def collect(leaf, gl):
+            i = slot.get(id(leaf))
+            if i is None:
+                raise ContractError("recompute: fn read a tensor that requires a gradient "
+                                    "and is neither an input nor a parameter")
+            grads[i] = gl
+
+        _walk(rebuilt, g, collect)
+        return tuple(grads)
+
+    return _node(out.data, parents, grad_fn)
 
 
 # ---- persistence -------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from .layers import LayerNorm, Linear, Module
 from .ss2d import SS2D
-from .tensor import DimensionError, Tensor, gelu
+from .tensor import DimensionError, Tensor, gelu, recompute
 
 
 class FeedForward(Module):
@@ -51,7 +51,8 @@ def vss_forward(h_in: Tensor, block: VSSBlock) -> Tensor:
     The grid becomes row-major (H*W, C) tokens once on the way in and goes
     back once on the way out; layer norm acts over channels at each spatial
     position, and each branch's zero-initialized output projection adds the
-    residual inside its own node.
+    residual inside its own node.  The feedforward branch, norm included, is
+    one :func:`~vssenhance.tensor.recompute` node that keeps only ``mid``.
     """
     if h_in.ndim != 3:
         raise DimensionError(f"VSS block expects a (C, H, W) grid, got {h_in.shape}")
@@ -61,5 +62,6 @@ def vss_forward(h_in: Tensor, block: VSSBlock) -> Tensor:
     tokens = h_in.reshape(C, H * W).transpose(1, 0)  # (L, C)
 
     mid = block.scan_project(block.ss2d(block.norm1(tokens), H, W), residual=tokens)
-    out = block.ffn(block.norm2(mid), residual=mid)
+    out = recompute(lambda mid: block.ffn(block.norm2(mid), residual=mid), [mid],
+                    block.norm2.parameters() + block.ffn.parameters())
     return out.transpose(1, 0).reshape(C, H, W)

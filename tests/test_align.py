@@ -481,6 +481,18 @@ class TestPCDAlign:
         final = plain_conv(pcd.cas_dcn, aligned)
         assert np.array_equal(out, final.data)
 
+    def test_offset_field_keeps_only_its_parts(self, rng):
+        # one recompute node: the parts and the three convolutions' weights
+        # and biases are its parents, and no interior map is kept
+        C = 4
+        pcd = perturbed(PCDAlign(C, rng), rng)
+        parts = [Tensor(rng.normal(size=(C, 2, 6, 6)), requires_grad=True),
+                 Tensor(rng.normal(size=(C, 6, 6)), requires_grad=True)]
+        convs = (pcd.off_a[2], pcd.off_b[2], pcd.off_head[2])
+        out = align._offset_field(*convs, parts)
+        assert out._parents == (*parts, *(p for conv in convs for p in conv.parameters()))
+        assert [a for a in retained_arrays(out) if not np.shares_memory(a, out.data)] == []
+
     def test_window_matches_composition_of_plain_layers(self, rng):
         # the level loop and the cascade rebuilt, one frame at a time, from
         # convolutions of plain channel concatenations, so every operand of

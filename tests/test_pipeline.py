@@ -2,6 +2,8 @@
 
 import csv
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -579,3 +581,37 @@ class TestCLI:
             assert row[0] in ("sequential", "parallel", "convolutional")
             assert int(row[3]) > 0
             assert float(row[4]) <= 1e-8
+
+
+def run_python(code: str, *args: str) -> str:
+    """Run ``code`` with ``args`` in a fresh interpreter on this process's
+    import path; its standard output."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={"PYTHONPATH": ":".join(sys.path)}, check=True)
+    return proc.stdout.strip()
+
+
+class TestProcess:
+    def test_cli_import_leaves_out_scipy_linalg(self):
+        # only dense-A discretisation uses it; importing it costs every command RSS
+        assert run_python("import sys, vssenhance.cli; "
+                          "print('scipy.linalg' in sys.modules)") == "False"
+
+    def test_kept_heap_reuses_freed_buffers_without_page_faults(self):
+        # 32 MiB of 2 MiB buffers, freed and made again: glibc's default
+        # hands them back and faults them in anew, the kept heap reuses them
+        code = """
+import resource, sys
+import numpy as np
+from vssenhance.cli import keep_heap
+kept = sys.argv[1:] == ["keep"] and keep_heap()
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    bufs = [np.ones(2**18) for _ in range(16)]
+    del bufs
+print(kept, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        kept, faults = zip(*(run_python(code, *args).split() for args in ([], ["keep"])))
+        if kept[1] != "True":
+            pytest.skip("no glibc mallopt")
+        assert int(faults[0]) > 2000 and int(faults[1]) < 200, faults

@@ -625,6 +625,14 @@ class TestBackward:
         assert ref() is None
         assert np.array_equal(x.grad, np.full(4, 3.0))
 
+    def test_operands_sharing_one_gradient_array(self):
+        # add hands both operands g itself; each also gets a second
+        # contribution, which must not land in the other's array
+        x = Tensor([1.0], requires_grad=True)
+        p, q = x * 2.0, x * 3.0
+        ((p + q) + p * q).sum().backward()
+        assert np.array_equal(x.grad, [17.0])  # d/dx (5x + 6x^2) at 1
+
     def test_deep_chain_does_not_recurse(self):
         x = Tensor([1.0], requires_grad=True)
         y = x
@@ -781,3 +789,73 @@ class TestNoGrad:
         with T.no_grad():
             y = (x * 3.0).sum()
         assert not y.requires_grad
+
+
+class TestRecompute:
+    """``recompute(fn, inputs, params)``: one node that keeps only its
+    inputs and rebuilds ``fn``'s graph in backward."""
+
+    @staticmethod
+    def chain(gamma, beta, w, b):
+        # x feeds the norm and the residual, so its gradient sums two paths
+        def fn(x, y):
+            return matmul(gelu(layer_norm(x, gamma, beta)), w, bias=b, residual=x) * y
+        return fn
+
+    @staticmethod
+    def arrays(rng):
+        return [rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), 1.0 + rng.normal(size=3),
+                rng.normal(size=3), rng.normal(size=(3, 3)), rng.normal(size=3)]
+
+    def fused(self, ts):
+        return T.recompute(self.chain(*ts[2:]), ts[:2], ts[2:])
+
+    def test_gradients(self, rng):
+        mix = rng.normal(size=(5, 3))
+        check_gradients(lambda ts: (self.fused(ts) * Tensor(mix)).sum(), self.arrays(rng))
+
+    def test_matches_plain_composition(self, rng):
+        assert_matches_composition(self.fused, lambda ts: self.chain(*ts[2:])(*ts[:2]),
+                                   self.arrays(rng))
+
+    def test_backward_under_no_grad_bitwise(self, rng):
+        arrays = self.arrays(rng)
+        grads = []
+        for mode in (T._grad_mode(True), T.no_grad()):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            loss = (self.fused(leaves) * self.fused(leaves)).sum()
+            with mode:
+                loss.backward()
+            grads.append([leaf.grad for leaf in leaves])
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
+
+    def test_node_keeps_no_interior_output(self, rng):
+        leaves = [Tensor(a, requires_grad=True) for a in self.arrays(rng)]
+        out = self.fused(leaves)
+        assert out._parents == tuple(leaves)
+        assert own_arrays(out) == []
+
+    def test_spent_graph_rejected(self, rng):
+        leaves = [Tensor(a, requires_grad=True) for a in self.arrays(rng)]
+        out = self.fused(leaves)
+        loss = out.sum()
+        loss.backward()
+        with pytest.raises(ContractError, match="already ran"):
+            loss.backward()
+        with pytest.raises(ContractError, match="already ran"):
+            out._grad_fn(np.ones(out.shape))
+
+    def test_unlisted_parameter_rejected(self, rng):
+        leaves = [Tensor(a, requires_grad=True) for a in self.arrays(rng)]
+        out = T.recompute(self.chain(*leaves[2:]), leaves[:2], leaves[2:4])  # no w, b
+        with pytest.raises(ContractError, match="neither an input nor a parameter"):
+            out.sum().backward()
+
+    def test_without_graphs_it_calls_fn(self, rng):
+        arrays = self.arrays(rng)
+        with T.no_grad():
+            out = self.fused([Tensor(a, requires_grad=True) for a in arrays])
+        assert out._grad_fn is None
+        plain = self.chain(*map(Tensor, arrays[2:]))(*map(Tensor, arrays[:2]))
+        assert np.array_equal(out.data, plain.data)

@@ -15,6 +15,19 @@ def rng():
     return np.random.default_rng(2718)
 
 
+def node_kinds(root):
+    """The op names of the interior nodes of the graph under ``root``."""
+    kinds, seen, stack = set(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._grad_fn is None:
+            continue
+        seen.add(id(node))
+        kinds.add(node._grad_fn.__qualname__.split(".")[0])
+        stack.extend(node._parents)
+    return kinds
+
+
 def randomize_projections(block, rng):
     """Blocks are identity at init; give the zero-initialized tails weight."""
     block.scan_project.weight.data = rng.normal(0, 0.3, size=block.scan_project.weight.shape)
@@ -88,26 +101,42 @@ class TestVSSForward:
         expected = final.data.T.reshape(C, H, W)
         assert np.abs(out - expected).max() < 1e-12
 
-    def test_residuals_add_inside_the_output_projections(self, rng):
+    def test_residuals_add_inside_the_output_projections(self, rng, monkeypatch):
         # each branch's output projection is the node that adds its residual,
-        # so the graph keeps no separate projection output and has no add node
+        # so the graph keeps no separate projection output and has no add
+        # node; the feedforward branch is one recompute node whose rebuilt
+        # subgraph holds the same structure
         C, H, W = 3, 4, 5
         block = VSSBlock(channels=C, state_dim=2, rng=rng)
         randomize_projections(block, rng)
         f = Tensor(rng.normal(size=(C, H, W)), requires_grad=True)
-        exit_node = vss_forward(f, block)._parents[0]._parents[0]  # the transpose's input
+        out = vss_forward(f, block)
+        exit_node = out._parents[0]._parents[0]  # the transpose's input
         ffn_params = (block.ffn.project.weight, block.ffn.project.bias)
-        assert exit_node._parents[1:3] == ffn_params
-        mid = exit_node._parents[3]
+        mid = exit_node._parents[0]
+        assert exit_node._parents[1:] == (block.norm2.gamma, block.norm2.beta,
+                                          block.ffn.expand.weight, block.ffn.expand.bias,
+                                          *ffn_params)
         assert mid._parents[1:3] == (block.scan_project.weight, block.scan_project.bias)
-        seen, stack = set(), [exit_node]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen or node._grad_fn is None:
-                continue
-            seen.add(id(node))
-            assert node._grad_fn.__qualname__.split(".")[0] != "add"
-            stack.extend(node._parents)
+        assert "add" not in node_kinds(out)
+
+        rebuilt = []
+        walk = T._walk
+
+        def spy(root, g, leaf):
+            if root is not loss:  # the FFN's rebuilt subgraph, rooted at its projection
+                rebuilt.append(root)
+                assert root._grad_fn.__qualname__.startswith("matmul")
+                assert root._parents[1:3] == ffn_params
+                assert root._parents[3]._grad_fn is None  # a leaf over mid's data
+                assert np.shares_memory(root._parents[3].data, mid.data)
+                assert "add" not in node_kinds(root)
+            return walk(root, g, leaf)
+
+        loss = (out * out).sum()
+        monkeypatch.setattr(T, "_walk", spy)
+        loss.backward()
+        assert len(rebuilt) == 1
 
     def test_gradients(self, rng):
         C, H, W = 4, 2, 3

@@ -6,7 +6,8 @@ Runs, one after another, this checkout's ``perfbench/run.py`` for 40 s at
 seed 0, untraced on every workload and then traced (``--trace 1``) on
 enhance-stream and train-step, then one default-config inference window and
 one default-config training step at 128x128 and the decode of one 1920x1080
-RGB16 PNG in this process, then the tier-1 test command.  Each run's last
+RGB16 PNG in this process, under the CLI's heap policy (``cli.keep_heap``),
+then the tier-1 test command.  Each run's last
 JSON line, the machine facts it prints (nproc, BLAS threads, Python and numpy
 versions), the 128x128 window's extract, PCD and net times, the 128x128
 training step's time, minor page faults and autograd graph bytes, the 1080p
@@ -214,6 +215,9 @@ def main(argv=None) -> int:
     runs = [bench_run(w, 0) for w in WORKLOADS]
     runs += [bench_run(w, 1) for w in TRACED]
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]  # in-process measurements
+    from vssenhance.cli import keep_heap
+
+    keep_heap()  # the heap policy the CLI runs under, so times and faults match it
     record = {
         "tag": args.tag,
         "commit": git("rev-parse", "HEAD"),
