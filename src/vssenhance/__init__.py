@@ -40,7 +40,7 @@ from .imageio import IngestionError, VideoClip, load_clip, read_image, write_ima
 from .layers import Module, load_checkpoint, save_checkpoint
 from .optim import AdamW
 from .seeding import derive_rng
-from .ss2d import SS2D, cross_merge, cross_scan, selective_scan, ss2d_forward
+from .ss2d import SS2D, cross_merge, cross_scan, ss2d_forward
 from .ssm import (
     DiscreteSSM,
     DomainError,

@@ -224,9 +224,20 @@ def _time_scan(fn, ssm, x, repeats: int) -> int:
     return int(statistics.median(samples))
 
 
+def _positive_ints(option: str, text: str) -> list[int]:
+    """``text`` as comma-separated positive integers, else ConfigurationError."""
+    values = [int(v) if v.strip().isdecimal() else 0 for v in text.split(",")]
+    if min(values) < 1:
+        raise ConfigurationError(f"{option} must be comma-separated positive integers, "
+                                 f"got {text!r}")
+    return values
+
+
 def cmd_scan_bench(args) -> int:
-    lengths = [int(v) for v in args.lengths.split(",")]
-    dims = [int(v) for v in args.dims.split(",")]
+    lengths = _positive_ints("--lengths", args.lengths)
+    dims = _positive_ints("--dims", args.dims)
+    if args.repeats < 1:
+        raise ConfigurationError(f"--repeats must be at least 1, got {args.repeats}")
     rng = derive_rng(args.seed, "bench")
     rows = []
     for d in dims:

@@ -210,6 +210,8 @@ def _read_ppm(path: Path) -> tuple[np.ndarray, int, int]:
             raise IngestionError(f"{path}: malformed PPM header")
         fields.append(int(token))
     W, H, maxval = fields
+    if W == 0 or H == 0:
+        raise IngestionError(f"{path}: PPM image is empty ({W}x{H})")
     if maxval <= 0 or maxval >= 65536:
         raise IngestionError(f"{path}: PPM maxval {maxval} out of range")
     pos += 1  # single whitespace after maxval
@@ -289,7 +291,6 @@ class VideoClip:
     frames: list[np.ndarray]
     paths: list[Path]
     bit_depths: list[int]
-    fps: float | None = None
 
     def __len__(self):
         return len(self.frames)

@@ -73,35 +73,14 @@ def cross_scan(tokens: Tensor, H: int, W: int) -> Tensor:
     return gather_rows(tokens, perm, inverse=inv)
 
 
-def cross_merge(seqs: Tensor, H: int, W: int, x=None, skip=None) -> Tensor:
+def cross_merge(seqs: Tensor, H: int, W: int) -> Tensor:
     """Scatter each direction of the (H*W, 4, C) stack ``seqs`` back through
-    its inverse traversal and sum, giving row-major tokens, as one graph node.
-
-    Given ``x`` of the stack's shape and ``skip`` (C,), each sequence merged
-    is ``seqs + x * skip``, the selective scan's skip term; the node then
-    keeps ``x`` and ``skip`` and nothing of its own.
-    """
+    its inverse traversal and sum, giving row-major tokens, as one graph node."""
     L = H * W
     if seqs.ndim != 3 or seqs.shape[:2] != (L, len(DIRECTIONS)):
         raise DimensionError(f"cross_merge needs ({L}, 4, C) sequences, got {seqs.shape}")
-    parents, y = (seqs,), seqs.data
-    if skip is not None:
-        x, skip = _wrap(x), _wrap(skip)
-        if x.shape != seqs.shape or skip.shape != seqs.shape[2:]:
-            raise DimensionError("the skip term needs x of the sequences' shape "
-                                 "and one coefficient per channel")
-        parents += (x, skip)
-        y = y + x.data * skip.data
     perm, inv = traversal_permutations(H, W)
-    total = _merge_columns(y, inv)
-
-    def grad_fn(g):
-        gy = g[perm]  # each sequence's gradient, (L, 4, C)
-        if skip is None:
-            return (gy,)
-        return gy, gy * skip.data, (gy * x.data).sum(axis=(0, 1))
-
-    return _node(total, parents, grad_fn)
+    return _node(_merge_columns(seqs.data, inv), (seqs,), lambda g: (g[perm],))
 
 
 class SS2D(Module):
@@ -138,9 +117,17 @@ def _zoh_terms(delta, a, b, x, a_bar, q, u) -> None:
 
 
 def _scan_chunks(delta, a, b, c, x):
-    """The chunk loop of :func:`selective_scan` on its operands' arrays:
-    returns y, (L, R, C, 1), and the (R, C, d) state entering each chunk,
-    None for the first."""
+    """Selective scan of R sequences of C channels with state size d, on
+    arrays that broadcast to (L, R, C, d):
+
+        a_bar = exp(delta*a),  u = (a_bar - 1)/a * b * x,
+        h_t = a_bar_t * h_{t-1} + u_t  (h_{-1} = 0),  y_t = sum_d h_t * c_t
+
+    ``delta`` is (L, R, 1, 1), ``a`` (C, d) and strictly negative, ``b`` and
+    ``c`` (L, R, 1, d), ``x`` (L, R, C, 1).  Returns y, (L, R, C, 1), and the
+    (R, C, d) state entering each chunk of ``SCAN_CHUNK`` steps, None for the
+    first; a chunk's recurrence is one ``linear_recurrence`` on (T, R*C*d) lanes.
+    """
     L, R, C, _ = x.shape
     d = a.shape[1]
     y = np.empty((L, R, C, 1))
@@ -163,49 +150,9 @@ def _scan_chunks(delta, a, b, c, x):
     return y, states
 
 
-def selective_scan(delta: Tensor, a: Tensor, b: Tensor, c: Tensor, x: Tensor) -> Tensor:
-    """Selective scan of R sequences of C channels with state size d, as one
-    graph node, on operands that broadcast to (L, R, C, d):
-
-        a_bar = exp(delta*a),  u = (a_bar - 1)/a * b * x,
-        h_t = a_bar_t * h_{t-1} + u_t  (h_{-1} = 0),  y_t = sum_d h_t * c_t
-
-    ``delta`` is (L, R, 1, 1), ``a`` (C, d) and strictly negative, ``b`` and
-    ``c`` (L, R, 1, d), ``x`` (L, R, C, 1); the result is y, (L, R, C).
-
-    L is walked in chunks of ``SCAN_CHUNK`` steps, each chunk's recurrence
-    one ``linear_recurrence`` call on (T, R*C*d) lanes, the state entering it
-    folded into its first step.  The node keeps its operands and the (R, C, d)
-    state at each chunk boundary; backward recomputes a chunk's terms and
-    state from there, in reverse chunk order, so no (L, R, C, d) array lives
-    beyond one chunk.
-    """
-    delta, a, b, c, x = (_wrap(t) for t in (delta, a, b, c, x))
-    if x.ndim != 4 or x.shape[3] != 1 or a.ndim != 2 or a.shape[0] != x.shape[2]:
-        raise DimensionError(
-            f"selective_scan expects x (L, R, C, 1) and a (C, d), got {x.shape} and {a.shape}"
-        )
-    L, R, C, _ = x.shape
-    d = a.shape[1]
-    for name, t, shape in (("delta", delta, (L, R, 1, 1)), ("b", b, (L, R, 1, d)),
-                           ("c", c, (L, R, 1, d))):
-        if t.shape != shape:
-            raise DimensionError(f"selective_scan {name} must be {shape}, got {t.shape}")
-    parents = (delta, a, b, c, x)
-    y, states = _scan_chunks(*(t.data for t in parents))
-    y = y.reshape(L, R, C)
-    if not (grad_enabled() and any(t.requires_grad for t in parents)):
-        return Tensor(y)
-
-    def grad_fn(g):
-        return _selective_scan_bwd(g, delta.data, a.data, b.data, c.data, x.data, states)
-
-    return _node(y, parents, grad_fn)
-
-
 def _selective_scan_bwd(g, delta, a, b, c, x, states):
-    """Gradients of :func:`selective_scan` in its operands' shapes, walking
-    the chunks in reverse from their saved entry states."""
+    """Gradients of :func:`_scan_chunks` in its operands' shapes, walking the
+    chunks in reverse and recomputing each from its saved entry state."""
     L, R, C, _ = x.shape
     d = a.shape[1]
     g = g.reshape(L, R, C, 1)
@@ -288,8 +235,8 @@ def _projections(seqs: Tensor, heads):
 
 
 def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
-    """cross-scan -> per-direction selective scan -> cross-merge, on the
-    row-major (H*W, C) tokens of an H x W grid, as one graph node.
+    """cross-scan -> per-direction selective scan and skip term -> cross-merge,
+    on the row-major (H*W, C) tokens of an H x W grid, as one graph node.
 
     The directions travel as one (H*W, 4, C) stack, and all four run through
     the chunked scan at once; per-channel state transitions are shared across
@@ -318,7 +265,9 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
         y, states = _scan_chunks(softplus(delta).data.reshape(L, R, 1, 1), a_neg,
                                  b.data.reshape(L, R, 1, d), c.data.reshape(L, R, 1, d),
                                  seqs.data.reshape(L, R, C, 1))
-        out = cross_merge(Tensor(y.reshape(L, R, C)), H, W, x=seqs, skip=weights.skip)
+        y = y.reshape(L, R, C)
+        y += seqs.data * weights.skip.data  # the skip term x * D
+        out = cross_merge(Tensor(y), H, W)
     parents = (tokens, *params)
     if not (grad_enabled() and any(t.requires_grad for t in parents)):
         return out
@@ -338,8 +287,8 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
         g_pre = delta._grad_fn(g_delta.reshape(L, R, 1))[0]
         g_proj = [p._grad_fn(gp) for p, gp in zip(proj, (g_b.reshape(L, R, d),
                                                           g_c.reshape(L, R, d), g_pre))]
-        # the stack's gradient, summed in the order the engine sums the
-        # composition's: skip term, then the Δ, B and C projections, then x
+        # the stack's gradient, summed in a fixed order (skip term, then the
+        # Δ, B and C projections, then x): another order changes its last bits
         g_seqs = g_y * params[-1].data
         for gp in (g_proj[2], g_proj[0], g_proj[1]):
             g_seqs += gp[0]

@@ -11,8 +11,7 @@ scan over the associative composition (a1,b1)∘(a2,b2) = (a2·a1, a2·b1 + b2),
 and (for time-invariant systems) a causal convolution with the kernel
 (C B_bar, C A_bar B_bar, C A_bar^2 B_bar, ...).
 
-State matrices are stored diagonally by default; dense d×d storage is
-supported for discretization only.
+State matrices are diagonal, stored as a length-d vector.
 """
 
 from __future__ import annotations
@@ -70,22 +69,19 @@ class DomainError(ValueError):
 
 @dataclass
 class SSMParams:
-    """Continuous-time system. ``a`` is the state matrix: a length-d vector in
-    diagonal mode, a (d, d) matrix in dense mode."""
+    """Continuous-time system. ``a`` is the diagonal of the state matrix."""
 
-    a: Tensor
+    a: Tensor  # (d,)
     b: Tensor  # (d, 1)
     c: Tensor  # (1, d)
     d: float
     state_dim: int
-    diagonal: bool = True
 
     def __post_init__(self):
         if self.state_dim < 1:
             raise DimensionError("state dimension must be >= 1")
-        expect = (self.state_dim,) if self.diagonal else (self.state_dim, self.state_dim)
-        if self.a.shape != expect:
-            raise DimensionError(f"state matrix shape {self.a.shape}, expected {expect}")
+        if self.a.shape != (self.state_dim,):
+            raise DimensionError(f"state matrix diagonal must be ({self.state_dim},)")
         if self.b.shape != (self.state_dim, 1):
             raise DimensionError(f"input matrix must be ({self.state_dim}, 1)")
         if self.c.shape != (1, self.state_dim):
@@ -102,7 +98,6 @@ class DiscreteSSM:
     d: float
     delta: float
     state_dim: int
-    diagonal: bool = True
 
 
 @dataclass
@@ -173,58 +168,25 @@ def random_ssm(state_dim: int, rng: np.random.Generator) -> SSMParams:
 # ---------------------------------------------------------------------------
 
 
-def _zoh_input_scale(a: np.ndarray, delta: float) -> np.ndarray:
-    """(exp(delta*a) - 1) / a per entry, with the delta limit near a == 0."""
-    da = delta * a
-    out = np.full_like(a, delta)
-    big = np.abs(da) >= _ZOH_SERIES_THRESHOLD
-    out[big] = np.expm1(da[big]) / a[big]
-    return out
-
-
-def discretize_zoh(params: SSMParams, delta: float, b_mode: str = "exact") -> DiscreteSSM:
-    """Zero-order-hold discretization: A_bar = exp(delta·A).
-
-    ``b_mode="exact"`` evaluates B_bar = A^{-1}(exp(delta·A) − I)·B (the
-    closed-form integral of the hold); ``b_mode="approx"`` selects the
-    first-order shortcut B_bar = delta·B.  In dense mode the integral is
-    computed through a block matrix exponential, which stays exact even for
-    singular A, so no fallback path is ever needed.
+def discretize_zoh(params: SSMParams, delta: float) -> DiscreteSSM:
+    """Zero-order-hold discretization: A_bar = exp(delta·A) and
+    B_bar = A^{-1}(exp(delta·A) − I)·B, the closed-form integral of the hold,
+    entrywise on the diagonal, with its limit delta·B where |delta·a| is tiny.
     """
     if delta <= 0:
         raise DomainError(f"timescale must be positive, got {delta}")
-    if b_mode not in ("exact", "approx"):
-        raise ValueError(f"unknown b_mode {b_mode!r}")
     a = params.a.data
-    b = params.b.data
-    if params.diagonal:
-        a_bar = np.exp(delta * a)
-        if b_mode == "exact":
-            b_bar = _zoh_input_scale(a, delta)[:, None] * b
-        else:
-            b_bar = delta * b
-    else:
-        from scipy.linalg import expm  # only dense A needs it; importing costs ~6 MB RSS
-
-        a_bar = expm(delta * a)
-        if b_mode == "exact":
-            # exp of [[A, B], [0, 0]]·delta has the hold integral in its
-            # upper-right block; exact for singular A as well.
-            d = params.state_dim
-            block = np.zeros((d + 1, d + 1))
-            block[:d, :d] = a
-            block[:d, d:] = b
-            b_bar = expm(delta * block)[:d, d:]
-        else:
-            b_bar = delta * b
+    da = delta * a
+    scale = np.full_like(a, delta)  # (exp(delta*a) - 1) / a, or its limit delta
+    big = np.abs(da) >= _ZOH_SERIES_THRESHOLD
+    scale[big] = np.expm1(da[big]) / a[big]
     return DiscreteSSM(
-        a_bar=Tensor(a_bar),
-        b_bar=Tensor(b_bar),
+        a_bar=Tensor(np.exp(da)),
+        b_bar=Tensor(scale[:, None] * params.b.data),
         c=params.c,
         d=params.d,
         delta=float(delta),
         state_dim=params.state_dim,
-        diagonal=params.diagonal,
     )
 
 
@@ -414,8 +376,6 @@ def _per_step_terms(ssm: DiscreteSSM | SelectiveParams, x: Tensor):
             ssm.b_t, x.reshape(L, 1),
         )
         return a_bar, u, ssm.c_t, ssm.d
-    if not ssm.diagonal:
-        raise ContractError("scans operate on diagonal-mode systems")
     d = ssm.state_dim
     ones = np.ones((L, 1))
     a_bar = ssm.a_bar.reshape(1, d) * Tensor(ones)
@@ -478,7 +438,7 @@ def geometric_powers(a: Tensor, L: int) -> Tensor:
 
 
 def lti_kernel(ssm: DiscreteSSM, L: int) -> Tensor:
-    """Convolution kernel K_j = C A_bar^j B_bar for j = 0..L-1 (diagonal mode)."""
+    """Convolution kernel K_j = C A_bar^j B_bar for j = 0..L-1."""
     d = ssm.state_dim
     powers = geometric_powers(ssm.a_bar, L)
     weights = ssm.c.reshape(d, 1) * ssm.b_bar.reshape(d, 1)
@@ -489,8 +449,6 @@ def scan_convolutional(ssm: DiscreteSSM, x: Tensor) -> Tensor:
     """Causal convolution with K = (C B_bar, C A_bar B_bar, ...), LTI only."""
     if isinstance(ssm, SelectiveParams):
         raise ContractError("convolutional scan is LTI only")
-    if not ssm.diagonal:
-        raise ContractError("scans operate on diagonal-mode systems")
     x = _check_signal(x)
     L = x.shape[0]
     if L == 0:

@@ -530,24 +530,28 @@ class TestCLI:
             write_image(tmp_path / "want.png", want.data, bit_depth=16)
             assert (out_dir / path.name).read_bytes() == (tmp_path / "want.png").read_bytes()
 
-    @pytest.mark.parametrize("fault", ["filter_type", "zero_width"])
+    @pytest.mark.parametrize("fault", ["filter_type", "zero_width", "ppm_zero_width"])
     def test_metrics_bad_png_names_the_file(self, tmp_path, rng, capsys, fault):
         ref_dir, test_dir = tmp_path / "ref", tmp_path / "test"
         frames = [rng.uniform(size=(3, 4, 4)) for _ in range(2)]
+        suffix = ".ppm" if fault.startswith("ppm") else ".png"
         write_clip(ref_dir, frames)
-        write_clip(test_dir, frames)
+        write_clip(test_dir, frames, suffix=suffix)
         if fault == "filter_type":  # 4x4 RGB rows, row 2 with filter byte 5
             payload = b"".join(bytes([5 if y == 2 else 0]) + bytes(12) for y in range(4))
             blob, want = png_blob(4, 4, 8, 2, payload), "row 2"
-        else:  # three rows of no pixels, each just its filter byte
-            blob, want = png_blob(0, 3, 8, 2, bytes(3)), "empty"
-        (test_dir / "0001.png").write_bytes(blob)
+        elif fault == "zero_width":  # three rows of no pixels, each just its filter byte
+            blob, want = png_blob(0, 3, 8, 2, bytes(3)), "PNG image is empty (0x3)"
+        else:
+            blob, want = b"P6\n0 3\n255\n", "PPM image is empty (0x3)"
+        bad = test_dir / f"0001{suffix}"
+        bad.write_bytes(blob)
         assert main([
             "metrics", "--ref", str(ref_dir), "--test", str(test_dir),
             "--out", str(tmp_path / "metrics.csv"),
         ]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(test_dir / "0001.png") in err and want in err
+        assert err.startswith("error: ") and str(bad) in err and want in err
 
     def test_metrics_csv(self, tmp_path, rng):
         ref_dir, test_dir = tmp_path / "ref", tmp_path / "test"
@@ -582,6 +586,18 @@ class TestCLI:
             assert int(row[3]) > 0
             assert float(row[4]) <= 1e-8
 
+    @pytest.mark.parametrize("option, value", [
+        ("--lengths", "a"), ("--lengths", "0"), ("--lengths", "-3"), ("--lengths", "16,"),
+        ("--dims", "2,x"), ("--dims", "0"), ("--repeats", "0"),
+    ])
+    def test_scan_bench_bad_arguments_are_named_errors(self, tmp_path, capsys, option, value):
+        out = tmp_path / "bench.csv"
+        assert main(["scan-bench", "--lengths", "16", "--dims", "2", "--repeats", "1",
+                     option, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and option in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 def run_python(code: str, *args: str) -> str:
     """Run ``code`` with ``args`` in a fresh interpreter on this process's
@@ -593,7 +609,8 @@ def run_python(code: str, *args: str) -> str:
 
 class TestProcess:
     def test_cli_import_leaves_out_scipy_linalg(self):
-        # only dense-A discretisation uses it; importing it costs every command RSS
+        # nothing in the package uses scipy.linalg, and importing it would
+        # cost every command about 6 MB of RSS; this keeps it that way
         assert run_python("import sys, vssenhance.cli; "
                           "print('scipy.linalg' in sys.modules)") == "False"
 

@@ -13,7 +13,6 @@ from vssenhance.ss2d import (
     _head_projection,
     cross_merge,
     cross_scan,
-    selective_scan,
     ss2d_forward,
     traversal_permutations,
 )
@@ -159,8 +158,6 @@ class TestCrossMerge:
             cross_merge(Tensor(seqs.data[:, :3]), 2, 2)
         with pytest.raises(DimensionError):  # one direction's (L, C) sequence
             cross_merge(Tensor(seqs.data[:, 0]), 2, 2)
-        with pytest.raises(DimensionError):  # skip needs one coefficient per channel
-            cross_merge(seqs, 2, 2, x=seqs, skip=Tensor(np.ones(2)))
 
     def test_gradients(self, rng):
         H, W, C = 2, 3, 2
@@ -170,7 +167,10 @@ class TestCrossMerge:
 
 
 class TestSkipMerge:
-    """The skip term y + x * D and the cross-merge are one node."""
+    """``ss2d_forward`` adds the skip term y + x * D and merges the four
+    directions inside its one node."""
+
+    H, W, C, D = 3, 4, 2, 2
 
     @staticmethod
     def unfused(y, x, skip, H, W):
@@ -183,24 +183,29 @@ class TestSkipMerge:
             total = back if total is None else total + back
         return total
 
+    def skip_only(self, ts):
+        """ss2d_forward on tokens ``ts[0]`` with skip ``ts[1]`` and every C
+        projection zero, so the scan reads out exactly 0."""
+        weights = perturbed(SS2D(channels=self.C, state_dim=self.D,
+                                 rng=np.random.default_rng(5)), np.random.default_rng(6))
+        for head in weights.heads:
+            head.w_c = Tensor(np.zeros_like(head.w_c.data), requires_grad=True)
+        weights.skip = ts[1]
+        return ss2d_forward(ts[0], self.H, self.W, weights)
+
     def test_matches_composition(self, rng):
-        H, W, C = 3, 4, 2
-        arrays = [rng.normal(size=(H * W, 4, C)), rng.normal(size=(H * W, 4, C)),
-                  rng.normal(size=C)]
+        L = self.H * self.W
         assert_matches_composition(
-            lambda ts: cross_merge(ts[0], H, W, x=ts[1], skip=ts[2]),
-            lambda ts: self.unfused(*ts, H, W),
-            arrays,
+            self.skip_only,
+            lambda ts: self.unfused(Tensor(np.zeros((L, 4, self.C))),
+                                    cross_scan(ts[0], self.H, self.W), ts[1], self.H, self.W),
+            [rng.normal(size=(L, self.C)), rng.normal(size=self.C)],
         )
 
     def test_gradients(self, rng):
-        H, W, C = 2, 3, 2
-        mix = Tensor(rng.normal(size=(H * W, C)))
-        check_gradients(
-            lambda ts: (cross_merge(ts[0], H, W, x=ts[1], skip=ts[2]) * mix).sum(),
-            [rng.normal(size=(H * W, 4, C)), rng.normal(size=(H * W, 4, C)),
-             rng.normal(size=C)],
-        )
+        mix = Tensor(rng.normal(size=(self.H * self.W, self.C)))
+        check_gradients(lambda ts: (self.skip_only(ts) * mix).sum(),
+                        [rng.normal(size=(self.H * self.W, self.C)), rng.normal(size=self.C)])
 
     def test_ss2d_keeps_no_skip_or_merge_intermediates(self, rng):
         # one node per call, whose parents are the tokens and the parameters;
@@ -393,7 +398,9 @@ def with_parameters(ts, C, d):
 
 
 def chain_ss2d(tokens, H, W, weights):
-    """The 13-node composition the fused SS2D node replaces, from public ops."""
+    """The unfused composition the SS2D node replaces, from public ops: the
+    projections, the ``ssm`` chain (ZOH terms, one recurrence over all L
+    steps, readout), then the skip term and the merge."""
     seqs = cross_scan(tokens, H, W)
     L, R, C = seqs.shape
     d, heads = weights.state_dim, weights.heads
@@ -402,130 +409,114 @@ def chain_ss2d(tokens, H, W, weights):
     c = _head_projection(seqs, [h.w_c for h in heads])
     delta = softplus(_head_projection(seqs, [h.w_delta for h in heads],
                                       [h.b_delta for h in heads]))
-    y = selective_scan(delta.reshape(L, R, 1, 1), a_neg, b.reshape(L, R, 1, d),
-                       c.reshape(L, R, 1, d), seqs.reshape(L, R, C, 1))
-    return cross_merge(y, H, W, x=seqs, skip=weights.skip)
+    a_bar, u = selective_zoh(delta.reshape(L, R, 1, 1), a_neg, b.reshape(L, R, 1, d),
+                             seqs.reshape(L, R, C, 1))
+    h = linear_recurrence(a_bar.reshape(L, R * C * d), u.reshape(L, R * C * d),
+                          mode="sequential")
+    y = selective_readout(h.reshape(L, R, C, d), c.reshape(L, R, 1, d), axis=3)
+    return TestSkipMerge.unfused(y, seqs, weights.skip, H, W)
+
+
+C_NODE, D_NODE = 2, 2
+
+
+def node_arrays(rng, H, W, C=C_NODE, d=D_NODE):
+    """Tokens of an H x W grid and a perturbed SS2D's 18 parameters."""
+    ss2d = perturbed(SS2D(channels=C, state_dim=d, rng=rng), rng)
+    return [rng.normal(size=(H * W, C))] + [p.data for p in ss2d.parameters()]
+
+
+def node(ts, H, W):
+    C, d = ts[0].shape[1], ts[1].shape[1]
+    return ss2d_forward(ts[0], H, W, with_parameters(ts[1:], C, d))
+
+
+def assert_agrees_with_chain(rng, H, W, C, d):
+    """The node's output and every gradient within 1e-12 relative of
+    :func:`chain_ss2d`'s."""
+    arrays = node_arrays(rng, H, W, C, d)
+    mix = Tensor(rng.normal(size=(H * W, C)))
+    results = []
+    for build in (lambda ts: node(ts, H, W),
+                  lambda ts: chain_ss2d(ts[0], H, W, with_parameters(ts[1:], C, d))):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = build(leaves)
+        (out * mix).sum().backward()
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for j, (got, want) in enumerate(zip(*results)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), j
+
+
+def assert_backward_under_no_grad_is_bitwise_equal(rng, H, W):
+    # backward rebuilds the gather, the projections and the scan's chunk
+    # recurrences as nodes even when the caller has switched graphs off
+    arrays = node_arrays(rng, H, W)
+    mix = Tensor(rng.normal(size=(H * W, C_NODE)))
+    grads = []
+    for mode in (nullcontext, no_grad):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        loss = (node(leaves, H, W) * mix).sum()
+        with mode():
+            loss.backward()
+        grads.append([leaf.grad for leaf in leaves])
+    for got, want in zip(*grads):
+        assert np.array_equal(got, want)
 
 
 class TestSS2DNode:
     """``ss2d_forward`` is one node over the tokens and the 18 parameters that
     keeps the chunk states and rebuilds the stack, B, C and Δ in backward."""
 
-    C, H, W, D = 2, 9, 8, 2  # L = 72: two scan chunks
-
-    def arrays(self, rng):
-        ss2d = perturbed(SS2D(channels=self.C, state_dim=self.D, rng=rng), rng)
-        return [rng.normal(size=(self.H * self.W, self.C))] + [p.data for p in ss2d.parameters()]
-
-    def fused(self, ts):
-        return ss2d_forward(ts[0], self.H, self.W, with_parameters(ts[1:], self.C, self.D))
+    H, W = 9, 8  # L = 72: two scan chunks
 
     def test_gradients(self, rng):
         assert self.H * self.W > SCAN_CHUNK
-        arrays = self.arrays(rng)
+        arrays = node_arrays(rng, self.H, self.W)
         assert len(arrays) == 19
-        mix = Tensor(rng.normal(size=(self.H * self.W, self.C)))
-        check_gradients(lambda ts: (self.fused(ts) * mix).sum(), arrays, rtol=1e-5)
+        mix = Tensor(rng.normal(size=(self.H * self.W, C_NODE)))
+        check_gradients(lambda ts: (node(ts, self.H, self.W) * mix).sum(), arrays, rtol=1e-5)
 
     def test_matches_composition(self, rng):
-        assert_matches_composition(
-            self.fused,
-            lambda ts: chain_ss2d(ts[0], self.H, self.W, with_parameters(ts[1:], self.C, self.D)),
-            self.arrays(rng),
-        )
+        assert_agrees_with_chain(rng, self.H, self.W, C=3, d=4)
 
     def test_backward_under_no_grad_is_bitwise_equal(self, rng):
-        # backward rebuilds the gather, the projections and the scan's chunk
-        # recurrences as nodes even when the caller has switched graphs off
-        arrays = self.arrays(rng)
-        mix = Tensor(rng.normal(size=(self.H * self.W, self.C)))
-        grads = []
-        for mode in (nullcontext, no_grad):
-            leaves = [Tensor(a, requires_grad=True) for a in arrays]
-            loss = (self.fused(leaves) * mix).sum()
-            with mode():
-                loss.backward()
-            grads.append([leaf.grad for leaf in leaves])
-        for got, want in zip(*grads):
-            assert np.array_equal(got, want)
-
-
-def scan_operands(rng, L, C, d):
-    """delta, a, b, c, x for :func:`selective_scan` over four directions."""
-    R = 4
-    return [
-        rng.uniform(0.05, 0.8, size=(L, R, 1, 1)),
-        -np.exp(rng.uniform(np.log(0.5), np.log(4.0), size=(C, d))),
-        rng.normal(size=(L, R, 1, d)),
-        rng.normal(size=(L, R, 1, d)),
-        rng.normal(size=(L, R, C, 1)),
-    ]
-
-
-def chain_scan(delta, a, b, c, x):
-    """The unfused oracle: ZOH terms, one recurrence over all L steps, readout."""
-    L, R, C, _ = x.shape
-    d = a.shape[1]
-    a_bar, u = selective_zoh(delta, a, b, x)
-    h = linear_recurrence(a_bar.reshape(L, R * C * d), u.reshape(L, R * C * d),
-                          mode="sequential")
-    return selective_readout(h.reshape(L, R, C, d), c, axis=3)
+        assert_backward_under_no_grad_is_bitwise_equal(rng, self.H, self.W)
 
 
 class TestSelectiveScan:
+    """The node's chunked selective scan at lengths around ``SCAN_CHUNK``:
+    half a chunk and one more step, one chunk, one chunk and a step, two
+    chunks and two steps (``TestSS2DNode`` covers two chunks, L = 72)."""
+
     LENGTHS = (SCAN_CHUNK // 2 + 1, SCAN_CHUNK, SCAN_CHUNK + 1, 2 * SCAN_CHUNK + 2)
+    GRIDS = dict(zip(LENGTHS, ((3, 11), (8, 8), (5, 13), (10, 13))))
+
+    def grid(self, L):
+        H, W = self.GRIDS[L]
+        assert H * W == L
+        return H, W
 
     @pytest.mark.parametrize("L", LENGTHS)
     def test_gradients(self, rng, L):
-        arrays = scan_operands(rng, L, C=2, d=2)
-        mix = rng.normal(size=(L, 4, 2))
-        check_gradients(lambda ts: (selective_scan(*ts) * Tensor(mix)).sum(), arrays,
+        H, W = self.grid(L)
+        mix = Tensor(rng.normal(size=(L, C_NODE)))
+        check_gradients(lambda ts: (node(ts, H, W) * mix).sum(), node_arrays(rng, H, W),
                         rtol=1e-5)
 
     @pytest.mark.parametrize("L", LENGTHS)
     def test_matches_unfused_chain(self, rng, L):
-        arrays = scan_operands(rng, L, C=3, d=4)
-        mix = rng.normal(size=(L, 4, 3))
-        results = []
-        for scan in (selective_scan, chain_scan):
-            leaves = [Tensor(arr, requires_grad=True) for arr in arrays]
-            y = scan(*leaves)
-            (y * Tensor(mix)).sum().backward()
-            results.append([y.data] + [leaf.grad for leaf in leaves])
-        for got, want in zip(*results):
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert_agrees_with_chain(rng, *self.grid(L), C=3, d=4)
 
     def test_no_grad_output_is_bitwise_equal(self, rng):
-        arrays = scan_operands(rng, 2 * SCAN_CHUNK + 3, C=3, d=2)
-        with_grad = selective_scan(*[Tensor(arr, requires_grad=True) for arr in arrays])
-        with no_grad():
-            without = selective_scan(*[Tensor(arr, requires_grad=True) for arr in arrays])
-        assert with_grad.requires_grad and not without.requires_grad
-        assert np.array_equal(with_grad.data, without.data)
+        for H, W in (*self.GRIDS.values(), (TestSS2DNode.H, TestSS2DNode.W)):
+            leaves = [Tensor(a, requires_grad=True) for a in node_arrays(rng, H, W)]
+            with_grad = node(leaves, H, W)
+            with no_grad():
+                without = node(leaves, H, W)
+            assert with_grad.requires_grad and not without.requires_grad
+            assert np.array_equal(with_grad.data, without.data)
 
     def test_backward_under_no_grad(self, rng):
-        # backward recomputes each chunk as a recurrence node, even when the
-        # caller has switched graph building off
-        arrays = scan_operands(rng, SCAN_CHUNK + 5, C=2, d=2)
-        grads = []
-        for mode in (nullcontext, no_grad):
-            leaves = [Tensor(arr, requires_grad=True) for arr in arrays]
-            loss = selective_scan(*leaves).sum()
-            with mode():
-                loss.backward()
-            grads.append([leaf.grad for leaf in leaves])
-        for got, want in zip(*grads):
-            assert np.array_equal(got, want)
-
-    def test_operand_shapes_checked(self, rng):
-        delta, a, b, c, x = scan_operands(rng, 5, C=3, d=2)
-        for bad in (
-            (delta[:, :, :, 0], a, b, c, x),  # delta rank
-            (np.ones((5, 4, 3, 1)), a, b, c, x),  # per-channel delta
-            (delta, a[:2], b, c, x),  # a rows != C
-            (delta, a, b[:4], c, x),  # b length
-            (delta, a, b, c[..., :1], x),  # c state size
-        ):
-            with pytest.raises(DimensionError):
-                selective_scan(*bad)
+        for H, W in self.GRIDS.values():
+            assert_backward_under_no_grad_is_bitwise_equal(rng, H, W)

@@ -94,34 +94,6 @@ class TestDiscretizeZOH:
         expected = ((np.exp(0.3 * a) - 1.0) / a)[:, None] * b
         assert np.allclose(disc.b_bar.data, expected, atol=1e-15)
 
-    def test_approx_mode_is_delta_b(self, rng):
-        p = random_ssm(3, rng)
-        disc = discretize_zoh(p, 0.2, b_mode="approx")
-        assert np.allclose(disc.b_bar.data, 0.2 * p.b.data)
-
-    def test_dense_matches_diagonal_embedding(self, rng):
-        diag = stable_diagonal_init(3, rng)
-        b = rng.normal(size=(3, 1))
-        c = rng.normal(size=(1, 3))
-        p_diag = SSMParams(a=Tensor(diag), b=Tensor(b), c=Tensor(c), d=0.0, state_dim=3)
-        p_dense = SSMParams(
-            a=Tensor(np.diag(diag)), b=Tensor(b), c=Tensor(c), d=0.0, state_dim=3, diagonal=False
-        )
-        d1 = discretize_zoh(p_diag, 0.7)
-        d2 = discretize_zoh(p_dense, 0.7)
-        assert np.allclose(np.diag(d2.a_bar.data), d1.a_bar.data, atol=1e-12)
-        assert np.allclose(d2.b_bar.data, d1.b_bar.data, atol=1e-12)
-
-    def test_dense_singular_state_matrix(self, rng):
-        # nilpotent A: exact hold integral still defined, no error raised
-        a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        b = rng.normal(size=(2, 1))
-        p = SSMParams(a=Tensor(a), b=Tensor(b), c=Tensor(np.ones((1, 2))), d=0.0, state_dim=2, diagonal=False)
-        disc = discretize_zoh(p, 0.5)
-        # for this A: integral_0^delta exp(As) ds = [[delta, delta^2/2], [0, delta]]
-        integral = np.array([[0.5, 0.125], [0.0, 0.5]])
-        assert np.allclose(disc.b_bar.data, integral @ b, atol=1e-12)
-
 
 class TestScanSequential:
     def test_zero_input(self, rng):

@@ -13,8 +13,9 @@ versions), the 128x128 window's extract, PCD and net times, the 128x128
 training step's time, minor page faults and autograd graph bytes, the 1080p
 frame's ``read_image`` time, the tier-1 wall time, the ids of the tests that
 failed or errored and the duration of ``test_06_toy_overfit`` go into
-``BENCH_<tag>.json`` at the repository root, with the ``HEAD`` commit and
-whether the working tree differs from it.
+``BENCH_<tag>.json`` at the repository root, with the ``HEAD`` commit,
+whether the working tree differs from it and the line count of
+``src/vssenhance/*.py`` (``src_lines``).
 To record another commit, run the script from a checkout of it.  Run it on
 an otherwise idle machine: the numbers are single runs.
 """
@@ -199,6 +200,11 @@ def tier1() -> dict:
     }
 
 
+def src_lines() -> int:
+    """Lines in ``src/vssenhance/*.py``, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "vssenhance").glob("*.py"))
+
+
 def git(*args: str) -> str | None:
     proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
     return proc.stdout.strip() or None
@@ -224,6 +230,7 @@ def main(argv=None) -> int:
         # "<commit>-dirty" when tracked files differ from it: then the numbers
         # are the working tree's, not the commit's
         "tree": git("describe", "--always", "--dirty"),
+        "src_lines": src_lines(),
         "recorded_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "machine": next((r["machine"] for r in runs if "machine" in r), None),
         "runs": runs,
