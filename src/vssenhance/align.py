@@ -349,9 +349,8 @@ class PCDAlign(Module):
     plain convolution chain over the neighbor features.
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator, k: int = 3):
-        self.k = k
-        off_ch = 2 * k * k
+    def __init__(self, channels: int, rng: np.random.Generator):
+        off_ch = 2 * 3 * 3  # (dy, dx) for each tap of a 3 x 3 kernel
         # level 3 (coarsest) has no coarser offsets to fold in
         self.off_a = [
             Conv2d(2 * channels + off_ch, channels, 3, rng),

@@ -151,8 +151,6 @@ def _slide(extract, frames, pyramid, held, window) -> FramePyramid:
 
 def cmd_enhance(args) -> int:
     cfg = load_config(args.config)
-    if args.adapt_color:
-        cfg.preprocess.adapt_color = True
     ckpt = Path(args.checkpoint) if args.checkpoint else Path(cfg.data.checkpoint_dir)
     if not (ckpt / "manifest.txt").exists():
         candidates = sorted(ckpt.glob("step-*/manifest.txt"))
@@ -165,7 +163,7 @@ def cmd_enhance(args) -> int:
     load_checkpoint(model, ckpt)
 
     frames = clip.frames
-    if cfg.preprocess.adapt_color:
+    if args.adapt_color:
         illum = _clip_illuminant(frames)
         white = Illuminant(rgb=D65_WHITE_RGB)
         frames = [chromatic_adapt(f, illum, white) for f in frames]

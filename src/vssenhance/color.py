@@ -136,10 +136,12 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     return 10.0 * math.log10(peak * peak / mse)
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    half = (size - 1) / 2.0
-    g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma * sigma))
-    return g / g.sum()
+# SSIM's Gaussian window and stabilizer constants (Wang et al. 2004)
+SSIM_WINDOW, SSIM_SIGMA = 11, 1.5
+SSIM_K1, SSIM_K2 = 0.01, 0.03
+_SSIM_KERNEL = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0) ** 2)
+                      / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
+_SSIM_KERNEL /= _SSIM_KERNEL.sum()
 
 
 def _windowed_mean(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -155,13 +157,11 @@ def _windowed_mean(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return (np.lib.stride_tricks.sliding_window_view(x, k, axis=0) @ kernel).T
 
 
-def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0,
-         k1: float = 0.01, k2: float = 0.03,
-         window_size: int = 11, sigma: float = 1.5) -> float:
+def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     """Mean structural similarity over valid 11x11 Gaussian windows.
 
     Computed per channel and averaged; the luminance/contrast/structure
-    product uses the standard stabilizers C1 = (k1 peak)^2, C2 = (k2 peak)^2.
+    product uses the standard stabilizers C1 = (0.01 peak)^2, C2 = (0.03 peak)^2.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -170,14 +170,14 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0,
     if a.ndim == 2:
         a = a[None]
         b = b[None]
-    if a.shape[1] < window_size or a.shape[2] < window_size:
+    if a.shape[1] < SSIM_WINDOW or a.shape[2] < SSIM_WINDOW:
         raise DimensionError(
-            f"image {a.shape[1]}x{a.shape[2]} is smaller than the {window_size}x"
-            f"{window_size} window"
+            f"image {a.shape[1]}x{a.shape[2]} is smaller than the {SSIM_WINDOW}x"
+            f"{SSIM_WINDOW} window"
         )
-    kernel = _gaussian_window(window_size, sigma)
-    c1 = (k1 * peak) ** 2
-    c2 = (k2 * peak) ** 2
+    kernel = _SSIM_KERNEL
+    c1 = (SSIM_K1 * peak) ** 2
+    c2 = (SSIM_K2 * peak) ** 2
     scores = []
     for ca, cb in zip(a, b):
         mu_a = _windowed_mean(ca, kernel)

@@ -1,15 +1,17 @@
 """Run configuration: a flat, typed key-value file with sections.
 
-Unknown sections or keys are hard errors (they are almost always typos), every
-value is range-checked, and the single seed in ``[train]`` feeds every RNG
-stream in the run.  ``VSSENHANCE_SEED`` in the environment overrides the
-configured seed.
+Each section is a dataclass: its fields are the section's keys, each field's
+default gives the value's type, and its ``__post_init__`` holds the range
+checks, so a value fails the same check from a file or a constructor call.
+Unknown sections or keys are hard errors (they are almost always typos), and
+the single seed in ``[train]`` feeds every RNG stream in the run.
+``VSSENHANCE_SEED`` in the environment overrides the configured seed.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .enhance import EnhanceNetConfig
@@ -27,6 +29,15 @@ class TrainSettings:
     checkpoint_every: int = 100
     weight_decay: float = 0.0
 
+    def __post_init__(self):
+        require = ConfigurationError.require
+        require(0 < self.lr <= 1, "lr", "in (0, 1]", self.lr)
+        require(self.steps >= 0, "steps", ">= 0", self.steps)
+        require(0 <= self.seed < 2**64, "seed", "a 64-bit unsigned integer", self.seed)
+        require(self.batch >= 1, "batch", ">= 1", self.batch)
+        require(self.checkpoint_every >= 1, "checkpoint_every", ">= 1", self.checkpoint_every)
+        require(0 <= self.weight_decay < 1, "weight_decay", "in [0, 1)", self.weight_decay)
+
 
 @dataclass
 class DataPaths:
@@ -34,10 +45,9 @@ class DataPaths:
     gt_dir: str = ""
     checkpoint_dir: str = "checkpoints"
 
-
-@dataclass
-class Preprocess:
-    adapt_color: bool = False
+    def __post_init__(self):
+        ConfigurationError.require(self.checkpoint_dir != "", "checkpoint_dir", "non-empty",
+                                   self.checkpoint_dir)
 
 
 @dataclass
@@ -45,7 +55,6 @@ class RunConfig:
     model: EnhanceNetConfig = field(default_factory=EnhanceNetConfig)
     train: TrainSettings = field(default_factory=TrainSettings)
     data: DataPaths = field(default_factory=DataPaths)
-    preprocess: Preprocess = field(default_factory=Preprocess)
 
 
 def _parse_int(raw: str, key: str) -> int:
@@ -62,58 +71,24 @@ def _parse_float(raw: str, key: str) -> float:
         raise ConfigurationError(f"{key}: expected a number, got {raw!r}") from None
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigurationError(f"{key}: expected a boolean, got {raw!r}")
-
-
 def _parse_int_tuple(raw: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip() != "")
-    except ValueError:
-        raise ConfigurationError(f"{key}: expected comma-separated integers, got {raw!r}") from None
+    parts = [part.strip() for part in raw.split(",")]
+    if "" in parts:
+        raise ConfigurationError(f"{key}: empty item in the list {raw!r}")
+    return tuple(_parse_int(part, key) for part in parts)
 
 
-# section -> key -> (parser, validator, message)
-_SCHEMA = {
-    "model": {
-        "input_frames": (_parse_int, lambda v: v >= 1 and v % 2 == 1, "a positive odd integer"),
-        "feature_channels": (_parse_int, lambda v: v >= 1, ">= 1"),
-        "base_channels": (_parse_int, lambda v: v >= 1, ">= 1"),
-        "state_dim": (_parse_int, lambda v: v >= 1, ">= 1"),
-        "num_scales": (_parse_int, lambda v: 1 <= v <= 6, "between 1 and 6"),
-        "encoder_depths": (_parse_int_tuple, lambda v: all(d >= 1 for d in v), "depths >= 1"),
-        "decoder_depths": (_parse_int_tuple, lambda v: all(d >= 1 for d in v), "depths >= 1"),
-        "bottleneck_depth": (_parse_int, lambda v: v >= 1, ">= 1"),
-        "ffn_ratio": (_parse_int, lambda v: v >= 1, ">= 1"),
-    },
-    "train": {
-        "lr": (_parse_float, lambda v: 0 < v <= 1, "in (0, 1]"),
-        "steps": (_parse_int, lambda v: v >= 0, ">= 0"),
-        "seed": (_parse_int, lambda v: 0 <= v < 2**64, "a 64-bit unsigned integer"),
-        "batch": (_parse_int, lambda v: v >= 1, ">= 1"),
-        "checkpoint_every": (_parse_int, lambda v: v >= 1, ">= 1"),
-        "weight_decay": (_parse_float, lambda v: 0 <= v < 1, "in [0, 1)"),
-    },
-    "data": {
-        "low_dir": (str.strip, lambda v: True, ""),
-        "gt_dir": (str.strip, lambda v: True, ""),
-        "checkpoint_dir": (str.strip, lambda v: v != "", "non-empty"),
-    },
-    "preprocess": {
-        "adapt_color": (_parse_bool, lambda v: True, ""),
-    },
-}
+# a field's parser, by the type of its default
+_PARSERS = {int: _parse_int, float: _parse_float, tuple: _parse_int_tuple,
+            str: lambda raw, key: raw}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate configuration text; unknown and repeated keys are
     hard errors."""
-    values: dict[str, dict[str, object]] = {s: {} for s in _SCHEMA}
+    sections = {f.name: f.default_factory for f in fields(RunConfig)}
+    keys = {name: {f.name: f for f in fields(cls)} for name, cls in sections.items()}
+    values: dict[str, dict[str, object]] = {name: {} for name in sections}
     first_line: dict[tuple[str, str], int] = {}
     section = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -122,7 +97,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in sections:
                 raise ConfigurationError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -130,30 +105,26 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ConfigurationError(f"line {lineno}: key outside of any [section]")
         key, raw_value = (part.strip() for part in line.split("=", 1))
-        schema = _SCHEMA[section]
-        if key not in schema:
+        if key not in keys[section]:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r} in [{section}]")
         first = first_line.setdefault((section, key), lineno)
         if first != lineno:
             raise ConfigurationError(
                 f"line {lineno}: [{section}] {key} is already set on line {first}"
             )
-        parser, validate, requirement = schema[key]
-        value = parser(raw_value, f"[{section}] {key}") if parser is not str.strip else raw_value.strip()
-        if not validate(value):
-            raise ConfigurationError(f"[{section}] {key} must be {requirement}, got {value!r}")
-        values[section][key] = value
+        parse = _PARSERS[type(keys[section][key].default)]
+        values[section][key] = parse(raw_value, f"[{section}] {key}")
 
-    cfg = RunConfig(
-        model=EnhanceNetConfig(**values["model"]),
-        train=TrainSettings(**values["train"]),
-        data=DataPaths(**values["data"]),
-        preprocess=Preprocess(**values["preprocess"]),
-    )
     env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        cfg.train.seed = _parse_int(env_seed, SEED_ENV_VAR)
-    return cfg
+    if env_seed is not None:  # before TrainSettings checks the seed's range
+        values["train"]["seed"] = _parse_int(env_seed, SEED_ENV_VAR)
+    built = {}
+    for name, cls in sections.items():
+        try:
+            built[name] = cls(**values[name])
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"[{name}] {exc}") from None
+    return RunConfig(**built)
 
 
 def load_config(path) -> RunConfig:

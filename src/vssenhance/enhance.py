@@ -47,31 +47,28 @@ class EnhanceNetConfig:
     encoder_depths: tuple[int, ...] = (2, 2, 2)
     decoder_depths: tuple[int, ...] = (2, 2, 2)
     bottleneck_depth: int = 2
-    ffn_ratio: int = 2
 
     def __post_init__(self):
-        self.encoder_depths = tuple(self.encoder_depths)
-        self.decoder_depths = tuple(self.decoder_depths)
-        if self.input_frames < 1 or self.input_frames % 2 == 0:
-            raise ConfigurationError("input_frames must be a positive odd number")
-        if self.num_scales < 1:
-            raise ConfigurationError("num_scales must be >= 1")
-        if len(self.encoder_depths) != self.num_scales:
-            raise ConfigurationError("encoder_depths must list one depth per scale")
-        if len(self.decoder_depths) != self.num_scales:
-            raise ConfigurationError("decoder_depths must list one depth per scale")
-        for name in ("feature_channels", "base_channels", "state_dim",
-                     "bottleneck_depth", "ffn_ratio"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+        require = ConfigurationError.require
+        frames = self.input_frames
+        require(frames >= 1 and frames % 2 == 1, "input_frames", "a positive odd integer", frames)
+        for name in ("feature_channels", "base_channels", "state_dim", "bottleneck_depth"):
+            require(getattr(self, name) >= 1, name, ">= 1", getattr(self, name))
+        require(1 <= self.num_scales <= 6, "num_scales", "between 1 and 6", self.num_scales)
+        for name in ("encoder_depths", "decoder_depths"):
+            depths = tuple(getattr(self, name))
+            setattr(self, name, depths)
+            require(len(depths) == self.num_scales, name,
+                    f"{self.num_scales} depths, one per scale", depths)
+            require(min(depths) >= 1, name, "depths >= 1", depths)
 
     def stage_channels(self, scale: int) -> int:
         return self.base_channels * (1 << scale)
 
 
-def _blocks(channels: int, depth: int, state_dim: int, ratio: int,
+def _blocks(channels: int, depth: int, state_dim: int,
             rng: np.random.Generator) -> list[VSSBlock]:
-    return [VSSBlock(channels, state_dim, rng, ffn_ratio=ratio) for _ in range(depth)]
+    return [VSSBlock(channels, state_dim, rng) for _ in range(depth)]
 
 
 class EnhanceNet(Module):
@@ -87,14 +84,11 @@ class EnhanceNet(Module):
         self.downs = []
         for s in range(cfg.num_scales):
             ch = cfg.stage_channels(s)
-            self.encoder_stages.append(
-                _blocks(ch, cfg.encoder_depths[s], cfg.state_dim, cfg.ffn_ratio, rng)
-            )
+            self.encoder_stages.append(_blocks(ch, cfg.encoder_depths[s], cfg.state_dim, rng))
             self.downs.append(Conv2d(ch, cfg.stage_channels(s + 1), 3, rng, stride=2))
 
         self.bottleneck = _blocks(
-            cfg.stage_channels(cfg.num_scales), cfg.bottleneck_depth,
-            cfg.state_dim, cfg.ffn_ratio, rng,
+            cfg.stage_channels(cfg.num_scales), cfg.bottleneck_depth, cfg.state_dim, rng
         )
 
         self.ups = []
@@ -104,9 +98,7 @@ class EnhanceNet(Module):
             ch = cfg.stage_channels(s)
             self.ups.append(ConvTranspose2d(cfg.stage_channels(s + 1), ch, 4, rng))
             self.skip_projects.append(Conv2d(2 * ch, ch, 1, rng))
-            self.decoder_stages.append(
-                _blocks(ch, cfg.decoder_depths[s], cfg.state_dim, cfg.ffn_ratio, rng)
-            )
+            self.decoder_stages.append(_blocks(ch, cfg.decoder_depths[s], cfg.state_dim, rng))
 
         self.out_project = Conv2d(c0, 3, 3, rng, zero_init=True)
 
@@ -212,18 +204,18 @@ def charbonnier(pred: Tensor, target: Tensor, eps: float = 1e-3) -> Tensor:
     return (diff * diff + eps * eps).sqrt().mean()
 
 
-def training_step(model: VideoEnhancer, optimizer: AdamW, batch,
-                  loss_eps: float = 1e-3) -> float:
+def training_step(model: VideoEnhancer, optimizer: AdamW, batch) -> float:
     """One optimization step over ``batch`` = [(window, target), ...].
 
-    Forward through alignment and enhancement, Charbonnier loss, reverse-mode
-    gradients, AdamW update.  Deterministic given fixed parameters and batch.
+    Forward through alignment and enhancement, Charbonnier loss (eps 1e-3),
+    reverse-mode gradients, AdamW update.  Deterministic given fixed
+    parameters and batch.
     """
     optimizer.zero_grad()
     total = None
     for window, target in batch:
         out = model(window)
-        sample_loss = charbonnier(out, target, eps=loss_eps)
+        sample_loss = charbonnier(out, target)
         total = sample_loss if total is None else total + sample_loss
     loss = total * (1.0 / len(batch))
     value = loss.item()

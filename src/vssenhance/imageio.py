@@ -295,10 +295,6 @@ class VideoClip:
     def __len__(self):
         return len(self.frames)
 
-    @property
-    def resolution(self) -> tuple[int, int]:
-        return self.frames[0].shape[1], self.frames[0].shape[2]
-
 
 def load_clip(directory) -> VideoClip:
     """Decode every PNG/PPM in ``directory``, ordered by natural filename sort."""

@@ -18,7 +18,7 @@ from .tensor import ContractError, Tensor
 
 
 class Module:
-    """Base class giving parameter traversal, grad zeroing and checkpoint IO."""
+    """Base class giving the parameter traversal that checkpoints and AdamW use."""
 
     def named_parameters(self, prefix: str = ""):
         for name, value in vars(self).items():
@@ -38,13 +38,6 @@ class Module:
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
 
 def param(data, requires_grad: bool = True) -> Tensor:
@@ -72,10 +65,12 @@ class Linear(Module):
 
 
 class Conv2d(Module):
+    """A k x k convolution padded by (k - 1) // 2, so stride 1 keeps the size."""
+
     def __init__(self, in_ch: int, out_ch: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, pad: int | None = None, zero_init: bool = False):
+                 stride: int = 1, zero_init: bool = False):
         self.stride = stride
-        self.pad = (k - 1) // 2 if pad is None else pad
+        self.pad = (k - 1) // 2
         if zero_init:
             self.weight = param(np.zeros((out_ch, in_ch, k, k)))
         else:
@@ -89,26 +84,25 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    def __init__(self, in_ch: int, out_ch: int, k: int, rng: np.random.Generator,
-                 stride: int = 2, pad: int = 1):
-        self.stride = stride
-        self.pad = pad
+    """A stride-2, pad-1 transposed convolution: a 4 x 4 kernel doubles the size."""
+
+    def __init__(self, in_ch: int, out_ch: int, k: int, rng: np.random.Generator):
         self.weight = kaiming(rng, (in_ch, out_ch, k, k), in_ch * k * k)
         self.bias = param(np.zeros(out_ch))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv_transpose2d(x, self.weight, stride=self.stride, pad=self.pad,
-                                  bias=self.bias)
+        return T.conv_transpose2d(x, self.weight, stride=2, pad=1, bias=self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, channels: int, eps: float = 1e-5):
+    """Layer norm over channels with ``tensor.layer_norm``'s eps of 1e-5."""
+
+    def __init__(self, channels: int):
         self.gamma = param(np.ones(channels))
         self.beta = param(np.zeros(channels))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 # ---------------------------------------------------------------------------

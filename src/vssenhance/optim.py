@@ -7,13 +7,14 @@ import numpy as np
 from .tensor import Tensor
 
 
+BETA1, BETA2 = 0.9, 0.999  # moment decay rates
+EPS = 1e-8  # added to the second moment's root
+
+
 class AdamW:
-    def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params, lr: float = 1e-3, weight_decay: float = 0.0):
         self.params: list[Tensor] = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
@@ -26,17 +27,17 @@ class AdamW:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
             g = p.grad
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
+            self._m[i] = BETA1 * self._m[i] + (1.0 - BETA1) * g
+            self._v[i] = BETA2 * self._v[i] + (1.0 - BETA2) * (g * g)
             m_hat = self._m[i] / bc1
             v_hat = self._v[i] / bc2
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
+            update = m_hat / (np.sqrt(v_hat) + EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data = p.data - self.lr * update

@@ -56,6 +56,7 @@ __all__ = [
 
 # |delta * a| below this uses the series limit B_bar -> delta * B
 _ZOH_SERIES_THRESHOLD = 1e-8
+DELTA_FLOOR = 0.01  # a fresh selective head's step size, softplus(b_delta)
 
 
 class DomainError(ValueError):
@@ -134,10 +135,9 @@ class SelectiveHead(Module):
     b_delta: Tensor  # (1,)
 
     @staticmethod
-    def init(feat_dim: int, state_dim: int, rng: np.random.Generator,
-             delta_floor: float = 0.01) -> "SelectiveHead":
+    def init(feat_dim: int, state_dim: int, rng: np.random.Generator) -> "SelectiveHead":
         scale = 1.0 / np.sqrt(feat_dim)
-        bias = float(np.log(np.expm1(delta_floor)))  # softplus(bias) == delta_floor
+        bias = float(np.log(np.expm1(DELTA_FLOOR)))  # softplus(bias) == DELTA_FLOOR
         return SelectiveHead(
             w_b=Tensor(rng.normal(0.0, scale, size=(feat_dim, state_dim)), requires_grad=True),
             w_c=Tensor(rng.normal(0.0, scale, size=(feat_dim, state_dim)), requires_grad=True),

@@ -46,7 +46,13 @@ class DimensionError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """A size/stride/padding combination yields an impossible geometry."""
+    """An impossible size/stride/padding geometry, or a setting out of range."""
+
+    @classmethod
+    def require(cls, ok: bool, name: str, requirement: str, value) -> None:
+        """Raise ``<name> must be <requirement>, got <value>`` unless ``ok``."""
+        if not ok:
+            raise cls(f"{name} must be {requirement}, got {value!r}")
 
 
 class ContractError(RuntimeError):
@@ -573,32 +579,22 @@ def stack(tensors, axis: int = 0) -> Tensor:
     )
 
 
-def gather_rows(a, indices, inverse=None) -> Tensor:
+def gather_rows(a, indices, inverse) -> Tensor:
     """Select rows along axis 0: ``out[i] = a[indices[i]]``, or for (L, R)
-    ``indices`` ``out[i, r] = a[indices[i, r]]``.  When each column of
-    ``indices`` is a permutation, pass the columns' inverses so the backward
-    pass sums R plain gathers instead of a scatter-add."""
+    ``indices`` ``out[i, r] = a[indices[i, r]]``.  Each column of ``indices``
+    is a permutation and ``inverse`` holds the columns' inverses, so the
+    backward pass sums R plain gathers instead of a scatter-add."""
     a = _wrap(a)
     idx = np.asarray(indices, dtype=np.intp)
-    data = a.data[idx]
+    inv = np.asarray(inverse, dtype=np.intp)
+    if inv.shape != idx.shape:
+        raise DimensionError(f"inverse must be {idx.shape} like the indices, got {inv.shape}")
+    cols = inv.reshape(len(inv), -1)  # (L, R); R = 1 for (L,) indices
 
-    if inverse is not None:
-        inv = np.asarray(inverse, dtype=np.intp)
-        if inv.shape != idx.shape:
-            raise DimensionError(f"inverse must be {idx.shape} like the indices, got {inv.shape}")
-        cols = inv.reshape(len(inv), -1)  # (L, R); R = 1 for (L,) indices
+    def grad_fn(g):
+        return (_merge_columns(g.reshape(cols.shape + a.data.shape[1:]), cols),)
 
-        def grad_fn(g):
-            return (_merge_columns(g.reshape(cols.shape + a.data.shape[1:]), cols),)
-
-    else:
-
-        def grad_fn(g):
-            out = np.zeros_like(a.data)
-            np.add.at(out, idx, g)
-            return (out,)
-
-    return _node(data, (a,), grad_fn)
+    return _node(a.data[idx], (a,), grad_fn)
 
 
 def _merge_columns(g: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -610,39 +606,30 @@ def _merge_columns(g: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return out
 
 
-def pad2d_edges(a, top: int, bottom: int, left: int, right: int,
-                mode: str = "zero") -> Tensor:
-    """Pad the trailing two axes of a (C, H, W) tensor, per-edge amounts."""
+def pad2d_edges(a, top: int, bottom: int, left: int, right: int, mode: str) -> Tensor:
+    """Pad the trailing two axes of a (C, H, W) tensor, per-edge amounts, by
+    ``mode`` ``"reflect"`` or ``"edge"`` (``np.pad``'s modes)."""
     a = _wrap(a)
     if a.data.ndim != 3:
         raise DimensionError("padding expects a (C, H, W) tensor")
+    if mode not in ("reflect", "edge"):
+        raise ValueError(f"unknown padding mode {mode!r}")
     if not (top or bottom or left or right):
         return a
     C, H, W = a.data.shape
-    if mode == "zero":
-        data = np.zeros((C, H + top + bottom, W + left + right))
-        data[:, top : top + H, left : left + W] = a.data
+    if mode == "reflect" and (max(top, bottom) >= H or max(left, right) >= W):
+        raise DimensionError("reflection padding must be smaller than the image")
+    iy = np.pad(np.arange(H), (top, bottom), mode=mode)
+    ix = np.pad(np.arange(W), (left, right), mode=mode)
 
-        def grad_fn(g):
-            return (np.ascontiguousarray(g[:, top : top + H, left : left + W]),)
+    def grad_fn(g):
+        gy = np.zeros((C, H, W + left + right))
+        np.add.at(gy, (slice(None), iy), g)
+        gx = np.zeros((C, H, W))
+        np.add.at(gx, (slice(None), slice(None), ix), gy)
+        return (gx,)
 
-        return _node(data, (a,), grad_fn)
-    if mode in ("reflect", "edge"):
-        if mode == "reflect" and (max(top, bottom) >= H or max(left, right) >= W):
-            raise DimensionError("reflection padding must be smaller than the image")
-        iy = np.pad(np.arange(H), (top, bottom), mode=mode)
-        ix = np.pad(np.arange(W), (left, right), mode=mode)
-        data = a.data[:, iy][:, :, ix]
-
-        def grad_fn(g):
-            gy = np.zeros((C, H, W + left + right))
-            np.add.at(gy, (slice(None), iy), g)
-            gx = np.zeros((C, H, W))
-            np.add.at(gx, (slice(None), slice(None), ix), gy)
-            return (gx,)
-
-        return _node(data, (a,), grad_fn)
-    raise ValueError(f"unknown padding mode {mode!r}")
+    return _node(a.data[:, iy][:, :, ix], (a,), grad_fn)
 
 
 # ---- matmul ----------------------------------------------------------------

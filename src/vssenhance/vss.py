@@ -16,13 +16,11 @@ from .tensor import DimensionError, Tensor, gelu, recompute
 
 
 class FeedForward(Module):
-    """linear -> GELU -> linear on (L, C) tokens, expansion ratio r; a
+    """linear -> GELU -> linear on (L, C) tokens, hidden width 2C; a
     ``residual`` is added inside the last linear's node."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, ratio: int = 2):
-        if ratio < 1:
-            raise DimensionError("feedforward expansion ratio must be >= 1")
-        hidden = ratio * channels
+    def __init__(self, channels: int, rng: np.random.Generator):
+        hidden = 2 * channels
         self.expand = Linear(channels, hidden, rng)
         self.project = Linear(hidden, channels, rng, zero_init=True)
 
@@ -31,14 +29,13 @@ class FeedForward(Module):
 
 
 class VSSBlock(Module):
-    def __init__(self, channels: int, state_dim: int, rng: np.random.Generator,
-                 ffn_ratio: int = 2):
+    def __init__(self, channels: int, state_dim: int, rng: np.random.Generator):
         self.channels = channels
         self.norm1 = LayerNorm(channels)
         self.ss2d = SS2D(channels, state_dim, rng)
         self.scan_project = Linear(channels, channels, rng, zero_init=True)
         self.norm2 = LayerNorm(channels)
-        self.ffn = FeedForward(channels, rng, ratio=ffn_ratio)
+        self.ffn = FeedForward(channels, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return vss_forward(x, self)

@@ -54,6 +54,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             EnhanceNetConfig(base_channels=0)
 
+    def test_scale_count_and_stage_depths_are_range_checked(self):
+        # the rules a config file's [model] section has always had
+        with pytest.raises(ConfigurationError, match="num_scales must be between 1 and 6"):
+            EnhanceNetConfig(num_scales=9, encoder_depths=(1,) * 9, decoder_depths=(1,) * 9)
+        with pytest.raises(ConfigurationError, match="encoder_depths must be depths >= 1"):
+            EnhanceNetConfig(encoder_depths=(2, 0, 2))
+        with pytest.raises(ConfigurationError, match="decoder_depths must be depths >= 1"):
+            EnhanceNetConfig(decoder_depths=(0, 0, 0))
+        assert EnhanceNetConfig(num_scales=6, encoder_depths=[1] * 6,
+                                decoder_depths=[1] * 6).encoder_depths == (1,) * 6
+
     def test_channel_doubling(self):
         cfg = EnhanceNetConfig()
         assert [cfg.stage_channels(s) for s in range(4)] == [16, 32, 64, 128]

@@ -1,10 +1,13 @@
 """Frame IO, configuration parsing, and the four CLI commands."""
 
 import csv
+import re
 import struct
 import subprocess
 import sys
 import zlib
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vssenhance.cli import main
-from vssenhance.config import SEED_ENV_VAR, load_config, parse_config
+from vssenhance.config import (
+    SEED_ENV_VAR,
+    DataPaths,
+    RunConfig,
+    TrainSettings,
+    load_config,
+    parse_config,
+)
+from vssenhance.enhance import EnhanceNetConfig
 from vssenhance.imageio import (
     IngestionError,
     load_clip,
@@ -299,7 +310,6 @@ class TestConfig:
         cfg = parse_config(BASE_CONFIG.format(low="a", gt="b", ckpt="c"))
         assert cfg.model.input_frames == 3
         assert cfg.train.lr == 2e-3
-        assert cfg.preprocess.adapt_color is False
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
@@ -325,6 +335,67 @@ class TestConfig:
         monkeypatch.setenv(SEED_ENV_VAR, "12345")
         cfg = parse_config("[train]\nseed = 7\n")
         assert cfg.train.seed == 12345
+
+    def test_sections_and_keys_are_the_dataclass_fields(self):
+        cfg = parse_config("")
+        assert cfg == RunConfig()
+        for section in fields(RunConfig):
+            for key in fields(section.default_factory):
+                value = getattr(getattr(cfg, section.name), key.name)
+                text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+                parsed = parse_config(f"[{section.name}]\n{key.name} = {text}\n")
+                assert parsed == cfg, (section.name, key.name)
+        # options that are now constants are unknown keys and sections
+        with pytest.raises(ConfigurationError, match="unknown key 'ffn_ratio'"):
+            parse_config("[model]\nffn_ratio = 2\n")
+        with pytest.raises(ConfigurationError, match=r"unknown section \[preprocess\]"):
+            parse_config("[preprocess]\nadapt_color = true\n")
+
+    @pytest.mark.parametrize("value", ["1,,1", "2,2,", ",2,2", "", " , "])
+    def test_empty_list_items_rejected(self, value):
+        with pytest.raises(ConfigurationError,
+                           match=r"\[model\] encoder_depths: empty item"):
+            parse_config(f"[model]\nencoder_depths = {value}\n")
+
+    @pytest.mark.parametrize("section, key, value, cls", [
+        ("model", "num_scales", 9, EnhanceNetConfig),
+        ("model", "bottleneck_depth", 0, EnhanceNetConfig),
+        ("train", "seed", -5, TrainSettings),
+        ("train", "seed", 2**64, TrainSettings),
+        ("train", "lr", 1.5, TrainSettings),
+        ("train", "weight_decay", 1.0, TrainSettings),
+        ("train", "checkpoint_every", 0, TrainSettings),
+    ])
+    def test_file_and_constructor_fail_the_same_check(self, section, key, value, cls):
+        extra = {"num_scales": {"encoder_depths": (1,) * 9, "decoder_depths": (1,) * 9}}
+        with pytest.raises(ConfigurationError) as direct:
+            cls(**{key: value, **extra.get(key, {})})
+        assert str(direct.value).startswith(f"{key} must be ")
+        lines = "".join(f"{k} = {','.join(map(str, v))}\n" for k, v in extra.get(key, {}).items())
+        with pytest.raises(ConfigurationError) as parsed:
+            parse_config(f"[{section}]\n{key} = {value}\n{lines}")
+        assert str(parsed.value) == f"[{section}] {direct.value}"
+
+    def test_env_seed_is_range_checked(self, monkeypatch):
+        # -5 and 2**64 from the environment: TestCLI's named-error test
+        monkeypatch.setenv(SEED_ENV_VAR, str(2**64 - 1))
+        assert parse_config("").train.seed == 2**64 - 1
+        monkeypatch.setenv(SEED_ENV_VAR, "seven")
+        with pytest.raises(ConfigurationError, match=f"{SEED_ENV_VAR}: expected an integer"):
+            parse_config("")
+
+    def test_data_checkpoint_dir_must_be_non_empty(self):
+        with pytest.raises(ConfigurationError, match=r"\[data\] checkpoint_dir must be"):
+            parse_config("[data]\ncheckpoint_dir =\n")
+        with pytest.raises(ConfigurationError, match="checkpoint_dir must be non-empty"):
+            DataPaths(checkpoint_dir="")
+
+    def test_readme_config_block_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        cfg = parse_config(blocks[0])
+        assert cfg.model == EnhanceNetConfig() and cfg.train.seed == 1234
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -485,6 +556,38 @@ class TestCLI:
             "--input", str(low_dir), "--output", str(out_dir),
         ]) == 0
         assert len(list(out_dir.iterdir())) == 4
+
+    def test_adapt_color_flag_alone_switches_adaptation(self, tmp_path, rng):
+        # an identity checkpoint passes frames through, so only the flag's
+        # gray-world adaptation can move a blue cast toward gray
+        config, _, _, _ = self._setup_run(tmp_path, rng)
+        config.write_text(config.read_text().replace("steps = 2", "steps = 0"))
+        assert main(["train", "--config", str(config)]) == 0
+        cast = np.array([0.4, 0.5, 0.9]).reshape(3, 1, 1)
+        clip_dir = tmp_path / "cast"
+        write_clip(clip_dir, [cast * rng.uniform(0.3, 0.7, size=(3, 8, 8)) for _ in range(3)],
+                   bit_depth=16)
+        spreads = []
+        for flags in ([], ["--adapt-color"]):
+            out_dir = tmp_path / f"out{len(flags)}"
+            assert main(["enhance", "--config", str(config), *flags,
+                         "--input", str(clip_dir), "--output", str(out_dir)]) == 0
+            means = np.mean([f.reshape(3, -1).mean(axis=1) for f in load_clip(out_dir).frames],
+                            axis=0)
+            spreads.append(means.max() / means.min())
+        assert spreads[0] > 2.0 and spreads[1] < 1.1
+
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_train_out_of_range_env_seed_is_named_error(self, tmp_path, rng, capsys,
+                                                         monkeypatch, seed):
+        config, _, _, ckpt = self._setup_run(tmp_path, rng)
+        monkeypatch.setenv(SEED_ENV_VAR, str(seed))
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert "[train] seed must be a 64-bit unsigned integer" in err and str(seed) in err
+        assert not ckpt.exists()
 
     def test_enhance_extracts_each_frame_once(self, tmp_path, rng, monkeypatch):
         # the sliding window keeps each frame's pyramid while a window holds

@@ -692,13 +692,6 @@ class TestShapingOps:
         with pytest.raises(DimensionError):
             gather_rows(Tensor(x), perm, inverse=inv[:, 0])
 
-    def test_gather_rows_with_repeats(self, rng):
-        x = rng.normal(size=(4, 2))
-        idx = np.array([0, 0, 3])
-        check_gradients(lambda ts: (gather_rows(ts[0], idx) ** 2.0).sum(), [x])
-        cols = np.array([[0, 1], [0, 3], [3, 3]])  # (L, R) indices, no inverse
-        check_gradients(lambda ts: (gather_rows(ts[0], cols) ** 2.0).sum(), [x])
-
     def test_concat_and_slice_gradients(self, rng):
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(4, 3))
@@ -725,9 +718,16 @@ class TestShapingOps:
             lambda ts: (T.pad2d_edges(ts[0], 1, 1, 2, 2, mode="reflect") ** 2.0).sum(), [x]
         )
 
-    def test_pad_zero_gradients(self, rng):
+    def test_pad_edge_replicates_and_unknown_mode_rejected(self, rng):
         x = rng.normal(size=(2, 3, 3))
-        check_gradients(lambda ts: (T.pad2d_edges(ts[0], 1, 1, 1, 1) ** 2.0).sum(), [x])
+        padded = T.pad2d_edges(Tensor(x), 0, 4, 0, 5, mode="edge")
+        assert np.array_equal(padded.data, np.pad(x, ((0, 0), (0, 4), (0, 5)), mode="edge"))
+        check_gradients(
+            lambda ts: (T.pad2d_edges(ts[0], 1, 4, 2, 5, mode="edge") ** 2.0).sum(), [x]
+        )
+        for mode in ("zero", "constant"):
+            with pytest.raises(ValueError, match="unknown padding mode"):
+                T.pad2d_edges(Tensor(x), 1, 1, 1, 1, mode=mode)
 
     def test_empty_dimension_is_legal(self):
         x = Tensor(np.zeros((0, 4)))
