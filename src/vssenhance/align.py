@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
 from . import tensor as T
 from .layers import Conv2d, Module
@@ -116,8 +114,12 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
     operator's weights: it rebuilds the weights from them, and forms the two
     (C, M) coordinate derivatives there, from the values ``f``.  The samples
     are written into ``out``, a (C, M) buffer whose old values are ignored,
-    if one is given.
+    if one is given.  SciPy's CSR kernel is imported here, on the first
+    call, so that a process that runs no model layer never loads SciPy.
     """
+    from scipy import sparse
+    from scipy.sparse import _sparsetools
+
     f = _wrap(f)
     if f.data.ndim != 3:
         raise DimensionError("bilinear_gather expects (C, H, W) values")

@@ -200,6 +200,7 @@ def cmd_metrics(args) -> int:
         [i, repr(psnr(a, b, peak=args.peak)), repr(ssim(a, b, peak=args.peak))]
         for i, (a, b) in enumerate(zip(ref.frames, test.frames))
     ]
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame_index", "psnr_db", "ssim"])
@@ -258,6 +259,7 @@ def cmd_scan_bench(args) -> int:
                 for name, fn in SCAN_MODES.items():
                     median_ns = _time_scan(fn, ssm, x, args.repeats)
                     rows.append([name, L, d, median_ns, repr(disagreement)])
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "L", "d", "median_ns", "max_abs_disagreement"])

@@ -122,6 +122,9 @@ def chromatic_adapt(frame: np.ndarray, src: Illuminant, dst: Illuminant) -> np.n
 # ---------------------------------------------------------------------------
 
 
+PSNR_CHUNK = 1 << 16  # samples differenced at a time: no frame-sized temporary
+
+
 def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     """10 log10(peak^2 / MSE); identical inputs report +infinity."""
     a = np.asarray(a, dtype=np.float64)
@@ -130,15 +133,21 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
         raise DimensionError(f"psnr inputs differ in shape: {a.shape} vs {b.shape}")
     if peak <= 0:
         raise DimensionError("psnr peak must be positive")
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
+    a, b = a.reshape(-1), b.reshape(-1)
+    sse = 0.0
+    for i in range(0, a.size, PSNR_CHUNK):
+        d = a[i : i + PSNR_CHUNK] - b[i : i + PSNR_CHUNK]
+        d *= d
+        sse += float(d.sum())
+    if sse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(peak * peak / (sse / a.size))
 
 
 # SSIM's Gaussian window and stabilizer constants (Wang et al. 2004)
 SSIM_WINDOW, SSIM_SIGMA = 11, 1.5
 SSIM_K1, SSIM_K2 = 0.01, 0.03
+SSIM_BAND = 64  # output rows scored at a time
 _SSIM_KERNEL = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0) ** 2)
                       / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
 _SSIM_KERNEL /= _SSIM_KERNEL.sum()
@@ -157,16 +166,43 @@ def _windowed_mean(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return (np.lib.stride_tricks.sliding_window_view(x, k, axis=0) @ kernel).T
 
 
+def _ssim_sum(a: np.ndarray, b: np.ndarray, c1: float, c2: float) -> float:
+    """Sum of the SSIM map over the valid windows of 2-D ``a`` and ``b``."""
+    mu_a = _windowed_mean(a, _SSIM_KERNEL)
+    mu_b = _windowed_mean(b, _SSIM_KERNEL)
+    var_a = _windowed_mean(a * a, _SSIM_KERNEL)
+    var_a -= mu_a * mu_a
+    var_b = _windowed_mean(b * b, _SSIM_KERNEL)
+    var_b -= mu_b * mu_b
+    cov = _windowed_mean(a * b, _SSIM_KERNEL)
+    cov -= mu_a * mu_b
+    # (2 mu_a mu_b + c1)(2 cov + c2) / ((mu_a^2 + mu_b^2 + c1)(var_a + var_b + c2)),
+    # updating the maps in place so that fewer of them are alive at once
+    cov *= 2.0
+    cov += c2
+    cov *= 2.0 * mu_a * mu_b + c1
+    var_a += var_b
+    var_a += c2
+    var_a *= mu_a * mu_a + mu_b * mu_b + c1
+    cov /= var_a
+    return float(cov.sum())
+
+
 def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     """Mean structural similarity over valid 11x11 Gaussian windows.
 
     Computed per channel and averaged; the luminance/contrast/structure
     product uses the standard stabilizers C1 = (0.01 peak)^2, C2 = (0.03 peak)^2.
+    Each channel is scored in bands of ``SSIM_BAND`` output rows, each band
+    reading the 10 rows of window overlap below it, so every map is exact and
+    only band-sized ones are alive at a time.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"ssim inputs differ in shape: {a.shape} vs {b.shape}")
+    if peak <= 0:
+        raise DimensionError("ssim peak must be positive")
     if a.ndim == 2:
         a = a[None]
         b = b[None]
@@ -175,27 +211,15 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
             f"image {a.shape[1]}x{a.shape[2]} is smaller than the {SSIM_WINDOW}x"
             f"{SSIM_WINDOW} window"
         )
-    kernel = _SSIM_KERNEL
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
+    rows = a.shape[1] - SSIM_WINDOW + 1
+    cols = a.shape[2] - SSIM_WINDOW + 1
     scores = []
     for ca, cb in zip(a, b):
-        mu_a = _windowed_mean(ca, kernel)
-        mu_b = _windowed_mean(cb, kernel)
-        var_a = _windowed_mean(ca * ca, kernel)
-        var_a -= mu_a * mu_a
-        var_b = _windowed_mean(cb * cb, kernel)
-        var_b -= mu_b * mu_b
-        cov = _windowed_mean(ca * cb, kernel)
-        cov -= mu_a * mu_b
-        # (2 mu_a mu_b + c1)(2 cov + c2) / ((mu_a^2 + mu_b^2 + c1)(var_a + var_b + c2)),
-        # updating the maps in place so that fewer of them are alive at once
-        cov *= 2.0
-        cov += c2
-        cov *= 2.0 * mu_a * mu_b + c1
-        var_a += var_b
-        var_a += c2
-        var_a *= mu_a * mu_a + mu_b * mu_b + c1
-        cov /= var_a
-        scores.append(np.mean(cov))
+        total = 0.0
+        for r in range(0, rows, SSIM_BAND):
+            band = slice(r, min(r + SSIM_BAND, rows) + SSIM_WINDOW - 1)
+            total += _ssim_sum(ca[band], cb[band], c1, c2)
+        scores.append(total / (rows * cols))
     return float(np.mean(scores))

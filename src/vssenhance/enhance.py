@@ -198,16 +198,19 @@ def temporal_window(frames: list, center: int, size: int) -> list:
     return [frames[min(max(center + d, 0), n - 1)] for d in range(-half, half + 1)]
 
 
-def charbonnier(pred: Tensor, target: Tensor, eps: float = 1e-3) -> Tensor:
-    """Robust L1: mean of sqrt(residual^2 + eps^2)."""
+CHARBONNIER_EPS = 1e-3
+
+
+def charbonnier(pred: Tensor, target: Tensor) -> Tensor:
+    """Robust L1: mean of sqrt(residual^2 + eps^2), eps = ``CHARBONNIER_EPS``."""
     diff = pred - target
-    return (diff * diff + eps * eps).sqrt().mean()
+    return (diff * diff + CHARBONNIER_EPS * CHARBONNIER_EPS).sqrt().mean()
 
 
 def training_step(model: VideoEnhancer, optimizer: AdamW, batch) -> float:
     """One optimization step over ``batch`` = [(window, target), ...].
 
-    Forward through alignment and enhancement, Charbonnier loss (eps 1e-3),
+    Forward through alignment and enhancement, Charbonnier loss,
     reverse-mode gradients, AdamW update.  Deterministic given fixed
     parameters and batch.
     """

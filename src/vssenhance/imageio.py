@@ -175,7 +175,7 @@ def _read_png(path: Path) -> tuple[np.ndarray, int]:
         rgb = np.repeat(values[:, :, :1], 3, axis=2)
     else:
         rgb = values[:, :, :3]
-    return np.ascontiguousarray(rgb), bit_depth
+    return rgb, bit_depth
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def _read_ppm(path: Path) -> tuple[np.ndarray, int, int]:
     if data.size != count:
         raise IngestionError(f"{path}: truncated PPM payload")
     bit_depth = 16 if maxval > 255 else 8
-    return data.reshape(H, W, 3).astype(np.uint16), bit_depth, maxval
+    return data.reshape(H, W, 3), bit_depth, maxval
 
 
 def _write_ppm(path: Path, samples: np.ndarray, bit_depth: int) -> None:
@@ -253,8 +253,10 @@ def read_image(path) -> tuple[np.ndarray, int]:
         raise
     except Exception as exc:  # corrupt zlib stream, truncated header, ...
         raise IngestionError(f"{path}: unreadable image ({exc})") from exc
-    frame = rgb.astype(np.float64).transpose(2, 0, 1) / scale
-    return np.ascontiguousarray(frame), bit_depth
+    # one pass: each sample is converted and divided straight into the frame
+    frame = np.empty((3,) + rgb.shape[:2])
+    np.divide(rgb.transpose(2, 0, 1), scale, out=frame)
+    return frame, bit_depth
 
 
 def write_image(path, frame: np.ndarray, bit_depth: int = 8) -> None:

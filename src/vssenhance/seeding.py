@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# numpy imports its random module on first use, about 12 ms; every model
+# command draws from it in set-up, so it is loaded with the package
+import numpy.random  # noqa: F401
+
 # Fixed stream offsets. Append only; reordering breaks run reproducibility.
 STREAMS = {
     "model": 1,

@@ -14,7 +14,6 @@ import struct
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -453,7 +452,12 @@ def gelu(a) -> Tensor:
     """Exact (erf-based) GELU.  Backward keeps no array: it recovers the CDF
     as output / input, within a few ulp, and as 1/2 where x * x underflows
     to zero (|x| below about 1.5e-162), where forward's CDF is exactly 1/2
-    and the quotient would be 0/0 or, for subnormal x, inexact."""
+    and the quotient would be 0/0 or, for subnormal x, inexact.
+
+    SciPy is imported here, on the first call, so that a process that runs
+    no model layer never loads it."""
+    from scipy.special import erf
+
     a = _wrap(a)
     x = a.data
     data = x * _INV_SQRT2  # x * (0.5 * (1.0 + erf(x / sqrt 2))), formed in place

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from vssenhance.color import (
     D65_WHITE_RGB,
+    PSNR_CHUNK,
+    SSIM_BAND,
     Illuminant,
     adaptation_transform,
     chromatic_adapt,
@@ -98,6 +100,26 @@ class TestChromaticAdaptation:
         assert np.abs(srgb_encode(srgb_decode(v)) - v).max() < 1e-12
 
 
+def full_frame_ssim(a, b, peak):
+    """SSIM with every valid 11x11 window weighted by the 2-D Gaussian at
+    once over the whole frame: no separable passes, no bands and no in-place
+    updates to get wrong."""
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+    g = np.exp(-((np.arange(11) - 5.0) ** 2) / (2 * 1.5**2))
+    weights = np.outer(g, g) / g.sum() ** 2
+
+    def mean(x):
+        windows = np.lib.stride_tricks.sliding_window_view(x, (11, 11), axis=(1, 2))
+        return np.einsum("chwij,ij->chw", windows, weights)
+
+    mu_a, mu_b = mean(a), mean(b)
+    var_a, var_b = mean(a * a) - mu_a**2, mean(b * b) - mu_b**2
+    cov = mean(a * b) - mu_a * mu_b
+    score = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+             / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)))
+    return score.mean(axis=(1, 2)).mean()
+
+
 class TestPSNR:
     def test_identical_images_infinite(self, rng):
         a = rng.uniform(size=(3, 8, 8))
@@ -118,6 +140,14 @@ class TestPSNR:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             psnr(np.zeros((3, 4, 4)), np.zeros((3, 4, 5)))
+
+    def test_chunks_match_one_mean(self, rng):
+        # more samples than one chunk, and not a multiple of it
+        a = rng.uniform(size=(3, 151, 149))
+        b = np.clip(a + rng.normal(0, 0.05, size=a.shape), 0, 1)
+        assert a.size > PSNR_CHUNK and a.size % PSNR_CHUNK
+        want = 10.0 * math.log10(1.0 / np.mean((a - b) ** 2))
+        assert abs(psnr(a, b) - want) <= 1e-12 * want
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -161,24 +191,27 @@ class TestSSIM:
 
     @pytest.mark.parametrize("shape", [(3, 13, 29), (2, 31, 12)])
     def test_matches_per_window_formula(self, rng, shape):
-        # every valid 11x11 window weighted by the 2-D Gaussian at once: no
-        # separable passes and no in-place updates to get wrong
         a = rng.uniform(size=shape)
         b = np.clip(a + rng.normal(0, 0.1, size=shape), 0, 1)
-        peak, c1, c2 = 2.0, (0.01 * 2.0) ** 2, (0.03 * 2.0) ** 2
-        g = np.exp(-((np.arange(11) - 5.0) ** 2) / (2 * 1.5**2))
-        weights = np.outer(g, g) / g.sum() ** 2
+        assert abs(ssim(a, b, peak=2.0) - full_frame_ssim(a, b, peak=2.0)) < 1e-12
 
-        def mean(x):
-            windows = np.lib.stride_tricks.sliding_window_view(x, (11, 11), axis=(1, 2))
-            return np.einsum("chwij,ij->chw", windows, weights)
+    @pytest.mark.parametrize(
+        "rows", [1, SSIM_BAND - 1, SSIM_BAND, SSIM_BAND + 1, 2 * SSIM_BAND + 1])
+    def test_bands_match_the_full_frame(self, rng, rows):
+        # output-row counts below, at and across the band height; the last
+        # band is short, and 1 row is the 11x11 minimum when the width is 11
+        for width in (11, 23):
+            shape = (3, rows + 10, width)
+            a = rng.uniform(size=shape)
+            b = np.clip(a + rng.normal(0, 0.1, size=shape), 0, 1)
+            want = full_frame_ssim(a, b, peak=1.0)
+            assert abs(ssim(a, b) - want) <= 1e-12 * abs(want)
 
-        mu_a, mu_b = mean(a), mean(b)
-        var_a, var_b = mean(a * a) - mu_a**2, mean(b * b) - mu_b**2
-        cov = mean(a * b) - mu_a * mu_b
-        score = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)
-                 / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)))
-        assert abs(ssim(a, b, peak=peak) - score.mean(axis=(1, 2)).mean()) < 1e-12
+    @pytest.mark.parametrize("peak", [0.0, -1.0])
+    def test_nonpositive_peak_rejected(self, peak):
+        a = np.full((3, 12, 12), 0.5)
+        with pytest.raises(DimensionError, match="peak must be positive"):
+            ssim(a, a, peak=peak)
 
     def test_noise_reduces_score(self, rng):
         a = rng.uniform(size=(1, 20, 20))

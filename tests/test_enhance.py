@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vssenhance.enhance import (
+    CHARBONNIER_EPS,
     EnhanceNet,
     EnhanceNetConfig,
     TrainingDiverged,
@@ -234,12 +235,13 @@ class TestTemporalWindow:
 class TestCharbonnier:
     def test_zero_residual_gives_eps(self, rng):
         x = Tensor(rng.uniform(size=(3, 4, 4)))
-        assert abs(charbonnier(x, x, eps=1e-3).item() - 1e-3) < 1e-15
+        assert abs(charbonnier(x, x).item() - CHARBONNIER_EPS) < 1e-15
 
     def test_constant_residual_limit(self, rng):
         a = Tensor(rng.uniform(size=(3, 4, 4)))
         b = a + 0.1
-        assert abs(charbonnier(b, a, eps=1e-12).item() - 0.1) < 1e-9
+        want = np.sqrt(0.1**2 + CHARBONNIER_EPS**2)
+        assert abs(charbonnier(b, a).item() - want) < 1e-9
 
 
 class TestTrainingStep:

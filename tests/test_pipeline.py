@@ -141,6 +141,22 @@ class TestImageIO:
         assert depth == 8
         assert np.array_equal(back, frame)
 
+    @pytest.mark.parametrize("fmt", ["png8", "png16", "ppm1000"])
+    def test_read_image_is_one_contiguous_float64_frame(self, tmp_path, rng, fmt):
+        # bitwise the three-pass formula it replaced: convert, transpose, divide
+        peak = {"png8": 255, "png16": 65535, "ppm1000": 1000}[fmt]
+        samples = rng.integers(0, peak + 1, size=(5, 7, 3))
+        if fmt == "ppm1000":
+            path = tmp_path / "f.ppm"
+            path.write_bytes(b"P6\n7 5\n1000\n" + samples.astype(">u2").tobytes())
+        else:
+            path = tmp_path / "f.png"
+            write_image(path, samples.transpose(2, 0, 1) / peak, bit_depth=8 if peak == 255 else 16)
+        frame, _ = read_image(path)
+        want = np.ascontiguousarray(samples.astype(np.float64).transpose(2, 0, 1) / float(peak))
+        assert frame.dtype == np.float64 and frame.flags.c_contiguous
+        assert frame.shape == (3, 5, 7) and np.array_equal(frame, want)
+
     def test_black_ppm_is_zeros(self, tmp_path):
         path = tmp_path / "black.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
@@ -675,6 +691,19 @@ class TestCLI:
             assert 10.0 < float(row[1]) < 40.0
             assert -1.0 <= float(row[2]) <= 1.0
 
+    @pytest.mark.parametrize("command", ["metrics", "scan-bench"])
+    def test_out_creates_missing_directories(self, tmp_path, rng, command):
+        out = tmp_path / "sub" / "dir" / "out.csv"
+        if command == "metrics":
+            frames = [rng.uniform(size=(3, 12, 12))]
+            write_clip(tmp_path / "ref", frames)
+            write_clip(tmp_path / "test", frames)
+            argv = ["metrics", "--ref", str(tmp_path / "ref"), "--test", str(tmp_path / "test")]
+        else:
+            argv = ["scan-bench", "--lengths", "16", "--dims", "2", "--repeats", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(list(csv.reader(out.open()))) > 1
+
     def test_scan_bench_csv(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert main([
@@ -716,6 +745,47 @@ class TestProcess:
         # cost every command about 6 MB of RSS; this keeps it that way
         assert run_python("import sys, vssenhance.cli; "
                           "print('scipy.linalg' in sys.modules)") == "False"
+
+    def test_cli_import_leaves_out_scipy(self):
+        # SciPy is imported by the first GELU or gather: loaded with the
+        # package, it would cost a command that runs no model layer about
+        # 0.3 s and 20 MB of RSS
+        assert run_python("import sys, vssenhance.cli; "
+                          "print(sorted(m for m in sys.modules if m.startswith('scipy')))") == "[]"
+
+    def test_model_setup_loads_no_scipy_until_the_first_op(self, tmp_path):
+        code = """
+import sys
+import numpy as np
+from vssenhance.enhance import EnhanceNetConfig, VideoEnhancer
+from vssenhance.layers import load_checkpoint, save_checkpoint
+from vssenhance.tensor import Tensor, no_grad
+cfg = EnhanceNetConfig(input_frames=3, feature_channels=4, base_channels=4, state_dim=2,
+                       num_scales=2, encoder_depths=(1, 1), decoder_depths=(1, 1),
+                       bottleneck_depth=1)
+model = VideoEnhancer(cfg, np.random.default_rng(0))
+save_checkpoint(model, sys.argv[1])
+load_checkpoint(model, sys.argv[1])
+print(any(m.startswith("scipy") for m in sys.modules))
+with no_grad():
+    model([Tensor(np.full((3, 8, 8), 0.5)) for _ in range(3)])
+print("scipy.special" in sys.modules, "scipy.sparse" in sys.modules)
+"""
+        assert run_python(code, str(tmp_path / "ckpt")).split() == ["False", "True", "True"]
+
+    def test_metrics_command_loads_no_scipy(self, tmp_path, rng):
+        frames = [rng.uniform(size=(3, 16, 16)) for _ in range(2)]
+        write_clip(tmp_path / "ref", frames)
+        write_clip(tmp_path / "test", [np.clip(f + 0.05, 0, 1) for f in frames])
+        code = """
+import sys
+from vssenhance.cli import main
+code = main(["metrics", "--ref", sys.argv[1], "--test", sys.argv[2], "--out", sys.argv[3]])
+print(code, any(m.startswith("scipy") for m in sys.modules))
+"""
+        out = run_python(code, str(tmp_path / "ref"), str(tmp_path / "test"),
+                         str(tmp_path / "m.csv"))
+        assert out.splitlines()[-1] == "0 False"
 
     def test_kept_heap_reuses_freed_buffers_without_page_faults(self):
         # 32 MiB of 2 MiB buffers, freed and made again: glibc's default

@@ -11,7 +11,9 @@ then the tier-1 test command.  Each run's last
 JSON line, the machine facts it prints (nproc, BLAS threads, Python and numpy
 versions), the 128x128 window's extract, PCD and net times, the 128x128
 training step's time, minor page faults and autograd graph bytes, the 1080p
-frame's ``read_image`` time, the tier-1 wall time, the ids of the tests that
+frame's ``read_image`` time, the import footprint of ``vssenhance.cli`` in a
+fresh interpreter (wall time, ``ru_maxrss`` and the SciPy modules it loaded),
+the tier-1 wall time, the ids of the tests that
 failed or errored and the duration of ``test_06_toy_overfit`` go into
 ``BENCH_<tag>.json`` at the repository root, with the ``HEAD`` commit,
 whether the working tree differs from it and the line count of
@@ -179,12 +181,40 @@ def decode_1080p() -> dict:
             "read_ms": round(statistics.median(times), 1), "correct": correct}
 
 
-def tier1() -> dict:
-    print("running: tier-1 tests", flush=True)
+# run in a fresh interpreter: what every vssenhance command pays before main()
+IMPORT_PROBE = """\
+import json, resource, sys, time
+start = time.perf_counter()
+import vssenhance.cli
+wall_ms = (time.perf_counter() - start) * 1e3
+print(json.dumps({
+    "wall_ms": round(wall_ms, 1),
+    "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+    "scipy_modules": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+}))
+"""
+
+
+def src_env() -> dict:
+    """This process's environment with ``src`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def import_footprint() -> dict:
+    """Wall time and peak RSS of ``import vssenhance.cli`` in a fresh
+    interpreter, and the SciPy modules that import loads."""
+    print("running: import of vssenhance.cli", flush=True)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=ROOT, env=src_env(),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def tier1() -> dict:
+    print("running: tier-1 tests", flush=True)
     start = time.monotonic()
-    proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = subprocess.run(TIER1, cwd=ROOT, env=src_env(), capture_output=True, text=True)
     wall = time.monotonic() - start
     tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {kind: int(n) for n, kind in SUMMARY.findall(tail)}
@@ -237,6 +267,7 @@ def main(argv=None) -> int:
         "window_128": inference_window(),
         "train_128": train_step(),
         "decode_1080p": decode_1080p(),
+        "import_footprint": import_footprint(),
         "tier1": tier1(),
     }
     out = ROOT / f"BENCH_{args.tag}.json"
