@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vssenhance.cli import main
@@ -259,11 +259,23 @@ class TestImageIO:
     @pytest.mark.parametrize("color_type", [0, 2, 4, 6])
     @pytest.mark.parametrize("bit_depth", [8, 16])
     @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.sets(st.integers(0, 4), min_size=1).map(sorted))
+    # the decoder takes a different path for each set of kinds present: none
+    # and sub rows alone skip the wavefront, which computes only the kinds left
+    @example(seed=0, kinds=[0])
+    @example(seed=1, kinds=[1])
+    @example(seed=2, kinds=[2])
+    @example(seed=3, kinds=[3])
+    @example(seed=4, kinds=[4])
+    @example(seed=5, kinds=[1, 4])
+    @example(seed=6, kinds=[1, 3])
+    @example(seed=7, kinds=[0, 1, 2, 3, 4])
     def test_png_random_row_filters_match_bytewise_oracle(
-        self, tmp_path_factory, shape, color_type, bit_depth, seed
+        self, tmp_path_factory, shape, color_type, bit_depth, seed, kinds
     ):
-        # every row takes a random filter type 0-4; half the images keep every
+        # every row takes a filter type drawn from ``kinds``, each kind at
+        # least once if there are enough rows; half the images keep every
         # byte in {0, 10, 20, 30}, where paeth's distances tie often (left 30,
         # up 0, upper-left 20 ties up with upper-left, which must pick up)
         r = np.random.default_rng(seed)
@@ -276,7 +288,8 @@ class TestImageIO:
             samples = r.integers(0, 4, size=(H, W, channels)) * 10 * (maxval // 255)
         dtype = ">u2" if bit_depth == 16 else np.uint8
         rows = [samples[y].astype(dtype).tobytes() for y in range(H)]
-        types = r.integers(0, 5, size=H).tolist()
+        types = np.concatenate([kinds, r.choice(kinds, size=max(H - len(kinds), 0))])
+        types = r.permutation(types)[:H].tolist()
         payload = rfc2083_filter(rows, types, channels * bit_depth // 8)
         path = tmp_path_factory.mktemp("oracle") / "filtered.png"
         path.write_bytes(png_blob(W, H, bit_depth, color_type, payload))
@@ -284,6 +297,26 @@ class TestImageIO:
         rgb = samples[..., :3] if channels >= 3 else np.repeat(samples[..., :1], 3, axis=2)
         assert depth == bit_depth
         assert np.array_equal(frame, rgb.transpose(2, 0, 1).astype(np.float64) / maxval)
+
+    @pytest.mark.parametrize("color_type", [0, 2, 4, 6])
+    def test_png_16bit_big_endian_view_matches_shift_and_or(self, tmp_path, color_type):
+        # read_image views 16-bit samples as ">u2"; the formula it replaced
+        # joined each byte pair as (high << 8) | low
+        r = np.random.default_rng(color_type)
+        H, W = 5, 7
+        channels = {0: 1, 2: 3, 4: 2, 6: 4}[color_type]
+        samples = r.integers(0, 65536, size=(H, W, channels))
+        rows = [samples[y].astype(">u2").tobytes() for y in range(H)]
+        payload = rfc2083_filter(rows, r.integers(0, 5, size=H).tolist(), channels * 2)
+        path = tmp_path / "f.png"
+        path.write_bytes(png_blob(W, H, 16, color_type, payload))
+        pairs = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(H, W, channels, 2)
+        values = (pairs[..., 0].astype(np.uint16) << 8) | pairs[..., 1]
+        if channels <= 2:
+            values = np.repeat(values[:, :, :1], 3, axis=2)
+        want = values[:, :, :3].transpose(2, 0, 1) / 65535.0
+        frame, _ = read_image(path)
+        assert np.array_equal(frame, want)
 
     def test_unreadable_file_names_the_file(self, tmp_path):
         bad = tmp_path / "broken.png"

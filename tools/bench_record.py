@@ -5,15 +5,15 @@
 Runs, one after another, this checkout's ``perfbench/run.py`` for 40 s at
 seed 0, untraced on every workload and then traced (``--trace 1``) on
 enhance-stream and train-step, then one default-config inference window and
-one default-config training step at 128x128 and the decode of one 1920x1080
-RGB16 PNG in this process, under the CLI's heap policy (``cli.keep_heap``),
-then the tier-1 test command.  Each run's last
+one default-config training step at 128x128 and the decodes of one 1920x1080
+RGB16 PNG and one RGB8 PNG in this process, under the CLI's heap policy
+(``cli.keep_heap``), then the tier-1 test command.  Each run's last
 JSON line, the machine facts it prints (nproc, BLAS threads, Python and numpy
 versions), the 128x128 window's extract, PCD and net times, the 128x128
-training step's time, minor page faults and autograd graph bytes, the 1080p
-frame's ``read_image`` time, the import footprint of ``vssenhance.cli`` in a
-fresh interpreter (wall time, ``ru_maxrss`` and the SciPy modules it loaded),
-the tier-1 wall time, the ids of the tests that
+training step's time, minor page faults and autograd graph bytes, each 1080p
+frame's row filter histogram and ``read_image`` time, the import footprint of
+``vssenhance.cli`` in a fresh interpreter (wall time, ``ru_maxrss`` and the
+SciPy modules it loaded), the tier-1 wall time, the ids of the tests that
 failed or errored and the duration of ``test_06_toy_overfit`` go into
 ``BENCH_<tag>.json`` at the repository root, with the ``HEAD`` commit,
 whether the working tree differs from it and the line count of
@@ -154,19 +154,25 @@ def train_step() -> dict:
             "graph_nodes": nodes, "graph_bytes": graph_bytes}
 
 
-def decode_1080p() -> dict:
-    """Time ``read_image`` on one seed-0 DECODE_SIZE RGB16 frame, a bright
-    scene from ``perfbench/generate.py`` encoded by ``pngcodec.encode_png``
-    with its libpng filter heuristic, and check the samples it returns."""
-    print(f"running: decode of one {DECODE_SIZE[1]}x{DECODE_SIZE[0]} RGB16 PNG", flush=True)
+def decode_1080p(bit_depth: int) -> dict:
+    """Time ``read_image`` on one seed-0 DECODE_SIZE frame encoded by
+    ``pngcodec.encode_png`` with its libpng filter heuristic, and check the
+    samples it returns.  As in metrics-eval, the RGB16 frame is a bright
+    scene from ``perfbench/generate.py`` (paeth rows) and the RGB8 frame a
+    degraded copy of it (average rows)."""
+    print(f"running: decode of one {DECODE_SIZE[1]}x{DECODE_SIZE[0]} RGB{bit_depth} PNG",
+          flush=True)
     import generate
     import numpy as np
     import pngcodec
     from vssenhance.imageio import read_image
 
     rng = np.random.default_rng([SEED, *DECODE_SIZE])
-    samples = generate._quantize(generate._bright_scene(rng, 1, *DECODE_SIZE), 16)[0]
-    blob, types = pngcodec.encode_png(samples, 16)
+    scene = generate._bright_scene(rng, 1, *DECODE_SIZE)
+    if bit_depth == 8:
+        scene = generate._degraded_copy(rng, scene)
+    samples = generate._quantize(scene, bit_depth)[0]
+    blob, types = pngcodec.encode_png(samples, bit_depth)
     times = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "frame.png"
@@ -175,8 +181,8 @@ def decode_1080p() -> dict:
             start = time.perf_counter()
             frame, _ = read_image(path)
             times.append((time.perf_counter() - start) * 1e3)
-    correct = bool(np.array_equal(frame, samples.transpose(2, 0, 1) / 65535.0))
-    return {"size": list(DECODE_SIZE), "bit_depth": 16, "repeats": DECODE_REPEATS,
+    correct = bool(np.array_equal(frame, samples.transpose(2, 0, 1) / ((1 << bit_depth) - 1.0)))
+    return {"size": list(DECODE_SIZE), "bit_depth": bit_depth, "repeats": DECODE_REPEATS,
             "filter_rows": pngcodec.filter_histogram(types),
             "read_ms": round(statistics.median(times), 1), "correct": correct}
 
@@ -266,7 +272,8 @@ def main(argv=None) -> int:
         "runs": runs,
         "window_128": inference_window(),
         "train_128": train_step(),
-        "decode_1080p": decode_1080p(),
+        "decode_1080p": decode_1080p(16),
+        "decode_1080p_rgb8": decode_1080p(8),
         "import_footprint": import_footprint(),
         "tier1": tier1(),
     }
@@ -274,8 +281,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=1, sort_keys=False) + "\n")
     print(f"wrote {out}")
     bad = [f"{r['workload']} trace={r['trace']}" for r in runs if not r.get("correct")]
-    if not record["decode_1080p"]["correct"]:
-        bad.append("decode_1080p")
+    bad += [key for key in ("decode_1080p", "decode_1080p_rgb8") if not record[key]["correct"]]
     if bad:
         print(f"error: incorrect runs: {', '.join(bad)}", file=sys.stderr)
         return 1
