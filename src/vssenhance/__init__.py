@@ -1,10 +1,10 @@
 """Selective state-space video enhancement.
 
-Building blocks: an autodiff tensor engine, state-space scan kernels
-(sequential / parallel-prefix / convolutional), four-direction 2D selective
-scanning, VSS-block U-Net enhancement, pyramid-cascading deformable
-alignment, gray-world chromatic adaptation, and PSNR/SSIM metrics, wired
-together behind a train/enhance/metrics/scan-bench CLI.
+Building blocks: an autodiff tensor engine, four-direction 2D selective
+scanning over a chunked selective state-space scan, VSS-block U-Net
+enhancement, pyramid-cascading deformable alignment, gray-world chromatic
+adaptation, and PSNR/SSIM metrics, wired together behind a
+train/enhance/metrics CLI.
 """
 
 from .align import (
@@ -40,21 +40,7 @@ from .imageio import IngestionError, VideoClip, load_clip, read_image, write_ima
 from .layers import Module, load_checkpoint, save_checkpoint
 from .optim import AdamW
 from .seeding import derive_rng
-from .ss2d import SS2D, cross_merge, cross_scan, ss2d_forward
-from .ssm import (
-    DiscreteSSM,
-    DomainError,
-    SSMParams,
-    SelectiveHead,
-    SelectiveParams,
-    discretize_zoh,
-    scan_convolutional,
-    scan_parallel,
-    scan_sequential,
-    selective_parameterize,
-    selective_readout,
-    selective_zoh,
-)
+from .ss2d import SS2D, SelectiveHead, cross_merge, cross_scan, ss2d_forward
 from .tensor import (
     ConfigurationError,
     ContractError,

@@ -1,4 +1,4 @@
-"""Command-line entry points: train, enhance, metrics, scan-bench."""
+"""Command-line entry points: train, enhance, metrics."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import argparse
 import csv
 import ctypes
 import functools
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -21,15 +20,8 @@ from .imageio import IngestionError, load_clip, write_image
 from .layers import load_checkpoint, save_checkpoint
 from .optim import AdamW
 from .seeding import derive_rng
-from .ssm import discretize_zoh, random_ssm, scan_convolutional, scan_parallel, scan_sequential
 from .tensor import ConfigurationError, ContractError, DimensionError, Tensor, no_grad
 
-SCAN_MODES = {
-    "sequential": scan_sequential,
-    "parallel": scan_parallel,
-    "convolutional": scan_convolutional,
-}
-BENCH_TOLERANCE = 1e-8
 # library errors a user can cause (bad input, config, checkpoint, divergence):
 # reported as one ``error:`` line and exit code 1 instead of a traceback
 USER_ERRORS = (ConfigurationError, ContractError, DimensionError, IngestionError,
@@ -210,72 +202,12 @@ def cmd_metrics(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scan-bench
-# ---------------------------------------------------------------------------
-
-
-def _time_scan(fn, ssm, x, repeats: int) -> int:
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        fn(ssm, x)
-        samples.append(time.perf_counter_ns() - t0)
-    return int(statistics.median(samples))
-
-
-def _positive_ints(option: str, text: str) -> list[int]:
-    """``text`` as comma-separated positive integers, else ConfigurationError."""
-    values = [int(v) if v.strip().isdecimal() else 0 for v in text.split(",")]
-    if min(values) < 1:
-        raise ConfigurationError(f"{option} must be comma-separated positive integers, "
-                                 f"got {text!r}")
-    return values
-
-
-def cmd_scan_bench(args) -> int:
-    lengths = _positive_ints("--lengths", args.lengths)
-    dims = _positive_ints("--dims", args.dims)
-    if args.repeats < 1:
-        raise ConfigurationError(f"--repeats must be at least 1, got {args.repeats}")
-    rng = derive_rng(args.seed, "bench")
-    rows = []
-    for d in dims:
-        for L in lengths:
-            ssm = discretize_zoh(random_ssm(d, rng), float(rng.uniform(0.02, 0.2)))
-            x = Tensor(rng.normal(size=L))
-            with no_grad():
-                outputs = {name: fn(ssm, x).data for name, fn in SCAN_MODES.items()}
-                names = list(outputs)
-                disagreement = max(
-                    float(np.abs(outputs[a] - outputs[b]).max())
-                    for i, a in enumerate(names)
-                    for b in names[i + 1 :]
-                )
-                if disagreement > BENCH_TOLERANCE:
-                    return _fail(
-                        f"scan modes disagree by {disagreement:.3e} at L={L}, d={d} "
-                        f"(tolerance {BENCH_TOLERANCE}); benchmark aborted"
-                    )
-                for name, fn in SCAN_MODES.items():
-                    median_ns = _time_scan(fn, ssm, x, args.repeats)
-                    rows.append([name, L, d, median_ns, repr(disagreement)])
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "L", "d", "median_ns", "max_abs_disagreement"])
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} benchmark rows to {args.out}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vssenhance",
-        description="State-space video enhancement: training, inference, metrics, "
-        "and scan benchmarking.",
+        description="State-space video enhancement: training, inference and metrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -300,14 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--out", required=True)
     p_met.add_argument("--peak", type=float, default=1.0)
     p_met.set_defaults(fn=cmd_metrics)
-
-    p_bench = sub.add_parser("scan-bench", help="time the three scan algorithms")
-    p_bench.add_argument("--lengths", default="64,1024,8192")
-    p_bench.add_argument("--dims", default="8,16")
-    p_bench.add_argument("--repeats", type=int, default=9)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", required=True)
-    p_bench.set_defaults(fn=cmd_scan_bench)
 
     return parser
 

@@ -18,7 +18,6 @@ STREAMS = {
     "model": 1,
     "data": 2,
     "train": 3,
-    "bench": 4,
 }
 
 

@@ -11,6 +11,12 @@ Directions and their orderings:
     RL: exact reversal of LR
     DT: exact reversal of TD
 
+Each sequence runs through the selective scan (Mamba's selective SSM): per
+step, zero-order-hold terms a_bar = exp(delta*a) and u = (a_bar - 1)/a * b * x
+from input-dependent B, C and delta, then h_t = a_bar_t * h_{t-1} + u_t, read
+out as y_t = C_t h_t.  ``_scan_chunks`` evaluates it in chunks of
+``SCAN_CHUNK`` steps, each chunk one ``linear_recurrence``.
+
 The merge scatters each processed sequence back through the inverse of its
 traversal permutation and sums the four results, so identity processing
 returns exactly 4x the input.
@@ -18,12 +24,12 @@ returns exactly 4x the input.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .layers import Module, param
-from .ssm import SelectiveHead, linear_recurrence
 from .tensor import (
     DimensionError,
     Tensor,
@@ -42,6 +48,7 @@ DIRECTIONS = ("lr", "td", "rl", "dt")
 # time steps per chunk of the selective scan: a (64, 4, C, d) working set
 # stays in cache, and backward recomputes one chunk at a time
 SCAN_CHUNK = 64
+DELTA_FLOOR = 0.01  # a fresh selective head's step size, softplus(b_delta)
 
 
 @lru_cache(maxsize=128)
@@ -83,6 +90,27 @@ def cross_merge(seqs: Tensor, H: int, W: int) -> Tensor:
     return _node(_merge_columns(seqs.data, inv), (seqs,), lambda g: (g[perm],))
 
 
+@dataclass
+class SelectiveHead(Module):
+    """Projection weights that map input features to (B_t, C_t, delta_t)."""
+
+    w_b: Tensor  # (C_feat, d)
+    w_c: Tensor  # (C_feat, d)
+    w_delta: Tensor  # (C_feat, 1)
+    b_delta: Tensor  # (1,)
+
+    @staticmethod
+    def init(feat_dim: int, state_dim: int, rng: np.random.Generator) -> "SelectiveHead":
+        scale = 1.0 / np.sqrt(feat_dim)
+        bias = float(np.log(np.expm1(DELTA_FLOOR)))  # softplus(bias) == DELTA_FLOOR
+        return SelectiveHead(
+            w_b=Tensor(rng.normal(0.0, scale, size=(feat_dim, state_dim)), requires_grad=True),
+            w_c=Tensor(rng.normal(0.0, scale, size=(feat_dim, state_dim)), requires_grad=True),
+            w_delta=Tensor(rng.normal(0.0, scale, size=(feat_dim, 1)), requires_grad=True),
+            b_delta=Tensor(np.array([bias]), requires_grad=True),
+        )
+
+
 class SS2D(Module):
     """Four direction-specific selective heads over shared per-channel state.
 
@@ -105,9 +133,62 @@ class SS2D(Module):
         return ss2d_forward(tokens, H, W, self)
 
 
+def sequential_recurrence_data(a: np.ndarray, u: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """Exact left-to-right evaluation of h_t = a_t * h_{t-1} + u_t on (L, n),
+    h_{-1} = 0, each step written in place into the output.
+
+    ``reverse`` evaluates the adjoint s_t = a_{t+1} * s_{t+1} + u_t right to
+    left instead, from s_L = 0, reading ``a`` one step ahead.
+    """
+    L, n = a.shape
+    out = np.empty((L, n))
+    if L == 0:
+        return out
+    # row views made once: indexing a, u and out afresh at every step costs
+    # more than the step's two ufunc calls at a few hundred lanes
+    if reverse:
+        out[L - 1] = u[L - 1]
+        for a_next, s_next, u_t, s_t in zip(a[:0:-1], out[:0:-1], u[-2::-1], out[-2::-1]):
+            np.multiply(a_next, s_next, out=s_t)
+            s_t += u_t
+        return out
+    np.multiply(a[0], 0.0, out=out[0])
+    out[0] += u[0]
+    for a_t, h_prev, u_t, h_t in zip(a[1:], out, u[1:], out[1:]):
+        np.multiply(a_t, h_prev, out=h_t)
+        h_t += u_t
+    return out
+
+
+# the scan calls this through the module global in forward and backward, so
+# perfbench/spans.py can wrap ss2d.linear_recurrence and see every chunk
+def linear_recurrence(a: Tensor, u: Tensor) -> Tensor:
+    """Differentiable h_t = a_t ⊙ h_{t-1} + u_t over (L, n) lanes, h_{-1} = 0.
+
+    The backward pass is the adjoint recurrence s_t = g_t + a_{t+1} ⊙ s_{t+1},
+    with du = s and da_t = s_t ⊙ h_{t-1}.
+    """
+    a, u = _wrap(a), _wrap(u)
+    if a.shape != u.shape or a.data.ndim != 2:
+        raise DimensionError("linear_recurrence expects matching (L, n) operands")
+    h = sequential_recurrence_data(a.data, u.data)
+
+    def grad_fn(g):
+        s = sequential_recurrence_data(a.data, g, reverse=True)
+        da = np.empty_like(s)
+        np.multiply(s[:1], 0.0, out=da[:1])  # h_{-1} = 0
+        np.multiply(s[1:], h[:-1], out=da[1:])
+        return da, s
+
+    return _node(h, (a, u), grad_fn)
+
+
 def _zoh_terms(delta, a, b, x, a_bar, q, u) -> None:
-    """a_bar = exp(delta*a), q = (a_bar - 1)/a and u = q*b*x into the given
-    buffers, in the op order of ``ssm.selective_zoh``."""
+    """Zero-order-hold terms of the selective scan into the given buffers:
+    a_bar = exp(delta*a), q = (a_bar - 1)/a and u = q*b*x.
+
+    This is the exact hold integral with no series guard; ``a`` is strictly
+    negative by construction, so a == 0 never occurs."""
     np.multiply(delta, a, out=a_bar)
     np.exp(a_bar, out=a_bar)
     np.subtract(a_bar, 1.0, out=q)
@@ -143,7 +224,7 @@ def _scan_chunks(delta, a, b, c, x):
         if h0 is not None:
             uu[0] += ab[0] * h0
         states.append(h0)
-        h = linear_recurrence(ab.reshape(T, -1), uu.reshape(T, -1), mode="sequential")
+        h = linear_recurrence(ab.reshape(T, -1), uu.reshape(T, -1))
         h = h.data.reshape(T, R, C, d)
         np.matmul(h, c[t0:t1].reshape(T, R, d, 1), out=y[t0:t1])
         h0 = h[-1].copy()
@@ -174,7 +255,6 @@ def _selective_scan_bwd(g, delta, a, b, c, x, states):
             node = linear_recurrence(
                 Tensor(ab.reshape(T, -1), requires_grad=True),
                 Tensor(uu.reshape(T, -1), requires_grad=True),
-                mode="sequential",
             )
         h = node.data.reshape(T, R, C, d)
         gy = g[sl]

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from vssenhance.ss2d import SS2D
 from vssenhance.tensor import Tensor
 
 
@@ -65,6 +66,17 @@ def perturbed(module, rng, head_gain=8.0):
             gain = head_gain if "head" in name else 0.3
             p.data = rng.normal(0.0, gain / np.sqrt(np.prod(p.shape[1:])), size=p.shape)
     return module
+
+
+def with_parameters(ts, C, d):
+    """An SS2D whose 18 parameters are the Tensors ``ts``, in
+    ``named_parameters`` order."""
+    probe = SS2D(channels=C, state_dim=d, rng=np.random.default_rng(0))
+    it = iter(ts)
+    for head in probe.heads:
+        head.w_b, head.w_c, head.w_delta, head.b_delta = (next(it) for _ in range(4))
+    probe.a_log, probe.skip = next(it), next(it)
+    return probe
 
 
 def retained_arrays(root: Tensor) -> list:

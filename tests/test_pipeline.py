@@ -724,44 +724,14 @@ class TestCLI:
             assert 10.0 < float(row[1]) < 40.0
             assert -1.0 <= float(row[2]) <= 1.0
 
-    @pytest.mark.parametrize("command", ["metrics", "scan-bench"])
-    def test_out_creates_missing_directories(self, tmp_path, rng, command):
+    def test_out_creates_missing_directories(self, tmp_path, rng):
         out = tmp_path / "sub" / "dir" / "out.csv"
-        if command == "metrics":
-            frames = [rng.uniform(size=(3, 12, 12))]
-            write_clip(tmp_path / "ref", frames)
-            write_clip(tmp_path / "test", frames)
-            argv = ["metrics", "--ref", str(tmp_path / "ref"), "--test", str(tmp_path / "test")]
-        else:
-            argv = ["scan-bench", "--lengths", "16", "--dims", "2", "--repeats", "1"]
-        assert main(argv + ["--out", str(out)]) == 0
+        frames = [rng.uniform(size=(3, 12, 12))]
+        write_clip(tmp_path / "ref", frames)
+        write_clip(tmp_path / "test", frames)
+        assert main(["metrics", "--ref", str(tmp_path / "ref"), "--test", str(tmp_path / "test"),
+                     "--out", str(out)]) == 0
         assert len(list(csv.reader(out.open()))) > 1
-
-    def test_scan_bench_csv(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main([
-            "scan-bench", "--lengths", "16,64", "--dims", "2,4",
-            "--repeats", "3", "--out", str(out),
-        ]) == 0
-        rows = list(csv.reader(out.open()))
-        assert rows[0] == ["mode", "L", "d", "median_ns", "max_abs_disagreement"]
-        assert len(rows) == 1 + 3 * 2 * 2
-        for row in rows[1:]:
-            assert row[0] in ("sequential", "parallel", "convolutional")
-            assert int(row[3]) > 0
-            assert float(row[4]) <= 1e-8
-
-    @pytest.mark.parametrize("option, value", [
-        ("--lengths", "a"), ("--lengths", "0"), ("--lengths", "-3"), ("--lengths", "16,"),
-        ("--dims", "2,x"), ("--dims", "0"), ("--repeats", "0"),
-    ])
-    def test_scan_bench_bad_arguments_are_named_errors(self, tmp_path, capsys, option, value):
-        out = tmp_path / "bench.csv"
-        assert main(["scan-bench", "--lengths", "16", "--dims", "2", "--repeats", "1",
-                     option, value, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and option in err and len(err.splitlines()) == 1
-        assert not out.exists()
 
 
 def run_python(code: str, *args: str) -> str:

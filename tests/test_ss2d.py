@@ -7,21 +7,17 @@ import pytest
 
 from vssenhance.layers import MANIFEST_NAME, load_checkpoint
 from vssenhance.ss2d import (
+    DELTA_FLOOR,
     DIRECTIONS,
     SCAN_CHUNK,
     SS2D,
     _head_projection,
     cross_merge,
     cross_scan,
+    linear_recurrence,
+    sequential_recurrence_data,
     ss2d_forward,
     traversal_permutations,
-)
-from vssenhance.ssm import (
-    linear_recurrence,
-    scan_sequential,
-    selective_parameterize,
-    selective_readout,
-    selective_zoh,
 )
 from vssenhance.tensor import (
     DimensionError,
@@ -33,7 +29,13 @@ from vssenhance.tensor import (
     softplus,
 )
 
-from helpers import assert_matches_composition, check_gradients, perturbed, retained_arrays
+from helpers import (
+    assert_matches_composition,
+    check_gradients,
+    perturbed,
+    retained_arrays,
+    with_parameters,
+)
 
 
 @pytest.fixture
@@ -268,6 +270,11 @@ class TestSS2DParameters:
         ss2d = SS2D(channels=self.C, state_dim=self.D, rng=rng)
         assert [(n, p.shape) for n, p in ss2d.named_parameters()] == self.layout()
 
+    def test_fresh_step_size_is_the_floor(self, rng):
+        # delta = softplus(x·w_delta + b_delta) is DELTA_FLOOR where x·w_delta = 0
+        for head in SS2D(channels=self.C, state_dim=self.D, rng=rng).heads:
+            assert abs(softplus(head.b_delta).item() - DELTA_FLOOR) < 1e-15
+
     def test_checkpoint_in_per_head_layout_loads(self, rng, tmp_path):
         values = {name: rng.normal(size=shape) for name, shape in self.layout()}
         lines = []
@@ -330,24 +337,29 @@ class TestSS2DForward:
         assert abs(out - 4.0 * branch) < 1e-12
 
     def test_matches_brute_force_composition(self, rng):
-        # oracle: cross_scan -> per-channel SISO sequential selective scan -> cross_merge
-        C, H, W, d = 2, 2, 3, 3
+        # oracle: cross_scan -> per-direction, per-channel loop of
+        # h_t = exp(delta*a) h + (exp(delta*a) - 1)/a * b * x -> cross_merge
+        C, H, W, d = 2, 9, 8, 3
+        assert H * W > SCAN_CHUNK
         ss2d = SS2D(channels=C, state_dim=d, rng=rng)
         tok = tokens(rng.normal(size=(C, H, W)))[0]
         fused = ss2d(tok, H, W).data
 
-        seqs = cross_scan(tok, H, W)
-        processed = []
+        seqs = cross_scan(tok, H, W).data
+        processed = np.empty_like(seqs)
         for r, head in enumerate(ss2d.heads):
-            seq = Tensor(seqs.data[:, r])
-            cols = []
-            for c in range(C):
-                params = selective_parameterize(
-                    seq, head, Tensor(-np.exp(ss2d.a_log.data[c])), float(ss2d.skip.data[c])
-                )
-                cols.append(scan_sequential(params, seq[:, c]).data)
-            processed.append(np.stack(cols, axis=1))
-        expected = cross_merge(Tensor(np.stack(processed, axis=1)), H, W).data
+            seq = seqs[:, r]
+            b_t = seq @ head.w_b.data
+            c_t = seq @ head.w_c.data
+            delta = np.log1p(np.exp(seq @ head.w_delta.data[:, 0] + head.b_delta.data[0]))
+            for ch in range(C):
+                a = -np.exp(ss2d.a_log.data[ch])
+                h = np.zeros(d)
+                for t, x in enumerate(seq[:, ch]):
+                    a_bar = np.exp(delta[t] * a)
+                    h = a_bar * h + (a_bar - 1.0) / a * b_t[t] * x
+                    processed[t, r, ch] = c_t[t] @ h + ss2d.skip.data[ch] * x
+        expected = cross_merge(Tensor(processed), H, W).data
         assert np.abs(fused - expected).max() < 1e-10
 
     def test_gradients(self, rng):
@@ -386,21 +398,10 @@ class TestSS2DForward:
         assert sum(arr.shape == (4, C, d) for arr in kept) == 1  # L = 72: two chunks
 
 
-def with_parameters(ts, C, d):
-    """An SS2D whose 18 parameters are the Tensors ``ts``, in
-    ``named_parameters`` order."""
-    probe = SS2D(channels=C, state_dim=d, rng=np.random.default_rng(0))
-    it = iter(ts)
-    for head in probe.heads:
-        head.w_b, head.w_c, head.w_delta, head.b_delta = (next(it) for _ in range(4))
-    probe.a_log, probe.skip = next(it), next(it)
-    return probe
-
-
 def chain_ss2d(tokens, H, W, weights):
     """The unfused composition the SS2D node replaces, from public ops: the
-    projections, the ``ssm`` chain (ZOH terms, one recurrence over all L
-    steps, readout), then the skip term and the merge."""
+    projections, the ZOH terms, one recurrence over all L steps, the
+    readout, then the skip term and the merge."""
     seqs = cross_scan(tokens, H, W)
     L, R, C = seqs.shape
     d, heads = weights.state_dim, weights.heads
@@ -409,11 +410,10 @@ def chain_ss2d(tokens, H, W, weights):
     c = _head_projection(seqs, [h.w_c for h in heads])
     delta = softplus(_head_projection(seqs, [h.w_delta for h in heads],
                                       [h.b_delta for h in heads]))
-    a_bar, u = selective_zoh(delta.reshape(L, R, 1, 1), a_neg, b.reshape(L, R, 1, d),
-                             seqs.reshape(L, R, C, 1))
-    h = linear_recurrence(a_bar.reshape(L, R * C * d), u.reshape(L, R * C * d),
-                          mode="sequential")
-    y = selective_readout(h.reshape(L, R, C, d), c.reshape(L, R, 1, d), axis=3)
+    a_bar = (delta.reshape(L, R, 1, 1) * a_neg).exp()
+    u = (a_bar - 1.0) / a_neg * b.reshape(L, R, 1, d) * seqs.reshape(L, R, C, 1)
+    h = linear_recurrence(a_bar.reshape(L, R * C * d), u.reshape(L, R * C * d))
+    y = (h.reshape(L, R, C, d) * c.reshape(L, R, 1, d)).sum(axis=3)
     return TestSkipMerge.unfused(y, seqs, weights.skip, H, W)
 
 
@@ -520,3 +520,38 @@ class TestSelectiveScan:
     def test_backward_under_no_grad(self, rng):
         for H, W in self.GRIDS.values():
             assert_backward_under_no_grad_is_bitwise_equal(rng, H, W)
+
+
+class TestLinearRecurrence:
+    """The recurrence each scan chunk runs, and its adjoint."""
+
+    @staticmethod
+    def hand_forward(a, u):
+        h, out = np.zeros(a.shape[1]), []
+        for a_t, u_t in zip(a, u):
+            h = a_t * h + u_t
+            out.append(h)
+        return np.array(out)
+
+    def test_matches_hand_oracle(self, rng):
+        a = rng.uniform(-0.99, 0.99, size=(11, 3))
+        u = rng.normal(size=(11, 3))
+        assert np.array_equal(sequential_recurrence_data(a, u), self.hand_forward(a, u))
+
+    def test_reverse_is_the_adjoint(self, rng):
+        # s_t = a_{t+1} s_{t+1} + g_t from s_L = 0, so <g, h(u)> == <s(g), u>
+        a = rng.uniform(-0.99, 0.99, size=(9, 2))
+        g = rng.normal(size=(9, 2))
+        s = sequential_recurrence_data(a, g, reverse=True)
+        want = g.copy()
+        for t in reversed(range(8)):
+            want[t] = a[t + 1] * want[t + 1] + g[t]
+        assert np.array_equal(s, want)
+        u = rng.normal(size=(9, 2))
+        assert abs((g * self.hand_forward(a, u)).sum() - (s * u).sum()) < 1e-12
+
+    def test_gradients(self, rng):
+        a = rng.uniform(-0.9, 0.9, size=(6, 3))
+        u = rng.normal(size=(6, 3))
+        mix = Tensor(rng.normal(size=(6, 3)))
+        check_gradients(lambda ts: (linear_recurrence(ts[0], ts[1]) * mix).sum(), [a, u])
