@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 PYRAMID_LEVELS = 3
+# output positions per band of a deformable convolution, rounded to whole
+# rows (at least one): a band's sample buffer is (C, k*k*band) values
+DCN_BAND = 1024
 
 
 @dataclass
@@ -219,14 +222,20 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor,
     offset field reproduces ``conv2d(f, w, stride=1, pad=(k-1)/2)`` bitwise.
     A window ``f`` of (C, N, H, W) takes (2*k*k, N, H, W) offsets.
 
-    One node: each block is sampled in place by its own ``bilinear_gather``,
-    under ``no_grad``, into one shared sample buffer and multiplied on its
-    own.  The node keeps no array of its own, not even a block's read
-    operator: backward rebuilds each block's gather at the same positions,
-    now differentiable in them, into one buffer.  Those samples give the
-    weight gradient; they are then overwritten there by their own gradient,
-    which the rebuilt gather's backward takes to the features and offsets,
-    and each block's gradients go straight into window-sized arrays.
+    One node.  Each block is sampled and contracted in bands of whole output
+    rows, about ``DCN_BAND`` positions each: a band's positions, its
+    ``bilinear_gather`` (read operator and corner arrays) and its
+    (C, k*k*band) sample buffer cover only that band, under ``no_grad``, and
+    its GEMMs write that band's columns of the output.  Every band reads the
+    whole block, because offsets reach anywhere, so the samples are those
+    of one gather over the block, bitwise; the output is bitwise too unless
+    the BLAS sums a narrower GEMM in another order (within 1e-12).  The node
+    keeps no array of its own, not even a band's read operator: backward
+    rebuilds each band's gather at the same positions, now differentiable
+    in them, into the band buffer.  Those samples give the weight gradient;
+    they are then overwritten there by their own gradient, which the
+    rebuilt gather's backward takes to the features and offsets, and each
+    band's gradients go straight into window-sized arrays.
     """
     f, offsets, w = _wrap(f), _wrap(offsets), _wrap(w)
     C_out, C_in, k, k2 = w.shape
@@ -246,42 +255,59 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor,
     bias = T._bias(bias, C_out)
     N, M, kk = (1 if f.ndim == 3 else f.shape[1]), H * W, k * k
     f4 = f.data.reshape(C, N, H, W)
-    off4 = offsets.data.reshape(2 * kk, N, H, W)
+    off4 = offsets.data.reshape(2 * kk, N, M)
     limit = float(max(H, W))
     w_taps = np.ascontiguousarray(T._taps(w.data))
+    rows = min(H, max(1, DCN_BAND // W))
+    bands = [slice(p0, min(p0 + rows * W, M)) for p0 in range(0, M, rows * W)]
 
-    def positions(n, base_y, base_x):  # block n's (k*k*M,) sample rows and columns
-        off = np.clip(off4[:, n], -limit, limit).reshape(kk, 2, M)
-        return (off[:, 0] + base_y).reshape(-1), (off[:, 1] + base_x).reshape(-1)
+    def positions(n, band, base_y, base_x):
+        """Block n's (k*k*m,) sample rows and columns in a band, from the
+        tap positions of a full band's rows, ``_tap_positions(k, rows, W)``."""
+        off = np.clip(off4[:, n, band], -limit, limit).reshape(kk, 2, -1)
+        m = off.shape[2]
+        ys = off[:, 0] + (base_y[:, :m] + band.start // W)  # whole numbers: exact
+        return ys.reshape(-1), (off[:, 1] + base_x[:, :m]).reshape(-1)
 
-    def tap_views(a):  # (C, k*k*M) -> each tap's (C, M) view
-        return list(a.reshape(C, kk, M).transpose(1, 0, 2))
+    def band_buffers():  # a (C, k*k*m) sample buffer for each band width m, in one array
+        flat = np.empty(C * kk * rows * W)
+        return {m: flat[:C * kk * m].reshape(C, kk * m) for m in {b.stop - b.start for b in bands}}
 
-    data, tmp = np.empty((C_out, N, M)), np.empty((C_out, M))
-    buf, base = np.empty((C, kk * M)), _tap_positions(k, H, W)
+    def tap_views(a):  # (C, k*k*m) -> each tap's (C, m) view
+        return list(a.reshape(C, kk, -1).transpose(1, 0, 2))
+
+    data, tmp = np.empty((C_out, N, M)), np.empty((C_out, rows * W))
+    bufs, base = band_buffers(), _tap_positions(k, rows, W)
     with T.no_grad():
         for n in range(N):
-            bilinear_gather(_read_in_place(f4[:, n]), *positions(n, *base), out=buf)
-            T._tap_sum(w_taps, tap_views(buf), data[:, n], tmp)
+            block = _read_in_place(f4[:, n])
+            for band in bands:
+                m = band.stop - band.start
+                bilinear_gather(block, *positions(n, band, *base), out=bufs[m])
+                T._tap_sum(w_taps, tap_views(bufs[m]), data[:, n, band], tmp[:, :m])
     if bias:
         data += bias[0].data.reshape(-1, 1, 1)
 
     def grad_fn(g):
         g3 = g.reshape(C_out, N, M)
         w_taps = np.ascontiguousarray(T._taps(w.data))
-        gf, g_off = np.empty((C, N, H, W)), np.empty((2 * kk, N, H, W))
+        gf, g_off = np.zeros((C, N, H, W)), np.empty((2 * kk, N, M))
         gw = np.zeros(w.shape)
-        buf, base = np.empty((C, kk * M)), _tap_positions(k, H, W)
+        bufs, base = band_buffers(), _tap_positions(k, rows, W)
         for n in range(N):
-            with T._grad_mode(True):  # the samples forward multiplied, bitwise
-                ys, xs = (Tensor(a, requires_grad=True) for a in positions(n, *base))
-                sampled = bilinear_gather(_read_in_place(f4[:, n]), ys, xs, out=buf)
-            T._tap_weight_grad(g3[:, n], tap_views(buf), T._taps(gw))
-            # then the samples' gradient, in the same buffer: taps do not overlap
-            T._tap_adjoint(w_taps, g3[:, n], tap_views(buf), None)
-            gf[:, n], gy, gx = sampled._grad_fn(buf)
+            block = _read_in_place(f4[:, n])
             g_block = g_off[:, n].reshape(kk, 2, M)
-            g_block[:, 0], g_block[:, 1] = gy.reshape(kk, M), gx.reshape(kk, M)
+            for band in bands:
+                buf = bufs[band.stop - band.start]
+                with T._grad_mode(True):  # the samples forward multiplied, bitwise
+                    ys, xs = (Tensor(a, requires_grad=True) for a in positions(n, band, *base))
+                    sampled = bilinear_gather(block, ys, xs, out=buf)
+                T._tap_weight_grad(g3[:, n, band], tap_views(buf), T._taps(gw))
+                # then the samples' gradient, in the same buffer: taps do not overlap
+                T._tap_adjoint(w_taps, g3[:, n, band], tap_views(buf), None)
+                g_f, gy, gx = sampled._grad_fn(buf)
+                gf[:, n] += g_f
+                g_block[:, 0, band], g_block[:, 1, band] = gy.reshape(kk, -1), gx.reshape(kk, -1)
             g_off[:, n] *= (off4[:, n] >= -limit) & (off4[:, n] <= limit)  # clip
         gb = (g.sum(axis=tuple(range(1, g.ndim))),) if bias else ()
         return (gf.reshape(f.shape), g_off.reshape(offsets.shape), gw) + gb

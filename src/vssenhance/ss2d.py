@@ -15,7 +15,8 @@ Each sequence runs through the selective scan (Mamba's selective SSM): per
 step, zero-order-hold terms a_bar = exp(delta*a) and u = (a_bar - 1)/a * b * x
 from input-dependent B, C and delta, then h_t = a_bar_t * h_{t-1} + u_t, read
 out as y_t = C_t h_t.  ``_scan_chunks`` evaluates it in chunks of
-``SCAN_CHUNK`` steps, each chunk one ``linear_recurrence``.
+``SCAN_CHUNK`` steps, each chunk one ``linear_recurrence``, and
+``ss2d_forward`` runs the whole path in pieces of ``SCAN_PIECE`` steps.
 
 The merge scatters each processed sequence back through the inverse of its
 traversal permutation and sums the four results, so identity processing
@@ -34,7 +35,7 @@ from .tensor import (
     DimensionError,
     Tensor,
     _grad_mode,
-    _merge_columns,
+    _add_columns,
     _node,
     _wrap,
     gather_rows,
@@ -48,6 +49,9 @@ DIRECTIONS = ("lr", "td", "rl", "dt")
 # time steps per chunk of the selective scan: a (64, 4, C, d) working set
 # stays in cache, and backward recomputes one chunk at a time
 SCAN_CHUNK = 64
+# sequence steps per piece of the SS2D forward, a multiple of SCAN_CHUNK: its
+# stack, B, C, Δ and scan output cover one piece at a time
+SCAN_PIECE = 4096
 DELTA_FLOOR = 0.01  # a fresh selective head's step size, softplus(b_delta)
 
 
@@ -67,27 +71,42 @@ def traversal_permutations(H: int, W: int):
     return perm, inv
 
 
-def cross_scan(tokens: Tensor, H: int, W: int) -> Tensor:
-    """Unfold row-major (H*W, C) tokens along the four traversal paths into
-    one (H*W, 4, C) stack, directions in ``DIRECTIONS`` order (values copied)."""
+def _check_grid(tokens: Tensor, H: int, W: int) -> None:
+    """Reject an empty grid, or tokens that are not its (H*W, C) matrix."""
     if H < 1 or W < 1:
         raise DimensionError(f"grid must contain at least one position, got {H}x{W}")
     if tokens.ndim != 2 or tokens.shape[0] != H * W:
         raise DimensionError(
             f"expected ({H * W}, C) tokens for a {H}x{W} grid, got {tokens.shape}"
         )
+
+
+def cross_scan(tokens: Tensor, H: int, W: int, steps: slice = slice(None)) -> Tensor:
+    """Unfold row-major (H*W, C) tokens along the four traversal paths into
+    one (H*W, 4, C) stack, directions in ``DIRECTIONS`` order (values copied).
+    ``steps`` keeps only that range of sequence steps, a (P, 4, C) stack."""
+    _check_grid(tokens, H, W)
     perm, inv = traversal_permutations(H, W)
-    return gather_rows(tokens, perm, inverse=inv)
+    return gather_rows(tokens, perm[steps], inverse=inv if steps == slice(None) else None)
 
 
-def cross_merge(seqs: Tensor, H: int, W: int) -> Tensor:
+def cross_merge(seqs: Tensor, H: int, W: int, steps: slice = slice(None),
+                out: np.ndarray | None = None) -> Tensor:
     """Scatter each direction of the (H*W, 4, C) stack ``seqs`` back through
-    its inverse traversal and sum, giving row-major tokens, as one graph node."""
-    L = H * W
-    if seqs.ndim != 3 or seqs.shape[:2] != (L, len(DIRECTIONS)):
-        raise DimensionError(f"cross_merge needs ({L}, 4, C) sequences, got {seqs.shape}")
-    perm, inv = traversal_permutations(H, W)
-    return _node(_merge_columns(seqs.data, inv), (seqs,), lambda g: (g[perm],))
+    its inverse traversal and sum, giving row-major tokens, as one graph node.
+
+    ``seqs`` may hold only the range ``steps`` of sequence steps, (P, 4, C);
+    tokens no direction visits there get zero.  The sum is added, in place,
+    into the (H*W, C) array ``out`` if one is given, which becomes the
+    node's value: so a stack merged in pieces adds up, token by token, in
+    piece order and then direction order."""
+    rows = traversal_permutations(H, W)[0][steps]
+    if seqs.ndim != 3 or seqs.shape[:2] != rows.shape:
+        raise DimensionError(
+            f"cross_merge needs {rows.shape + (seqs.shape[-1],)} sequences, got {seqs.shape}")
+    if out is None:
+        out = np.zeros((H * W,) + seqs.shape[2:])
+    return _node(_add_columns(seqs.data, rows, out), (seqs,), lambda g: (g[rows],))
 
 
 @dataclass
@@ -197,25 +216,25 @@ def _zoh_terms(delta, a, b, x, a_bar, q, u) -> None:
     np.multiply(u, x, out=u)
 
 
-def _scan_chunks(delta, a, b, c, x):
+def _scan_chunks(delta, a, b, c, x, h0=None, states=None):
     """Selective scan of R sequences of C channels with state size d, on
     arrays that broadcast to (L, R, C, d):
 
         a_bar = exp(delta*a),  u = (a_bar - 1)/a * b * x,
-        h_t = a_bar_t * h_{t-1} + u_t  (h_{-1} = 0),  y_t = sum_d h_t * c_t
+        h_t = a_bar_t * h_{t-1} + u_t  (h_{-1} = h0, or 0),  y_t = sum_d h_t * c_t
 
     ``delta`` is (L, R, 1, 1), ``a`` (C, d) and strictly negative, ``b`` and
-    ``c`` (L, R, 1, d), ``x`` (L, R, C, 1).  Returns y, (L, R, C, 1), and the
-    (R, C, d) state entering each chunk of ``SCAN_CHUNK`` steps, None for the
-    first; a chunk's recurrence is one ``linear_recurrence`` on (T, R*C*d) lanes.
+    ``c`` (L, R, 1, d), ``x`` (L, R, C, 1).  Returns y, (L, R, C, 1), and
+    the (R, C, d) state after the last step, so that a later call continues
+    the sequence from it.  The state entering each chunk of ``SCAN_CHUNK``
+    steps (``h0`` for the first) is appended to ``states`` if given; a
+    chunk's recurrence is one ``linear_recurrence`` on (T, R*C*d) lanes.
     """
     L, R, C, _ = x.shape
     d = a.shape[1]
     y = np.empty((L, R, C, 1))
-    states = []
     T = min(L, SCAN_CHUNK)
     a_bar, q, u = (np.empty((T, R, C, d)) for _ in range(3))
-    h0 = None
     for t0 in range(0, L, SCAN_CHUNK):
         t1 = min(t0 + SCAN_CHUNK, L)
         T = t1 - t0
@@ -223,12 +242,13 @@ def _scan_chunks(delta, a, b, c, x):
         _zoh_terms(delta[t0:t1], a, b[t0:t1], x[t0:t1], ab, q[:T], uu)
         if h0 is not None:
             uu[0] += ab[0] * h0
-        states.append(h0)
+        if states is not None:
+            states.append(h0)
         h = linear_recurrence(ab.reshape(T, -1), uu.reshape(T, -1))
         h = h.data.reshape(T, R, C, d)
         np.matmul(h, c[t0:t1].reshape(T, R, d, 1), out=y[t0:t1])
         h0 = h[-1].copy()
-    return y, states
+    return y, h0
 
 
 def _selective_scan_bwd(g, delta, a, b, c, x, states):
@@ -318,15 +338,22 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
     """cross-scan -> per-direction selective scan and skip term -> cross-merge,
     on the row-major (H*W, C) tokens of an H x W grid, as one graph node.
 
-    The directions travel as one (H*W, 4, C) stack, and all four run through
-    the chunked scan at once; per-channel state transitions are shared across
+    The directions travel as one stack, and all four run through the
+    chunked scan at once; per-channel state transitions are shared across
     directions while each direction's head supplies its own B/C/delta.
 
     The node's parents are ``tokens`` and the 18 parameters (each head's
     ``w_b``, ``w_c``, ``w_delta``, ``b_delta``, then ``a_log`` and ``skip``).
-    Forward runs the composition with graph building off and keeps only the
-    (4, C, d) state entering each scan chunk.  Backward rebuilds the stack
-    as a gather node on the tokens, recomputes B, C and Δ from it, runs the
+    Forward runs with graph building off, in pieces of ``SCAN_PIECE``
+    sequence steps: each piece's (P, 4, C) stack is gathered by
+    ``cross_scan``, its B, C and Δ projected, its chunks scanned from the
+    state the previous piece left, its skip term added, and the result
+    scatter-added into the (H*W, C) output by ``cross_merge``.  So no
+    (H*W, 4, C) array is formed, and the output equals the whole-stack
+    composition's within 1e-12 (bitwise for one piece: a token's four terms
+    then add in direction order).  The node keeps only the (4, C, d) state
+    entering each scan chunk.  Backward rebuilds the whole stack as a
+    gather node on the tokens, recomputes B, C and Δ from it, runs the
     scan's adjoint from the kept states and takes the stack's gradient back
     to the tokens through the rebuilt gather (activation checkpointing), so
     no (L, 4, C) array outlives the call.
@@ -334,23 +361,28 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
     tokens = _wrap(tokens)
     heads = [(h.w_b, h.w_c, h.w_delta, h.b_delta) for h in weights.heads]
     params = (*(p for head in heads for p in head), weights.a_log, weights.skip)
-    with _grad_mode(False):
-        seqs = cross_scan(tokens, H, W)
-        L, R, C = seqs.shape
-        if C != weights.channels:
-            raise DimensionError(f"tokens have {C} channels, SS2D expects {weights.channels}")
-        d = weights.state_dim
-        b, c, delta = _projections(seqs, heads)
-        a_neg = -np.exp(weights.a_log.data)  # (C, d), strictly negative
-        y, states = _scan_chunks(softplus(delta).data.reshape(L, R, 1, 1), a_neg,
-                                 b.data.reshape(L, R, 1, d), c.data.reshape(L, R, 1, d),
-                                 seqs.data.reshape(L, R, C, 1))
-        y = y.reshape(L, R, C)
-        y += seqs.data * weights.skip.data  # the skip term x * D
-        out = cross_merge(Tensor(y), H, W)
+    _check_grid(tokens, H, W)
+    L, C, d, R = H * W, tokens.shape[1], weights.state_dim, len(DIRECTIONS)
+    if C != weights.channels:
+        raise DimensionError(f"tokens have {C} channels, SS2D expects {weights.channels}")
     parents = (tokens, *params)
-    if not (grad_enabled() and any(t.requires_grad for t in parents)):
-        return out
+    keep = grad_enabled() and any(t.requires_grad for t in parents)
+    out, states, h = np.zeros((L, C)), [], None
+    with _grad_mode(False):
+        a_neg = -np.exp(weights.a_log.data)  # (C, d), strictly negative
+        for t0 in range(0, L, SCAN_PIECE):
+            steps = slice(t0, min(t0 + SCAN_PIECE, L))
+            seqs = cross_scan(tokens, H, W, steps)
+            P = seqs.shape[0]
+            b, c, delta = _projections(seqs, heads)
+            y, h = _scan_chunks(softplus(delta).data.reshape(P, R, 1, 1), a_neg,
+                                b.data.reshape(P, R, 1, d), c.data.reshape(P, R, 1, d),
+                                seqs.data.reshape(P, R, C, 1), h, states if keep else None)
+            y = y.reshape(P, R, C)
+            y += seqs.data * weights.skip.data  # the skip term x * D
+            cross_merge(Tensor(y), H, W, steps, out)
+    if not keep:
+        return Tensor(out)
 
     def grad_fn(g):
         with _grad_mode(True):
@@ -378,4 +410,4 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
         per_head = [(gb[r], gc[r], gd[r], gd[R + r]) for r in range(R)]
         return (g_tokens, *(gr for head in per_head for gr in head), g_a * a_neg, g_skip)
 
-    return _node(out.data, parents, grad_fn)
+    return _node(out, parents, grad_fn)

@@ -396,6 +396,76 @@ class TestDeformableNode:
             assert np.array_equal(got, want)
 
 
+def deformable_run(arrays, grad=True):
+    """The output of ``deformable_conv2d`` on ``arrays`` (features, offsets,
+    weights, bias) and, with ``grad``, the gradients of a fixed mix of it."""
+    leaves = [Tensor(a, requires_grad=grad) for a in arrays]
+    out = deformable_conv2d(*leaves)
+    if not grad:
+        return [out.data]
+    mix = np.random.default_rng(7).normal(size=out.shape)
+    (out * Tensor(mix)).sum().backward()
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+class TestDeformableBands:
+    """Each block is sampled and contracted in bands of whole output rows,
+    about ``align.DCN_BAND`` positions each; here the budget is cut so that
+    small grids cross band edges."""
+
+    BUDGET = 12
+
+    def operands(self, rng, C, N, H, W):
+        return [rng.normal(size=(C, N, H, W)), rng.uniform(-2.5, 2.5, size=(18, N, H, W)),
+                rng.normal(size=(3, C, 3, 3)), rng.normal(size=3)]
+
+    @pytest.mark.parametrize("shape, bands", [
+        ((3, 1, 7, 5), 4),  # two rows a band; H is not a multiple of that
+        ((2, 5, 3, 15), 3),  # W wider than the budget: one row a band
+        ((2, 5, 1, 30), 1),  # a 1-row grid
+        ((2, 1, 2, 6), 1),  # the whole block fits one band
+    ])
+    def test_bands_match_one_band(self, rng, monkeypatch, shape, bands):
+        arrays = self.operands(rng, *shape)
+        calls = []
+        gather = align.bilinear_gather
+
+        def counting_gather(f, ys, xs, out=None):
+            calls.append(np.size(getattr(ys, "data", ys)))
+            return gather(f, ys, xs, out=out)
+
+        monkeypatch.setattr(align, "bilinear_gather", counting_gather)
+        monkeypatch.setattr(align, "DCN_BAND", self.BUDGET)
+        banded = deformable_run(arrays)
+        rows = max(1, self.BUDGET // shape[3])
+        assert len(calls) == 2 * shape[1] * bands  # forward and backward, per block
+        assert max(calls) == 9 * min(rows, shape[2]) * shape[3]
+        monkeypatch.setattr(align, "DCN_BAND", 1 << 30)
+        whole = deformable_run(arrays)
+        for got, want in zip(banded, whole):
+            if bands == 1:  # the same GEMMs: bitwise
+                assert np.array_equal(got, want)
+            else:  # narrower GEMMs and per-band sums: last bits
+                assert relative_error(got, want) <= 1e-12
+
+    def test_default_budget_splits_a_wide_grid(self, rng, monkeypatch):
+        # 40 x 33 is 1320 positions: two bands of 31 and 9 rows at 1024
+        assert align.DCN_BAND // 33 < 40
+        arrays = self.operands(rng, 2, 2, 40, 33)
+        banded = deformable_run(arrays, grad=False)
+        monkeypatch.setattr(align, "DCN_BAND", 1 << 30)
+        whole = deformable_run(arrays, grad=False)
+        assert relative_error(banded[0], whole[0]) <= 1e-12
+
+    def test_gradients(self, rng, monkeypatch):
+        monkeypatch.setattr(align, "DCN_BAND", 5)  # one row a band: four bands
+        f, offsets, w, b = self.operands(rng, 2, 2, 4, 3)
+        offsets = rng.uniform(0.15, 0.45, size=offsets.shape)  # away from the kinks
+        mix = Tensor(rng.normal(size=(3, 2, 4, 3)))
+        check_gradients(lambda ts: (deformable_conv2d(*ts) * mix).sum(),
+                        [f, offsets, w, b], rtol=1e-3)
+
+
 class TestPyramid:
     def test_extractor_builds_three_halving_levels(self, rng):
         ex = FeatureExtractor(3, 8, rng)

@@ -5,11 +5,13 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+import vssenhance.ss2d as ss2d_module
 from vssenhance.layers import MANIFEST_NAME, load_checkpoint
 from vssenhance.ss2d import (
     DELTA_FLOOR,
     DIRECTIONS,
     SCAN_CHUNK,
+    SCAN_PIECE,
     SS2D,
     _head_projection,
     cross_merge,
@@ -166,6 +168,52 @@ class TestCrossMerge:
         mix = Tensor(rng.normal(size=(H * W, C)))
         check_gradients(lambda ts: (cross_merge(ts[0], H, W) * mix).sum(),
                         [rng.normal(size=(H * W, 4, C))])
+
+
+class TestStepRanges:
+    """``cross_scan`` and ``cross_merge`` on a range of sequence steps: the
+    pieces the SS2D forward streams."""
+
+    H, W, C = 3, 5, 2
+    PIECES = (slice(0, 4), slice(4, 8), slice(8, 15))
+
+    def test_pieces_rebuild_the_stack_and_the_merge(self, rng):
+        tok, H, W = tokens(rng.normal(size=(self.C, self.H, self.W)))
+        whole = cross_scan(tok, H, W).data
+        pieces = [cross_scan(tok, H, W, steps).data for steps in self.PIECES]
+        assert np.array_equal(np.concatenate(pieces), whole)
+        y = rng.normal(size=whole.shape)
+        out = np.zeros((H * W, self.C))
+        for steps in self.PIECES:
+            merged = cross_merge(Tensor(y[steps]), H, W, steps, out)
+            assert merged.data is out
+        # a token's four terms add in piece order, then direction order
+        want = cross_merge(Tensor(y), H, W).data
+        assert np.abs(out - want).max() <= 1e-15 * np.abs(want).max()
+        # integers add exactly in any order
+        ints = np.round(8 * y)
+        out = np.zeros((H * W, self.C))
+        for steps in self.PIECES:
+            cross_merge(Tensor(ints[steps]), H, W, steps, out)
+        assert np.array_equal(out, cross_merge(Tensor(ints), H, W).data)
+
+    def test_tokens_a_piece_does_not_visit_merge_to_zero(self, rng):
+        # steps 0 and 1 of a 1 x 3 grid visit tokens 0, 1 (lr, td), 2, 1 (rl, dt)
+        seqs = Tensor(np.ones((2, 4, 1)))
+        out = cross_merge(seqs, 1, 3, slice(0, 2)).data[:, 0]
+        assert np.array_equal(out, [2.0, 4.0, 2.0])
+        with pytest.raises(DimensionError):
+            cross_merge(seqs, 1, 3, slice(0, 3))
+
+    def test_gradients(self, rng):
+        H, W, C = self.H, self.W, self.C
+        steps = slice(3, 9)
+        mix = Tensor(rng.normal(size=(6, 4, C)))
+        check_gradients(lambda ts: (cross_scan(ts[0], H, W, steps) * mix).sum(),
+                        [rng.normal(size=(H * W, C))])
+        mix = Tensor(rng.normal(size=(H * W, C)))
+        check_gradients(lambda ts: (cross_merge(ts[0], H, W, steps) * mix).sum(),
+                        [rng.normal(size=(6, 4, C))])
 
 
 class TestSkipMerge:
@@ -555,3 +603,51 @@ class TestLinearRecurrence:
         u = rng.normal(size=(6, 3))
         mix = Tensor(rng.normal(size=(6, 3)))
         check_gradients(lambda ts: (linear_recurrence(ts[0], ts[1]) * mix).sum(), [a, u])
+
+
+def kept_states(out: Tensor) -> list:
+    """The (4, C, d) chunk entry states an SS2D node keeps, in chunk order."""
+    return [a for a in retained_arrays(out) if a.ndim == 3 and a.shape[0] == 4]
+
+
+class TestStreamedForward:
+    """The SS2D forward in pieces of ``SCAN_PIECE`` steps, here cut to one
+    scan chunk so that small grids span several pieces; the default's
+    pieces are longer than a 64 x 64 grid."""
+
+    GRIDS = ((9, 15), (13, 11))  # L = 135 and 143: three pieces, the last partial
+
+    @pytest.fixture(autouse=True)
+    def short_pieces(self, monkeypatch):
+        assert SCAN_PIECE % SCAN_CHUNK == 0 and SCAN_PIECE >= 64 * 64
+        monkeypatch.setattr(ss2d_module, "SCAN_PIECE", SCAN_CHUNK)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_matches_composition_with_graphs(self, rng, grid):
+        assert_agrees_with_chain(rng, *grid, C=3, d=4)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_matches_composition_without_graphs(self, rng, grid):
+        H, W = grid
+        arrays = node_arrays(rng, H, W, C=3, d=4)
+        with no_grad():
+            got = node([Tensor(a) for a in arrays], H, W).data
+            want = chain_ss2d(Tensor(arrays[0]), H, W,
+                              with_parameters([Tensor(a) for a in arrays[1:]], 3, 4)).data
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_keeps_the_unstreamed_states(self, rng, monkeypatch):
+        H, W = self.GRIDS[0]
+        leaves = [Tensor(a, requires_grad=True) for a in node_arrays(rng, H, W)]
+        streamed = kept_states(node(leaves, H, W))
+        monkeypatch.setattr(ss2d_module, "SCAN_PIECE", SCAN_PIECE)
+        whole = kept_states(node(leaves, H, W))
+        assert len(streamed) == len(whole) == -(-H * W // SCAN_CHUNK) - 1
+        for got, want in zip(streamed, whole):
+            assert np.array_equal(got, want)
+
+    def test_gradients(self, rng):
+        H, W = self.GRIDS[0]
+        mix = Tensor(rng.normal(size=(H * W, C_NODE)))
+        check_gradients(lambda ts: (node(ts, H, W) * mix).sum(), node_arrays(rng, H, W),
+                        rtol=1e-5)

@@ -692,6 +692,24 @@ class TestShapingOps:
         with pytest.raises(DimensionError):
             gather_rows(Tensor(x), perm, inverse=inv[:, 0])
 
+    def test_gather_rows_without_inverse(self, rng):
+        # rows of part of each permutation: backward adds the gradient rows
+        # into place; on whole permutations it equals the inverse's gathers
+        x = rng.normal(size=(7, 3))
+        perm = np.stack([rng.permutation(7) for _ in range(4)], axis=1)
+        for rows in (perm[2:5], perm[:1, 0], perm):
+            out = gather_rows(Tensor(x), rows)
+            assert np.array_equal(out.data, x[rows])
+            mix = rng.normal(size=out.shape)
+            check_gradients(lambda ts: (gather_rows(ts[0], rows) * Tensor(mix)).sum(), [x])
+        mix = Tensor(rng.normal(size=perm.shape + (3,)))
+        grads = []
+        for inverse in (None, np.argsort(perm, axis=0)):
+            leaf = Tensor(x, requires_grad=True)
+            (gather_rows(leaf, perm, inverse=inverse) * mix).sum().backward()
+            grads.append(leaf.grad)
+        assert np.array_equal(*grads)
+
     def test_concat_and_slice_gradients(self, rng):
         a = rng.normal(size=(2, 3))
         b = rng.normal(size=(4, 3))

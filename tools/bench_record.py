@@ -7,12 +7,14 @@ seed 0, untraced on every workload and then traced (``--trace 1``) on
 enhance-stream and train-step, then one default-config inference window and
 one default-config training step at 128x128 and the decodes of one 1920x1080
 RGB16 PNG and one RGB8 PNG in this process, under the CLI's heap policy
-(``cli.keep_heap``), then the tier-1 test command.  Each run's last
-JSON line, the machine facts it prints (nproc, BLAS threads, Python and numpy
-versions), the 128x128 window's extract, PCD and net times, the 128x128
+(``cli.keep_heap``), then one cold default-config 640x360 window in a fresh
+process under the same policy, then the tier-1 test command.  Each run's
+last JSON line, the machine facts it prints (nproc, BLAS threads, Python and
+numpy versions), the 128x128 window's extract, PCD and net times, the 128x128
 training step's time, minor page faults and autograd graph bytes, each 1080p
-frame's row filter histogram and ``read_image`` time, the import footprint of
-``vssenhance.cli`` in a fresh interpreter (wall time, ``ru_maxrss`` and the
+frame's row filter histogram and ``read_image`` time, the 640x360 window's
+stage times, wall time and peak RSS (``VmHWM``), the import footprint of
+``vssenhance.cli`` in a fresh interpreter (wall time, ``VmHWM`` and the
 SciPy modules it loaded), the tier-1 wall time, the ids of the tests that
 failed or errored and the duration of ``test_06_toy_overfit`` go into
 ``BENCH_<tag>.json`` at the repository root, with the ``HEAD`` commit,
@@ -52,6 +54,7 @@ FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
 WINDOW_SIZE = (128, 128)  # perfbench runs 64x64 only
 WINDOW_REPEATS = 3  # timed windows after one warm-up; stage times are medians
 TRAIN_REPEATS = 2  # timed training steps after one warm-up; the time is their median
+COLD_WINDOW_SIZE = (360, 640)  # (H, W): one cold window in a fresh process
 DECODE_SIZE = (1080, 1920)
 DECODE_REPEATS = 3  # read_image calls; the time is their median
 
@@ -74,16 +77,13 @@ def bench_run(workload: str, trace: int) -> dict:
     return {"workload": workload, "seed": SEED, "seconds": SECONDS, "trace": trace, **result}
 
 
-def inference_window() -> dict:
-    """Time the stages of one default-config 5-frame inference window at
-    WINDOW_SIZE: weights perturbed at seed 0 and frames made by
-    ``perfbench/generate.py``'s own functions."""
-    print(f"running: one {WINDOW_SIZE[0]}x{WINDOW_SIZE[1]} inference window", flush=True)
+def window_inputs(size: tuple[int, int]):
+    """A default-config model with perturbed seed-0 weights and a 5-frame
+    window of ``size`` made by ``perfbench/generate.py``'s own functions."""
     import generate
     import numpy as np
     import workloads
     from vssenhance import tensor as T
-    from vssenhance.align import pcd_align
     from vssenhance.config import parse_config
     from vssenhance.enhance import VideoEnhancer
     from vssenhance.layers import load_checkpoint
@@ -93,26 +93,80 @@ def inference_window() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         generate._perturbed_checkpoint(SEED, Path(tmp))
         load_checkpoint(model, Path(tmp) / "step-000000")
-    rng = np.random.default_rng([SEED, *WINDOW_SIZE])
-    frames = generate._underwater(rng, generate._bright_scene(rng, 5, *WINDOW_SIZE))
-    window = [T.Tensor(frame) for frame in frames]
-    times = {"extract_ms": [], "pcd_ms": [], "net_ms": []}
+    rng = np.random.default_rng([SEED, *size])
+    frames = generate._underwater(rng, generate._bright_scene(rng, 5, *size))
+    return model, [T.Tensor(frame) for frame in frames]
+
+
+def window_stages(model, window) -> dict:
+    """Extract, PCD and net times in ms of one inference window, graphs off."""
+    from vssenhance import tensor as T
+    from vssenhance.align import pcd_align
+
     with T.no_grad():
-        for _ in range(WINDOW_REPEATS + 1):
-            start = time.perf_counter()
-            pyramid = model.extractor(T.stack(window, axis=1))
-            extracted = time.perf_counter()
-            aligned = pcd_align(pyramid, pyramid.block(len(window) // 2), model.pcd)
-            pcd_done = time.perf_counter()
-            model.net(aligned, window[len(window) // 2], clamp_output=True)
-            done = time.perf_counter()
-            for key, (a, b) in zip(times, ((start, extracted), (extracted, pcd_done),
-                                            (pcd_done, done))):
-                times[key].append((b - a) * 1e3)
-    stages = {key: round(statistics.median(v[1:]), 1) for key, v in times.items()}
+        start = time.perf_counter()
+        pyramid = model.extractor(T.stack(window, axis=1))
+        extracted = time.perf_counter()
+        aligned = pcd_align(pyramid, pyramid.block(len(window) // 2), model.pcd)
+        pcd_done = time.perf_counter()
+        model.net(aligned, window[len(window) // 2], clamp_output=True)
+        done = time.perf_counter()
+    return {"extract_ms": (extracted - start) * 1e3, "pcd_ms": (pcd_done - extracted) * 1e3,
+            "net_ms": (done - pcd_done) * 1e3}
+
+
+def inference_window() -> dict:
+    """Time the stages of one default-config 5-frame inference window at
+    WINDOW_SIZE (see ``window_inputs``)."""
+    print(f"running: one {WINDOW_SIZE[0]}x{WINDOW_SIZE[1]} inference window", flush=True)
+    model, window = window_inputs(WINDOW_SIZE)
+    runs = [window_stages(model, window) for _ in range(WINDOW_REPEATS + 1)]
+    stages = {key: round(statistics.median(r[key] for r in runs[1:]), 1) for key in runs[0]}
     total = sum(stages.values())
     return {"size": list(WINDOW_SIZE), "frames": len(window), "repeats": WINDOW_REPEATS,
             **stages, "pcd_share": round(stages["pcd_ms"] / total, 3)}
+
+
+def vmhwm_mb() -> float:
+    """This process's peak resident set in MB: ``VmHWM`` of /proc/self/status,
+    which belongs to the process's own address space and starts fresh at
+    exec, unlike ``ru_maxrss``, which a child inherits from its parent."""
+    status = Path("/proc/self/status").read_text()
+    return round(int(re.search(r"^VmHWM:\s*(\d+) kB", status, re.MULTILINE).group(1)) / 1024, 1)
+
+
+# run in a fresh interpreter from the repository root: one cold window
+COLD_WINDOW_PROBE = """\
+import json, sys
+sys.path[:0] = ["tools", "src", "perfbench"]
+import bench_record
+print(json.dumps(bench_record.cold_window()))
+"""
+
+
+def cold_window() -> dict:
+    """One cold default-config inference window at COLD_WINDOW_SIZE in this
+    process, under the CLI's heap policy: its stage times and the process's
+    ``VmHWM`` after it."""
+    from vssenhance.cli import keep_heap
+
+    keep_heap()
+    model, window = window_inputs(COLD_WINDOW_SIZE)
+    stages = window_stages(model, window)
+    return {key: round(v, 1) for key, v in stages.items()} | {"vmhwm_mb": vmhwm_mb()}
+
+
+def cold_window_probe() -> dict:
+    """``cold_window`` in a fresh interpreter, and that interpreter's wall
+    time from start to exit (set-up, imports and the window)."""
+    h, w = COLD_WINDOW_SIZE
+    print(f"running: one cold {w}x{h} inference window in a fresh process", flush=True)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", COLD_WINDOW_PROBE], cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    wall_s = time.perf_counter() - start
+    return {"size": [h, w], "frames": 5, **json.loads(proc.stdout.splitlines()[-1]),
+            "wall_s": round(wall_s, 2)}
 
 
 def train_step() -> dict:
@@ -189,13 +243,15 @@ def decode_1080p(bit_depth: int) -> dict:
 
 # run in a fresh interpreter: what every vssenhance command pays before main()
 IMPORT_PROBE = """\
-import json, resource, sys, time
+import json, sys, time
 start = time.perf_counter()
 import vssenhance.cli
 wall_ms = (time.perf_counter() - start) * 1e3
+with open("/proc/self/status") as status:  # see vmhwm_mb
+    vmhwm_kb = int(status.read().split("VmHWM:")[1].split()[0])
 print(json.dumps({
     "wall_ms": round(wall_ms, 1),
-    "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+    "vmhwm_mb": round(vmhwm_kb / 1024, 1),
     "scipy_modules": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
 }))
 """
@@ -274,6 +330,7 @@ def main(argv=None) -> int:
         "train_128": train_step(),
         "decode_1080p": decode_1080p(16),
         "decode_1080p_rgb8": decode_1080p(8),
+        "window_640x360": cold_window_probe(),
         "import_footprint": import_footprint(),
         "tier1": tier1(),
     }
