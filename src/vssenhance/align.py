@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import Conv2d, Module
-from .tensor import DimensionError, Tensor, _node, _wrap, concat, gelu
+from .tensor import DimensionError, Tensor, _node, _wrap, gelu
 
 __all__ = [
     "FramePyramid",
@@ -112,10 +112,10 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
     coordinates (piecewise, with kinks at integer coordinates).
 
     The read is one sparse (M, H*W) operator: forward applies it, backward its
-    transpose.  Backward keeps the operator's arrays.  When the coordinates
-    need a gradient it keeps the per-axis corner factors instead of the
-    operator's weights: it rebuilds the weights from them, and forms the two
-    (C, M) coordinate derivatives there, from the values ``f``.  The samples
+    transpose.  Backward keeps the operator's indices and the per-axis corner
+    factors, not the operator's weights: it rebuilds the weights from them,
+    and, when the coordinates need a gradient, forms the two (C, M)
+    coordinate derivatives there, from the values ``f``.  The samples
     are written into ``out``, a (C, M) buffer whose old values are ignored,
     if one is given.  SciPy's CSR kernel is imported here, on the first
     call, so that a process that runs no model layer never loads SciPy.
@@ -151,18 +151,12 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
             _sparsetools.csr_matvec(M, H * W, indptr, cols, data, row, out[c])
         return out
 
-    weights = corners(ry, rx)
     iy = ix = None  # read no more: free them before the (C, M) output exists
-    out = apply(weights, out)
-    if coord_grad:
-        weights = None  # rebuilt from ry and rx, which backward keeps anyway
-    else:
-        ry = rx = my = mx = None  # backward reads only the operator
-
+    out = apply(corners(ry, rx), out)  # backward rebuilds these weights
     y_shape, x_shape = ys_t.shape, xs_t.shape  # backward keeps no coordinates
 
     def grad_fn(g):
-        gf = (g @ operator(corners(ry, rx) if coord_grad else weights)).reshape(C, H, W)
+        gf = (g @ operator(corners(ry, rx))).reshape(C, H, W)
         if not coord_grad:
             return gf, None, None
         # the weights' slopes along an axis are -near and far
@@ -396,9 +390,6 @@ class PCDAlign(Module):
         self.cas_head = Conv2d(channels, off_ch, 3, rng, zero_init=True)
         self.cas_dcn = Conv2d(channels, channels, 3, rng)
 
-    def __call__(self, neighbor: FramePyramid, reference: FramePyramid) -> Tensor:
-        return pcd_align(neighbor, reference, self)
-
 
 def _offset_field(conv_a: Conv2d, conv_b: Conv2d, head: Conv2d, parts: list[Tensor]) -> Tensor:
     """An offset field predicted from ``parts``: ``conv_a`` of their channel
@@ -449,10 +440,8 @@ def pcd_align(
         if aligned is None:
             aligned = gelu(moved)
         else:
-            stacked = concat([moved, resize_bilinear(aligned, H, W)], axis=0)
-            del moved, aligned
-            aligned = weights.fuse[lvl](stacked)
-            del stacked
+            aligned = weights.fuse[lvl]([moved, resize_bilinear(aligned, H, W)])
+            del moved
             if lvl > 0:
                 aligned = gelu(aligned)
 

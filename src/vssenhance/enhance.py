@@ -18,7 +18,7 @@ from . import tensor as T
 from .align import FeatureExtractor, FramePyramid, PCDAlign, pcd_align
 from .layers import Conv2d, ConvTranspose2d, Module
 from .optim import AdamW
-from .tensor import ConfigurationError, DimensionError, Tensor, concat, pad2d_edges
+from .tensor import ConfigurationError, DimensionError, Tensor, pad2d_edges
 from .vss import VSSBlock
 
 __all__ = [
@@ -152,7 +152,7 @@ def enhance_forward(aligned: Tensor, center_rgb: Tensor, net: EnhanceNet,
         net.ups, net.skip_projects, net.decoder_stages, reversed(skips)
     ):
         feat = up(feat)
-        feat = project(concat([feat, skip], axis=0))
+        feat = project([feat, skip])
         for block in stage:
             feat = block(feat)
 

@@ -166,6 +166,9 @@ def load_checkpoint(module: Module, directory) -> None:
             raise ContractError(
                 f"{manifest}:{lineno}: expected 4 tab-separated fields, got {len(fields)}"
             )
+        if fields[0] in entries:
+            raise ContractError(f"{manifest}:{lineno}: parameter {fields[0]} is "
+                                f"already listed on line {entries[fields[0]][1]}")
         entries[fields[0]] = (fields[1], lineno)
     params = dict(module.named_parameters())
     missing = sorted(set(params) - set(entries))

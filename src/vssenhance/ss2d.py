@@ -57,18 +57,16 @@ DELTA_FLOOR = 0.01  # a fresh selective head's step size, softplus(b_delta)
 
 @lru_cache(maxsize=128)
 def traversal_permutations(H: int, W: int):
-    """Sequence-index -> grid-index maps and their inverses: two read-only
-    (H*W, 4) arrays, a column per direction in ``DIRECTIONS`` order.
+    """Sequence-index -> grid-index maps: a read-only (H*W, 4) array, a
+    column per direction in ``DIRECTIONS`` order.
 
     ``perm[i, r]`` is the row-major grid position direction r visits at step i.
     """
     lr = np.arange(H * W, dtype=np.intp)
     td = (lr % H) * W + lr // H  # step i visits column i//H, row i%H
     perm = np.stack([lr, td, lr[::-1], td[::-1]], axis=1)
-    inv = np.argsort(perm, axis=0)
-    for arr in (perm, inv):
-        arr.setflags(write=False)
-    return perm, inv
+    perm.setflags(write=False)
+    return perm
 
 
 def _check_grid(tokens: Tensor, H: int, W: int) -> None:
@@ -86,8 +84,7 @@ def cross_scan(tokens: Tensor, H: int, W: int, steps: slice = slice(None)) -> Te
     one (H*W, 4, C) stack, directions in ``DIRECTIONS`` order (values copied).
     ``steps`` keeps only that range of sequence steps, a (P, 4, C) stack."""
     _check_grid(tokens, H, W)
-    perm, inv = traversal_permutations(H, W)
-    return gather_rows(tokens, perm[steps], inverse=inv if steps == slice(None) else None)
+    return gather_rows(tokens, traversal_permutations(H, W)[steps])
 
 
 def cross_merge(seqs: Tensor, H: int, W: int, steps: slice = slice(None),
@@ -100,7 +97,7 @@ def cross_merge(seqs: Tensor, H: int, W: int, steps: slice = slice(None),
     into the (H*W, C) array ``out`` if one is given, which becomes the
     node's value: so a stack merged in pieces adds up, token by token, in
     piece order and then direction order."""
-    rows = traversal_permutations(H, W)[0][steps]
+    rows = traversal_permutations(H, W)[steps]
     if seqs.ndim != 3 or seqs.shape[:2] != rows.shape:
         raise DimensionError(
             f"cross_merge needs {rows.shape + (seqs.shape[-1],)} sequences, got {seqs.shape}")
@@ -391,7 +388,7 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
             delta = softplus(proj[2])
         x = seqs.data
         a_neg = -np.exp(params[-2].data)
-        g_y = g[traversal_permutations(H, W)[0]]  # the merge's adjoint, (L, 4, C)
+        g_y = g[traversal_permutations(H, W)]  # the merge's adjoint, (L, 4, C)
         g_delta, g_a, g_b, g_c, g_x = _selective_scan_bwd(
             g_y, delta.data.reshape(L, R, 1, 1), a_neg, proj[0].data.reshape(L, R, 1, d),
             proj[1].data.reshape(L, R, 1, d), x.reshape(L, R, C, 1), states)

@@ -583,40 +583,21 @@ def stack(tensors, axis: int = 0) -> Tensor:
     )
 
 
-def gather_rows(a, indices, inverse=None) -> Tensor:
+def gather_rows(a, indices) -> Tensor:
     """Select rows along axis 0: ``out[i] = a[indices[i]]``, or for (L, R)
     ``indices`` ``out[i, r] = a[indices[i, r]]``.  No column of ``indices``
     repeats a row, so the backward pass adds each column's gradient rows
-    into place with plain fancy indexing.  When every column is a whole
-    permutation, ``inverse`` may hold the columns' inverses: the backward
-    pass then sums R plain gathers instead."""
+    into place with plain fancy indexing."""
     a = _wrap(a)
     idx = np.asarray(indices, dtype=np.intp)
-    merge = inverse is not None
-    if merge:
-        inverse = np.asarray(inverse, dtype=np.intp)
-        if inverse.shape != idx.shape:
-            raise DimensionError(
-                f"inverse must be {idx.shape} like the indices, got {inverse.shape}")
     # backward reads only these (L, R) columns; R = 1 for (L,) indices
-    cols = (inverse if merge else idx).reshape(len(idx), -1)
+    cols = idx.reshape(len(idx), -1)
 
     def grad_fn(g):
         g = g.reshape(cols.shape + a.data.shape[1:])
-        if merge:
-            return (_merge_columns(g, cols),)
         return (_add_columns(g, cols, np.zeros(a.data.shape)),)
 
     return _node(a.data[idx], (a,), grad_fn)
-
-
-def _merge_columns(g: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """``sum_r g[inv[:, r], r]`` in column order: the adjoint of gathering, into
-    the (L, R, ...) stack ``g``, the permutations whose inverses are ``inv``'s columns."""
-    out = g[inv[:, 0], 0]
-    for r in range(1, inv.shape[1]):
-        out += g[inv[:, r], r]
-    return out
 
 
 def _add_columns(g: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Enhancement net: shape contract, residual pass-through, training dynamics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from vssenhance.layers import load_checkpoint, save_checkpoint
 from vssenhance.optim import AdamW
 from vssenhance.tensor import ConfigurationError, ContractError, DimensionError, Tensor
 
-from helpers import check_gradients
+from helpers import check_gradients, retained_arrays
 
 
 TINY = dict(
@@ -189,6 +191,41 @@ class TestVideoEnhancer:
             load_checkpoint(model, tmp_path / "ck")
         for name, p in model.named_parameters():
             assert np.array_equal(p.data, before[name]), name
+
+    def test_checkpoint_naming_a_parameter_twice_is_rejected(self, rng, tmp_path):
+        # a later line that names a parameter again, with another tensor of
+        # its shape, must not silently replace the first line's tensor
+        cfg = EnhanceNetConfig(**TINY)
+        save_checkpoint(VideoEnhancer(cfg, rng), tmp_path / "ck")
+        manifest = tmp_path / "ck" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        shapes = [line.split("\t")[2] for line in lines]
+        i, j = next((i, j) for i in range(len(lines)) for j in range(i + 1, len(lines))
+                    if shapes[i] == shapes[j])
+        name = lines[i].split("\t")[0]
+        lines.append("\t".join([name] + lines[j].split("\t")[1:]))
+        manifest.write_text("\n".join(lines) + "\n")
+        model = VideoEnhancer(cfg, np.random.default_rng(7))
+        before = {n: p.data.copy() for n, p in model.named_parameters()}
+        with pytest.raises(ContractError, match=rf"manifest.txt:{len(lines)}: parameter "
+                           rf"{re.escape(name)} is already listed on line {i + 1}"):
+            load_checkpoint(model, tmp_path / "ck")
+        for n, p in model.named_parameters():
+            assert np.array_equal(p.data, before[n]), n
+
+    def test_training_graph_keeps_no_channel_join(self, rng):
+        # PCD's fuse and the U-Net's skip projections convolve their two
+        # inputs as parts, so no (2C, ...) concatenation is kept for backward
+        cfg = EnhanceNetConfig(**{**TINY, "feature_channels": 3})
+        H = W = 8
+        model = VideoEnhancer(cfg, rng)
+        frames = [Tensor(rng.uniform(size=(3, H, W))) for _ in range(cfg.input_frames)]
+        loss = charbonnier(model(frames), Tensor(rng.uniform(size=(3, H, W))))
+        shapes = {arr.shape for arr in retained_arrays(loss)}
+        joins = [shape for shape in shapes if shape[:1] == (2 * cfg.feature_channels,)]
+        joins += [(2 * cfg.stage_channels(s), H >> s, W >> s) for s in range(cfg.num_scales)
+                  if (2 * cfg.stage_channels(s), H >> s, W >> s) in shapes]
+        assert joins == []
 
     def test_interrupted_overwrite_keeps_old_checkpoint(self, rng, tmp_path, monkeypatch):
         cfg = EnhanceNetConfig(**TINY)
