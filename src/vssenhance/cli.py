@@ -84,6 +84,9 @@ def _paired_frames(low_dir: str, gt_dir: str):
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    for key in ("low_dir", "gt_dir"):
+        if not getattr(cfg.data, key):  # "" would read the working directory
+            return _fail(f"[data] {key} is not set; train needs it")
     low, gt = _paired_frames(cfg.data.low_dir, cfg.data.gt_dir)
 
     model = VideoEnhancer(cfg.model, derive_rng(cfg.train.seed, "model"))

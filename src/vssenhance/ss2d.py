@@ -248,22 +248,26 @@ def _scan_chunks(delta, a, b, c, x, h0=None, states=None):
     return y, h0
 
 
-def _selective_scan_bwd(g, delta, a, b, c, x, states):
+def _selective_scan_bwd(g, delta, a, b, c, x, states, carry=None):
     """Gradients of :func:`_scan_chunks` in its operands' shapes, walking the
-    chunks in reverse and recomputing each from its saved entry state."""
+    chunks in reverse and recomputing each from its saved entry state.
+
+    ``carry`` is the gradient of the state the last step leaves, when a
+    later run of the scan continued from it; the gradient of the state
+    entering the first chunk comes back last, for the run before (None when
+    that state is the zero start)."""
     L, R, C, _ = x.shape
     d = a.shape[1]
     g = g.reshape(L, R, C, 1)
     g_delta, g_b, g_c, g_x = (np.empty(t.shape) for t in (delta, b, c, x))
     g_a = np.zeros((C, d))
     T = min(L, SCAN_CHUNK)
-    a_bar, q, u, g_h, work = (np.empty((T, R, C, d)) for _ in range(5))
-    carry = None  # gradient of the state entering the chunk just walked
+    a_bar, q, u = (np.empty((T, R, C, d)) for _ in range(3))
     for t0, h0 in zip(reversed(range(0, L, SCAN_CHUNK)), reversed(states)):
         t1 = min(t0 + SCAN_CHUNK, L)
         T = t1 - t0
         sl = slice(t0, t1)
-        ab, qq, uu, gh, w = a_bar[:T], q[:T], u[:T], g_h[:T], work[:T]
+        ab, qq, uu = a_bar[:T], q[:T], u[:T]
         _zoh_terms(delta[sl], a, b[sl], x[sl], ab, qq, uu)
         if h0 is not None:
             uu[0] += ab[0] * h0
@@ -275,6 +279,9 @@ def _selective_scan_bwd(g, delta, a, b, c, x, states):
             )
         h = node.data.reshape(T, R, C, d)
         gy = g[sl]
+        # the recurrence's adjoint reads only a_bar and h, so u's buffer is
+        # free: it takes h's gradient, then the working products below
+        gh = w = uu
         np.multiply(gy, c[sl], out=gh)
         if carry is not None:
             gh[-1] += carry
@@ -291,6 +298,7 @@ def _selective_scan_bwd(g, delta, a, b, c, x, states):
         np.multiply(w, x[sl], out=w)
         np.divide(w, a, out=w)
         da += w
+        carry = None  # now the gradient of the state entering this chunk
         if h0 is not None:
             da[0] += du[0] * h0
             carry = du[0] * ab[0]
@@ -301,7 +309,7 @@ def _selective_scan_bwd(g, delta, a, b, c, x, states):
         np.multiply(da, ab, out=da)
         np.matmul(da.reshape(T, R, 1, C * d), a.reshape(C * d, 1), out=g_delta[sl])
         g_a += (delta[sl].reshape(1, T * R) @ da.reshape(T * R, C * d)).reshape(C, d)
-    return g_delta, g_a, g_b, g_c, g_x
+    return g_delta, g_a, g_b, g_c, g_x, carry
 
 
 def _head_projection(x: Tensor, weights, biases=()) -> Tensor:
@@ -314,13 +322,23 @@ def _head_projection(x: Tensor, weights, biases=()) -> Tensor:
             out[:, r] += biases[r].data
 
     def grad_fn(g):
-        gx = np.empty_like(x.data)
-        for r, w in enumerate(weights):
-            np.matmul(g[:, r], w.data.T, out=gx[:, r])
-        gw = [x.data[:, r].T @ g[:, r] for r in range(len(weights))]
-        return (gx, *gw, *(g[:, r].sum(axis=0) for r in range(len(biases))))
+        gx = np.zeros(x.shape)
+        return (gx, *_head_projection_bwd(x.data, weights, len(biases), g, gx))
 
     return _node(out, (x, *weights, *biases), grad_fn)
+
+
+def _head_projection_bwd(x: np.ndarray, weights, n_bias: int, g: np.ndarray, gx: np.ndarray):
+    """Gradients of :func:`_head_projection` for the output gradient ``g``:
+    the stack's is added into ``gx``, a direction at a time through one
+    (L, C) buffer, and the list of the weights' and then the ``n_bias``
+    biases' gradients is returned."""
+    tmp = np.empty(x.shape[:1] + x.shape[2:])
+    for r, w in enumerate(weights):
+        np.matmul(g[:, r], w.data.T, out=tmp)
+        gx[:, r] += tmp
+    gw = [x[:, r].T @ g[:, r] for r in range(len(weights))]
+    return gw + [g[:, r].sum(axis=0) for r in range(n_bias)]
 
 
 def _projections(seqs: Tensor, heads):
@@ -349,11 +367,16 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
     (H*W, 4, C) array is formed, and the output equals the whole-stack
     composition's within 1e-12 (bitwise for one piece: a token's four terms
     then add in direction order).  The node keeps only the (4, C, d) state
-    entering each scan chunk.  Backward rebuilds the whole stack as a
-    gather node on the tokens, recomputes B, C and Δ from it, runs the
-    scan's adjoint from the kept states and takes the stack's gradient back
-    to the tokens through the rebuilt gather (activation checkpointing), so
-    no (L, 4, C) array outlives the call.
+    entering each scan chunk.  Backward walks the same pieces in reverse
+    (activation checkpointing): each rebuilds its stack as a gather node on
+    the tokens, recomputes its B, C and Δ, runs the scan's adjoint over its
+    chunks from the kept states, carrying the state's gradient into the
+    piece before, and takes its stack's gradient back to the tokens through
+    the rebuilt gather.  The tokens' gradient adds up piece by piece in one
+    (H*W, C) array, and each parameter's across pieces, so no array larger
+    than a piece's stack outlives a piece, and the gradients equal the
+    whole-stack composition's within 1e-12 (bitwise but for ``skip``'s for
+    one piece).
     """
     tokens = _wrap(tokens)
     heads = [(h.w_b, h.w_c, h.w_delta, h.b_delta) for h in weights.heads]
@@ -364,11 +387,11 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
         raise DimensionError(f"tokens have {C} channels, SS2D expects {weights.channels}")
     parents = (tokens, *params)
     keep = grad_enabled() and any(t.requires_grad for t in parents)
-    out, states, h = np.zeros((L, C)), [], None
+    out, states, h, piece = np.zeros((L, C)), [], None, SCAN_PIECE
     with _grad_mode(False):
         a_neg = -np.exp(weights.a_log.data)  # (C, d), strictly negative
-        for t0 in range(0, L, SCAN_PIECE):
-            steps = slice(t0, min(t0 + SCAN_PIECE, L))
+        for t0 in range(0, L, piece):
+            steps = slice(t0, min(t0 + piece, L))
             seqs = cross_scan(tokens, H, W, steps)
             P = seqs.shape[0]
             b, c, delta = _projections(seqs, heads)
@@ -381,30 +404,53 @@ def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
     if not keep:
         return Tensor(out)
 
-    def grad_fn(g):
+    def piece_grad(g, steps, carry, a_neg):
+        """One piece's share of the gradients, and the carry into the piece
+        before it."""
         with _grad_mode(True):
-            seqs = cross_scan(Tensor(tokens.data, requires_grad=True), H, W)
-            proj = _projections(seqs, heads)
-            delta = softplus(proj[2])
-        x = seqs.data
-        a_neg = -np.exp(params[-2].data)
-        g_y = g[traversal_permutations(H, W)]  # the merge's adjoint, (L, 4, C)
-        g_delta, g_a, g_b, g_c, g_x = _selective_scan_bwd(
-            g_y, delta.data.reshape(L, R, 1, 1), a_neg, proj[0].data.reshape(L, R, 1, d),
-            proj[1].data.reshape(L, R, 1, d), x.reshape(L, R, C, 1), states)
-        g_skip = (g_y * x).sum(axis=(0, 1))
-        g_pre = delta._grad_fn(g_delta.reshape(L, R, 1))[0]
-        g_proj = [p._grad_fn(gp) for p, gp in zip(proj, (g_b.reshape(L, R, d),
-                                                          g_c.reshape(L, R, d), g_pre))]
-        # the stack's gradient, summed in a fixed order (skip term, then the
-        # Δ, B and C projections, then x): another order changes its last bits
-        g_seqs = g_y * params[-1].data
-        for gp in (g_proj[2], g_proj[0], g_proj[1]):
-            g_seqs += gp[0]
-        g_seqs += g_x.reshape(L, R, C)
-        (g_tokens,) = seqs._grad_fn(g_seqs)
-        gb, gc, gd = (gp[1:] for gp in g_proj)  # gd: four w_delta, then four b_delta
+            seqs = cross_scan(Tensor(tokens.data, requires_grad=True), H, W, steps)
+        x, scatter = seqs.data, seqs._grad_fn  # the gather's adjoint, run last
+        del seqs
+        P = x.shape[0]
+        with _grad_mode(False):
+            b, c, pre = (t.data for t in _projections(Tensor(x), heads))
+        with _grad_mode(True):
+            delta = softplus(Tensor(pre, requires_grad=True))
+        chunks = slice(steps.start // SCAN_CHUNK, -(-steps.stop // SCAN_CHUNK))
+        g_y = g[traversal_permutations(H, W)[steps]]  # the merge's adjoint, (P, 4, C)
+        g_delta, g_a, g_b, g_c, g_x, carry = _selective_scan_bwd(
+            g_y, delta.data.reshape(P, R, 1, 1), a_neg, b.reshape(P, R, 1, d),
+            c.reshape(P, R, 1, d), x.reshape(P, R, C, 1), states[chunks], carry)
+        del b, c
+        g_skip = np.einsum("prc,prc->c", g_y, x)
+        # the stack's gradient, in g_y's buffer, summed in a fixed order (skip
+        # term, then the Δ, B and C projections, then x): another order
+        # changes its last bits
+        g_seqs = g_y
+        g_seqs *= params[-1].data
+        w_b, w_c, w_delta, _ = zip(*heads)
+        g_pre = delta._grad_fn(g_delta.reshape(P, R, 1))[0]
+        gd = _head_projection_bwd(x, w_delta, R, g_pre, g_seqs)  # w_delta, then b_delta
+        gb = _head_projection_bwd(x, w_b, 0, g_b.reshape(P, R, d), g_seqs)
+        gc = _head_projection_bwd(x, w_c, 0, g_c.reshape(P, R, d), g_seqs)
+        g_seqs += g_x.reshape(P, R, C)
+        del x, g_x, g_b, g_c
+        (g_tokens,) = scatter(g_seqs)
         per_head = [(gb[r], gc[r], gd[r], gd[R + r]) for r in range(R)]
-        return (g_tokens, *(gr for head in per_head for gr in head), g_a * a_neg, g_skip)
+        return [g_tokens, *(gr for head in per_head for gr in head), g_a, g_skip], carry
+
+    def grad_fn(g):
+        a_neg = -np.exp(params[-2].data)
+        grads, carry = None, None
+        for t0 in reversed(range(0, L, piece)):
+            share, carry = piece_grad(g, slice(t0, min(t0 + piece, L)), carry, a_neg)
+            if grads is None:
+                grads = share
+            else:
+                for acc, gp in zip(grads, share):
+                    acc += gp
+            del share  # before the next piece's working set
+        grads[-2] *= a_neg  # through a = -exp(a_log)
+        return tuple(grads)
 
     return _node(out, parents, grad_fn)

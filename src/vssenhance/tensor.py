@@ -2,9 +2,10 @@
 
 The whole stack (scans, directional 2D scanning, deformable alignment, the
 enhancement net) runs on this engine.  Storage is always float64, row-major
-and contiguous; an operation is one graph node (a convolution is a single
-node, not a loop of scalar nodes), so graphs stay small and numpy does the
-heavy lifting.  Gradients accumulate into ``.grad`` until explicitly zeroed.
+and contiguous (but for the block views :func:`recompute` rebuilds its
+chain on in backward); an operation is one graph node (a convolution is a
+single node, not a loop of scalar nodes), so graphs stay small and numpy
+does the heavy lifting.  Gradients accumulate into ``.grad`` until explicitly zeroed.
 """
 
 from __future__ import annotations
@@ -964,36 +965,69 @@ def recompute(fn, inputs, params=()) -> Tensor:
     """``fn(*inputs)`` as one graph node that keeps only its inputs
     (activation checkpointing; Chen et al. 2016, arXiv:1604.06174).
 
-    Forward runs ``fn`` without building a graph.  Backward runs it again,
-    with graphs on, on leaves that share the inputs' data, walks that
-    subgraph from the node's gradient and hands what reaches the leaves and
-    ``params`` to the outer walk, so the chain's interior outputs live only
-    while its own backward runs.  ``fn`` must read graph tensors only
-    through its inputs, and every tensor it reads that requires a gradient
-    must be an input or in ``params``.  With graphs off this is ``fn(*inputs)``.
+    Forward runs ``fn`` once, on the whole inputs, without building a graph.
+    Backward rebuilds it one block at a time: a (C, N, H, W) input is N
+    blocks along axis 1, and any other input is shared by every block.  For
+    each block in turn it runs ``fn`` again, with graphs on, on leaves over
+    that block of each blocked input (views, not copies) and over the shared
+    inputs' data, walks that subgraph from the block's slice of the node's
+    gradient, and takes what reaches the leaves and ``params``: a blocked
+    input's gradient is written, block by block, into one array of its
+    shape, and a shared input's or parameter's is added up in block order.
+    So the chain's interior outputs live only while one block's backward
+    runs.  Inputs with no axis of blocks are one block.
+
+    Contract: block n of the output (its axis 1) depends only on block n of
+    the blocked inputs and on the shared ones.  ``fn`` must read graph
+    tensors only through its inputs, and every tensor it reads that
+    requires a gradient must be an input or in ``params``.  With graphs off
+    this is ``fn(*inputs)``.
     """
     inputs, params = tuple(_wrap(t) for t in inputs), tuple(params)
     parents = inputs + params
     if not (_GRAD_ENABLED and any(p.requires_grad for p in parents)):
         return fn(*inputs)
+    counts = {t.data.shape[1] for t in inputs if t.data.ndim == 4}
+    if len(counts) > 1:
+        raise DimensionError(f"recompute: (C, N, H, W) inputs differ in N: {sorted(counts)}")
+    N = max(counts, default=1)
     with _grad_mode(False):
         out = fn(*inputs)
 
     def grad_fn(g):
-        leaves = [Tensor(t.data, requires_grad=t.requires_grad) for t in inputs]
-        with _grad_mode(True):
-            rebuilt = fn(*leaves)
-        slot = {id(t): i for i, t in enumerate((*leaves, *params))}
         grads = [None] * len(parents)
+        blocked = [t.data.ndim == 4 for t in inputs] + [False] * len(params)
 
-        def collect(leaf, gl):
+        def collect(leaf, gl):  # reads the current block's slot and cut
             i = slot.get(id(leaf))
             if i is None:
                 raise ContractError("recompute: fn read a tensor that requires a gradient "
                                     "and is neither an input nor a parameter")
-            grads[i] = gl
+            if N == 1:
+                grads[i] = gl
+            elif blocked[i]:
+                if grads[i] is None:
+                    grads[i] = np.empty(parents[i].data.shape)
+                grads[i][cut] = gl
+            elif grads[i] is None:
+                grads[i] = gl.copy()  # owned, so later blocks add in place
+            else:
+                grads[i] += gl
 
-        _walk(rebuilt, g, collect)
+        for n in range(N):
+            cut = (slice(None), slice(n, n + 1)) if N > 1 else ...
+            leaves = []
+            for t, is_blocked in zip(inputs, blocked):
+                # a view of the block, without the contiguous copy the
+                # constructor would make
+                leaf = Tensor((), requires_grad=t.requires_grad)
+                leaf.data = t.data[cut] if is_blocked else t.data
+                leaves.append(leaf)
+            with _grad_mode(True):
+                rebuilt = fn(*leaves)
+            slot = {id(t): i for i, t in enumerate((*leaves, *params))}
+            _walk(rebuilt, g[cut], collect)
+            del rebuilt  # its output, before the next block's rebuild
         return tuple(grads)
 
     return _node(out.data, parents, grad_fn)

@@ -556,6 +556,79 @@ class TestPCDAlign:
         assert out._parents == (*parts, *(p for conv in convs for p in conv.parameters()))
         assert [a for a in retained_arrays(out) if not np.shares_memory(a, out.data)] == []
 
+    @staticmethod
+    def offset_field_arrays(rng, C=4, N=3, side=6):
+        # a level's parts: neighbour blocks, the shared reference, and the
+        # coarser level's upsampled offsets, one block each
+        return [rng.normal(size=(C, N, side, side)), rng.normal(size=(C, side, side)),
+                rng.normal(size=(18, N, side, side))]
+
+    def test_offset_field_rebuilds_block_by_block(self, rng):
+        # backward rebuilds one block at a time; the oracle rebuilds the whole
+        # window as one graph, as a whole-window recompute would
+        C = 4
+        pcd = perturbed(PCDAlign(C, rng), rng)
+        convs = (pcd.off_a[1], pcd.off_b[1], pcd.off_head[1])
+        params = [p for conv in convs for p in conv.parameters()]
+        arrays = self.offset_field_arrays(rng, C)
+        mix = rng.normal(size=(18, 3, 6, 6))
+        results = []
+        for build in (lambda parts: align._offset_field(*convs, parts),
+                      lambda parts: convs[2](T.gelu(convs[1](T.gelu(convs[0](parts)))))):
+            parts = [Tensor(a, requires_grad=True) for a in arrays]
+            for p in params:
+                p.zero_grad()
+            out = build(parts)
+            (out * Tensor(mix)).sum().backward()
+            results.append((out.data, [t.grad for t in parts], [p.grad for p in params]))
+        (got, got_parts, got_params), (want, want_parts, want_params) = results
+        assert np.array_equal(got, want)
+        # blocked inputs and conv weights: each block's adds in the whole
+        # window's order.  conv_a's weights for the shared part's channels
+        # are the exception: the window convolves the sum of the blocks'
+        # gradients with it, the blocks each their own, added up after
+        for j in (0, 2):
+            assert np.array_equal(got_parts[j], want_parts[j]), j
+        weights = [i for i, (name, _) in enumerate(
+            nv for conv in convs for nv in conv.named_parameters()) if name == "weight"]
+        assert len(weights) == 3
+        shared = slice(C, 2 * C)
+        for i in weights:
+            g, w = got_params[i].copy(), want_params[i].copy()
+            if i == weights[0]:
+                g[:, shared] = w[:, shared] = 0.0
+            assert np.array_equal(g, w), i
+        # those channels, the shared reference and the biases: summed over
+        # blocks, not over the window at once
+        for g, w in [(got_parts[1], want_parts[1]), *zip(got_params, want_params)]:
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_offset_field_backward_under_no_grad_is_bitwise(self, rng):
+        # each block's rebuild builds its graph even when the caller has
+        # switched graphs off
+        C = 4
+        pcd = perturbed(PCDAlign(C, rng), rng)
+        convs = (pcd.off_a[1], pcd.off_b[1], pcd.off_head[1])
+        arrays = self.offset_field_arrays(rng, C)
+        mix = Tensor(rng.normal(size=(18, 3, 6, 6)))
+        grads = []
+        for mode in (nullcontext, no_grad):
+            parts = [Tensor(a, requires_grad=True) for a in arrays]
+            loss = (align._offset_field(*convs, parts) * mix).sum()
+            with mode():
+                loss.backward()
+            grads.append([t.grad for t in parts])
+        for got, want in zip(*grads):
+            assert np.array_equal(got, want)
+
+    def test_offset_field_gradients(self, rng):
+        C = 2
+        pcd = perturbed(PCDAlign(C, rng), rng)
+        convs = (pcd.off_a[1], pcd.off_b[1], pcd.off_head[1])
+        arrays = self.offset_field_arrays(rng, C, N=2, side=4)
+        mix = Tensor(rng.normal(size=(18, 2, 4, 4)))
+        check_gradients(lambda ts: (align._offset_field(*convs, ts) * mix).sum(), arrays)
+
     def test_window_matches_composition_of_plain_layers(self, rng):
         # the level loop and the cascade rebuilt, one frame at a time, from
         # convolutions of plain channel concatenations, so every operand of

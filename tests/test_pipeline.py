@@ -475,6 +475,21 @@ class TestCLI:
         log = (ckpt / "loss_log.csv").read_text().splitlines()
         assert log == ["step,loss,wall_ms"]
 
+    @pytest.mark.parametrize("unset", ["low_dir", "gt_dir"])
+    def test_train_without_a_frame_directory_fails(self, tmp_path, rng, capsys,
+                                                   monkeypatch, unset):
+        # run from a directory of frames, which an unset key must not read
+        config, low_dir, _, ckpt = self._setup_run(tmp_path, rng)
+        text = "\n".join(line for line in config.read_text().splitlines()
+                         if not line.startswith(unset))
+        config.write_text(text)
+        monkeypatch.chdir(low_dir)
+        assert main(["train", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert f"[data] {unset} is not set" in err
+        assert not ckpt.exists()
+
     def test_train_then_enhance_identity(self, tmp_path, rng):
         # zero-step checkpoint has zero-initialized projections: enhancement
         # must reproduce its input bitwise

@@ -650,3 +650,33 @@ class TestStreamedForward:
         mix = Tensor(rng.normal(size=(H * W, C_NODE)))
         check_gradients(lambda ts: (node(ts, H, W) * mix).sum(), node_arrays(rng, H, W),
                         rtol=1e-5)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_backward_under_no_grad_is_bitwise_equal(self, rng, grid):
+        assert_backward_under_no_grad_is_bitwise_equal(rng, *grid)
+
+    def test_backward_rebuilds_one_piece_at_a_time(self, rng, monkeypatch):
+        # one gather per piece, each of SCAN_PIECE steps or fewer, walked in
+        # reverse, and each gather's adjoint runs
+        H, W = self.GRIDS[0]
+        leaves = [Tensor(a, requires_grad=True) for a in node_arrays(rng, H, W)]
+        out = node(leaves, H, W)
+        rebuilt, adjoints = [], []
+
+        def counted(tokens, H, W, steps=slice(None)):
+            seqs = cross_scan(tokens, H, W, steps)
+            rebuilt.append((steps.start, seqs.shape[0]))
+            grad_fn = seqs._grad_fn
+
+            def adjoint(g):
+                adjoints.append(steps.start)
+                return grad_fn(g)
+
+            seqs._grad_fn = adjoint
+            return seqs
+
+        monkeypatch.setattr(ss2d_module, "cross_scan", counted)
+        out.sum().backward()
+        piece = ss2d_module.SCAN_PIECE
+        assert rebuilt == [(t0, min(piece, H * W - t0)) for t0 in range(0, H * W, piece)][::-1]
+        assert adjoints == [t0 for t0, _ in rebuilt]

@@ -866,6 +866,12 @@ class TestRecompute:
         with pytest.raises(ContractError, match="neither an input nor a parameter"):
             out.sum().backward()
 
+    def test_blocked_inputs_must_share_their_count(self, rng):
+        a = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)
+        with pytest.raises(DimensionError, match="differ in N"):
+            T.recompute(lambda x, y: x, [a, b])
+
     def test_without_graphs_it_calls_fn(self, rng):
         arrays = self.arrays(rng)
         with T.no_grad():

@@ -4,15 +4,17 @@
 
 Runs, one after another, this checkout's ``perfbench/run.py`` for 40 s at
 seed 0, untraced on every workload and then traced (``--trace 1``) on
-enhance-stream and train-step, then one default-config inference window and
-one default-config training step at 128x128 and the decodes of one 1920x1080
-RGB16 PNG and one RGB8 PNG in this process, under the CLI's heap policy
-(``cli.keep_heap``), then one cold default-config 640x360 window in a fresh
-process under the same policy, then the tier-1 test command.  Each run's
-last JSON line, the machine facts it prints (nproc, BLAS threads, Python and
-numpy versions), the 128x128 window's extract, PCD and net times, the 128x128
-training step's time, minor page faults and autograd graph bytes, each 1080p
-frame's row filter histogram and ``read_image`` time, the 640x360 window's
+enhance-stream and train-step, then one default-config inference window at
+128x128, default-config training steps at 64x64 and 128x128, and the decodes
+of one 1920x1080 RGB16 PNG and one RGB8 PNG in this process, under the CLI's
+heap policy (``cli.keep_heap``), then one cold default-config 640x360 window
+in a fresh process under the same policy, then the tier-1 test command.
+Each run's last JSON line, the machine facts it prints (nproc, BLAS threads,
+Python and numpy versions), the 128x128 window's extract, PCD and net times,
+each training step's time, minor page faults, autograd graph bytes and
+memory (tracemalloc: live at forward's end and at backward's peak, and the
+node whose backward holds that peak), each 1080p frame's row filter
+histogram and ``read_image`` time, the 640x360 window's
 stage times, wall time and peak RSS (``VmHWM``), the import footprint of
 ``vssenhance.cli`` in a fresh interpreter (wall time, ``VmHWM`` and the
 SciPy modules it loaded), the tier-1 wall time, the ids of the tests that
@@ -47,11 +49,12 @@ TRACED = ("enhance-stream", "train-step")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "--durations=20", "-p", "no:cacheprovider"]
 MACHINE = re.compile(r"nproc=(\d+) blas_threads=(\S+) python=(\S+) numpy=(\S+)")
-SUMMARY = re.compile(r"(\d+) (passed|failed|error|errors|skipped)")
+SUMMARY = re.compile(r"(\d+) (passed|failed|errors?|skipped)")
 TEST_06 = re.compile(r"([\d.]+)s call\s+\S*test_06_toy_overfit")
 # a failing or erroring test's id in pytest's short summary
 FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
 WINDOW_SIZE = (128, 128)  # perfbench runs 64x64 only
+TRAIN_SIZES = ((64, 64), WINDOW_SIZE)  # perfbench's train-step size, and the larger one
 WINDOW_REPEATS = 3  # timed windows after one warm-up; stage times are medians
 TRAIN_REPEATS = 2  # timed training steps after one warm-up; the time is their median
 COLD_WINDOW_SIZE = (360, 640)  # (H, W): one cold window in a fresh process
@@ -169,14 +172,67 @@ def cold_window_probe() -> dict:
             "wall_s": round(wall_s, 2)}
 
 
-def train_step() -> dict:
-    """Time default-config training steps (batch 1) at WINDOW_SIZE, as the
+def step_memory(model, optimizer, batch) -> dict:
+    """Run one training step of ``batch`` under tracemalloc: the memory live
+    at forward's end and at backward's peak, in MB above the live set
+    before the step, and the graph node whose backward closure held the
+    peak, named by the op that built it and its output's shape.  The peak
+    is read as each closure returns, so the walk's work between two
+    closures counts towards the later one.  Run it after a first step, so
+    that the optimizer's state is part of the live set, as in a training
+    run."""
+    import tracemalloc
+
+    from vssenhance.enhance import charbonnier
+
+    ((window, target),) = batch
+    optimizer.zero_grad()
+    peak = {"bytes": 0, "node": None, "shape": None}
+
+    def probe(node):
+        fn = node._grad_fn
+
+        def run(g):
+            try:
+                return fn(g)
+            finally:
+                now = tracemalloc.get_traced_memory()[1] - base
+                tracemalloc.reset_peak()
+                if now > peak["bytes"]:
+                    peak.update(bytes=now, node=fn.__qualname__.split(".")[0],
+                                shape=list(node.data.shape))
+        node._grad_fn = run
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = charbonnier(model(window), target)
+        fwd_end = tracemalloc.get_traced_memory()[0] - base
+        seen, stack = set(), [loss]
+        while stack:  # every interior node of the graph, once
+            node = stack.pop()
+            if node._grad_fn is not None and id(node) not in seen:
+                seen.add(id(node))
+                probe(node)
+                stack.extend(node._parents)
+        tracemalloc.reset_peak()
+        loss.backward()
+    finally:
+        tracemalloc.stop()
+    optimizer.step()
+    return {"fwd_end_mb": round(fwd_end / 1e6, 1), "bwd_peak_mb": round(peak["bytes"] / 1e6, 1),
+            "bwd_peak_node": peak["node"], "bwd_peak_shape": peak["shape"]}
+
+
+def train_step(size: tuple[int, int]) -> dict:
+    """Time default-config training steps (batch 1) at ``size``, as the
     ``train`` command runs them on a fresh model, on a low-light window and
     its bright center frame made by ``perfbench/generate.py``'s functions,
     count the minor page faults each step takes (``ru_minflt``: the heap
-    pages glibc returned to the system and the step touched again), and
-    measure the autograd graph one step's loss retains."""
-    print(f"running: {WINDOW_SIZE[0]}x{WINDOW_SIZE[1]} training steps", flush=True)
+    pages glibc returned to the system and the step touched again), measure
+    one more step's memory (``step_memory``) and the autograd graph one
+    step's loss retains."""
+    print(f"running: {size[0]}x{size[1]} training steps", flush=True)
     import generate
     import numpy as np
     import spans
@@ -190,8 +246,8 @@ def train_step() -> dict:
     cfg = parse_config(workloads.DEFAULT_MODEL)
     model = VideoEnhancer(cfg.model, derive_rng(SEED, "model"))
     optimizer = AdamW(model.parameters(), lr=cfg.train.lr, weight_decay=cfg.train.weight_decay)
-    rng = np.random.default_rng([SEED, *WINDOW_SIZE])
-    bright = generate._bright_scene(rng, 5, *WINDOW_SIZE)
+    rng = np.random.default_rng([SEED, *size])
+    bright = generate._bright_scene(rng, 5, *size)
     window = [T.Tensor(frame) for frame in generate._low_light(rng, bright)]
     batch = [(window, T.Tensor(bright[len(window) // 2]))]
     times, faults = [], []
@@ -201,11 +257,12 @@ def train_step() -> dict:
         training_step(model, optimizer, batch)
         times.append((time.perf_counter() - start) * 1e3)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
+    memory = step_memory(model, optimizer, batch)
     nodes, graph_bytes = spans.graph_footprint(charbonnier(model(window), batch[0][1]))
-    return {"size": list(WINDOW_SIZE), "frames": len(window), "repeats": TRAIN_REPEATS,
+    return {"size": list(size), "frames": len(window), "repeats": TRAIN_REPEATS,
             "step_ms": round(statistics.median(times[1:]), 1),
             "minflt_per_step": statistics.median(faults[1:]),
-            "graph_nodes": nodes, "graph_bytes": graph_bytes}
+            "graph_nodes": nodes, "graph_bytes": graph_bytes, **memory}
 
 
 def decode_1080p(bit_depth: int) -> dict:
@@ -279,14 +336,15 @@ def tier1() -> dict:
     proc = subprocess.run(TIER1, cwd=ROOT, env=src_env(), capture_output=True, text=True)
     wall = time.monotonic() - start
     tail = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    counts = {kind: int(n) for n, kind in SUMMARY.findall(tail)}
+    counts = {kind.rstrip("s"): int(n) for n, kind in SUMMARY.findall(tail)}
     test_06 = TEST_06.search(proc.stdout)
     return {
         "command": "PYTHONPATH=src python " + " ".join(TIER1[1:]),
         "wall_s": round(wall, 2),
-        "summary": tail,
+        "summary": tail if counts else None,
         "passed": counts.get("passed", 0),
         "failed": counts.get("failed", 0),
+        "errors": counts.get("error", 0),
         "failures": FAILURE.findall(proc.stdout),
         "test_06_toy_overfit_s": float(test_06.group(1)) if test_06 else None,
     }
@@ -327,7 +385,7 @@ def main(argv=None) -> int:
         "machine": next((r["machine"] for r in runs if "machine" in r), None),
         "runs": runs,
         "window_128": inference_window(),
-        "train_128": train_step(),
+        **{f"train_{h}": train_step((h, w)) for h, w in TRAIN_SIZES},
         "decode_1080p": decode_1080p(16),
         "decode_1080p_rgb8": decode_1080p(8),
         "window_640x360": cold_window_probe(),
@@ -339,10 +397,15 @@ def main(argv=None) -> int:
     print(f"wrote {out}")
     bad = [f"{r['workload']} trace={r['trace']}" for r in runs if not r.get("correct")]
     bad += [key for key in ("decode_1080p", "decode_1080p_rgb8") if not record[key]["correct"]]
-    if bad:
-        print(f"error: incorrect runs: {', '.join(bad)}", file=sys.stderr)
-        return 1
-    return 0
+    errors = [f"incorrect runs: {', '.join(bad)}"] if bad else []
+    tests = record["tier1"]
+    if tests["summary"] is None:
+        errors.append("tier-1 tests printed no summary line")
+    elif tests["failed"] or tests["errors"]:
+        errors.append(f"tier-1 tests: {tests['failed']} failed, {tests['errors']} errors")
+    for message in errors:
+        print(f"error: {message}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":
