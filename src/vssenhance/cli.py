@@ -10,10 +10,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .align import FramePyramid
-from .color import D65_WHITE_RGB, Illuminant, chromatic_adapt, psnr, ssim
+from .color import D65_WHITE_RGB, Illuminant, chromatic_adapt, estimate_illuminant, psnr, ssim
 from .config import load_config
 from .enhance import TrainingDiverged, VideoEnhancer, temporal_window, training_step
 from .imageio import IngestionError, load_clip, write_image
@@ -129,11 +127,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _clip_illuminant(frames) -> Illuminant:
-    means = np.stack([f.reshape(3, -1).mean(axis=1) for f in frames]).mean(axis=0)
-    return Illuminant(rgb=tuple(np.maximum(means, 1e-6)))
-
-
 def _slide(extract, frames, pyramid, held, window) -> FramePyramid:
     """The stacked pyramid of clip frames ``window``.  Blocks of frames that
     the previous window ``held`` are copied from its ``pyramid``; every other
@@ -159,7 +152,7 @@ def cmd_enhance(args) -> int:
 
     frames = clip.frames
     if args.adapt_color:
-        illum = _clip_illuminant(frames)
+        illum = estimate_illuminant(frames)
         white = Illuminant(rgb=D65_WHITE_RGB)
         frames = [chromatic_adapt(f, illum, white) for f in frames]
     tensors = [Tensor(f) for f in frames]

@@ -90,14 +90,18 @@ class AdaptationTransform:
         return (self.matrix @ flat).reshape(linear_rgb.shape)
 
 
-def estimate_illuminant(frame: np.ndarray) -> Illuminant:
-    """Gray-world estimate: the per-channel mean, floored at 1e-6."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 3 or frame.shape[0] != 3 or frame[0].size == 0:
-        raise DimensionError("illuminant estimation expects a non-empty (3, H, W) frame")
-    means = frame.reshape(3, -1).mean(axis=1)
-    means = np.maximum(means, _CHANNEL_FLOOR)
-    return Illuminant(rgb=tuple(means))
+def estimate_illuminant(frames) -> Illuminant:
+    """Gray-world estimate over a clip's (3, H, W) frames: the mean of each
+    frame's per-channel means, floored at 1e-6."""
+    means = []
+    for frame in frames:
+        frame = np.asarray(frame, dtype=np.float64)
+        if frame.ndim != 3 or frame.shape[0] != 3 or frame[0].size == 0:
+            raise DimensionError("illuminant estimation expects non-empty (3, H, W) frames")
+        means.append(frame.reshape(3, -1).mean(axis=1))
+    if not means:
+        raise DimensionError("illuminant estimation expects at least one frame")
+    return Illuminant(rgb=tuple(np.maximum(np.stack(means).mean(axis=0), _CHANNEL_FLOOR)))
 
 
 def adaptation_transform(src: Illuminant, dst: Illuminant) -> AdaptationTransform:
@@ -131,8 +135,8 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"psnr inputs differ in shape: {a.shape} vs {b.shape}")
-    if peak <= 0:
-        raise DimensionError("psnr peak must be positive")
+    if not 0 < peak < math.inf:  # NaN fails both comparisons
+        raise DimensionError(f"psnr peak must be positive and finite, got {peak!r}")
     a, b = a.reshape(-1), b.reshape(-1)
     sse = 0.0
     for i in range(0, a.size, PSNR_CHUNK):
@@ -201,8 +205,8 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"ssim inputs differ in shape: {a.shape} vs {b.shape}")
-    if peak <= 0:
-        raise DimensionError("ssim peak must be positive")
+    if not 0 < peak < math.inf:  # NaN fails both comparisons
+        raise DimensionError(f"ssim peak must be positive and finite, got {peak!r}")
     if a.ndim == 2:
         a = a[None]
         b = b[None]

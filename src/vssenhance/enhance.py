@@ -71,6 +71,17 @@ def _blocks(channels: int, depth: int, state_dim: int,
     return [VSSBlock(channels, state_dim, rng) for _ in range(depth)]
 
 
+def _run_stage(blocks: list[VSSBlock], feat: Tensor) -> Tensor:
+    """A stage's VSS blocks on a (C, H, W) map.  The map becomes row-major
+    (H*W, C) tokens once on the way in, the blocks pass tokens from one to
+    the next, and the result goes back to a map once on the way out."""
+    C, H, W = feat.shape
+    tokens = feat.reshape(C, H * W).transpose(1, 0)
+    for block in blocks:
+        tokens = block(tokens, H, W)
+    return tokens.transpose(1, 0).reshape(C, H, W)
+
+
 class EnhanceNet(Module):
     """VSS-block U-Net from concatenated aligned features to an RGB frame."""
 
@@ -140,21 +151,18 @@ def enhance_forward(aligned: Tensor, center_rgb: Tensor, net: EnhanceNet,
     del x  # window-sized: not needed past the embedding
     skips = []
     for stage, down in zip(net.encoder_stages, net.downs):
-        for block in stage:
-            feat = block(feat)
+        feat = _run_stage(stage, feat)
         skips.append(feat)
         feat = down(feat)
 
-    for block in net.bottleneck:
-        feat = block(feat)
+    feat = _run_stage(net.bottleneck, feat)
 
     for up, project, stage, skip in zip(
         net.ups, net.skip_projects, net.decoder_stages, reversed(skips)
     ):
         feat = up(feat)
         feat = project([feat, skip])
-        for block in stage:
-            feat = block(feat)
+        feat = _run_stage(stage, feat)
 
     residual = net.out_project(feat)
     if pad_b or pad_r:

@@ -21,10 +21,6 @@ __all__ = [
     "DimensionError",
     "ConfigurationError",
     "ContractError",
-    "tensor",
-    "zeros",
-    "ones",
-    "full",
     "concat",
     "matmul",
     "layer_norm",
@@ -198,20 +194,11 @@ class Tensor:
             raise ContractError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    def __len__(self):
-        return self.data.shape[0]
-
     # ---- graph management ----------------------------------------------------
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -256,9 +243,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_wrap(other), self)
 
-    def __pow__(self, exponent):
-        return powi(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -281,30 +265,8 @@ class Tensor:
     def exp(self):
         return exp(self)
 
-    def log(self):
-        return log(self)
-
     def sqrt(self):
         return sqrt(self)
-
-    def tanh(self):
-        return tanh(self)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def full(shape, value, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, float(value)), requires_grad=requires_grad)
 
 
 def _wrap(x) -> Tensor:
@@ -381,17 +343,6 @@ def div(a, b) -> Tensor:
     return _node(data, (a, b), grad_fn)
 
 
-def powi(a, exponent: float) -> Tensor:
-    a = _wrap(a)
-    p = float(exponent)
-    data = a.data**p
-
-    def grad_fn(g):
-        return (g * p * a.data ** (p - 1.0),)
-
-    return _node(data, (a,), grad_fn)
-
-
 def exp(a) -> Tensor:
     a = _wrap(a)
     data = np.exp(a.data)
@@ -402,32 +353,12 @@ def exp(a) -> Tensor:
     return _node(data, (a,), grad_fn)
 
 
-def log(a) -> Tensor:
-    a = _wrap(a)
-    data = np.log(a.data)
-
-    def grad_fn(g):
-        return (g / a.data,)
-
-    return _node(data, (a,), grad_fn)
-
-
 def sqrt(a) -> Tensor:
     a = _wrap(a)
     data = np.sqrt(a.data)
 
     def grad_fn(g):
         return (g * 0.5 / data,)
-
-    return _node(data, (a,), grad_fn)
-
-
-def tanh(a) -> Tensor:
-    a = _wrap(a)
-    data = np.tanh(a.data)
-
-    def grad_fn(g):
-        return (g * (1.0 - data * data),)
 
     return _node(data, (a,), grad_fn)
 

@@ -37,28 +37,24 @@ class VSSBlock(Module):
         self.norm2 = LayerNorm(channels)
         self.ffn = FeedForward(channels, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return vss_forward(x, self)
+    def __call__(self, tokens: Tensor, H: int, W: int) -> Tensor:
+        return vss_forward(tokens, H, W, self)
 
 
-def vss_forward(h_in: Tensor, block: VSSBlock) -> Tensor:
-    """Token-space evaluation of the two pre-norm residual branches on a
-    (C, H, W) feature grid.
+def vss_forward(tokens: Tensor, H: int, W: int, block: VSSBlock) -> Tensor:
+    """The two pre-norm residual branches on the row-major (H*W, C) tokens
+    of an H x W grid, returning tokens of the same shape.
 
-    The grid becomes row-major (H*W, C) tokens once on the way in and goes
-    back once on the way out; layer norm acts over channels at each spatial
-    position, and each branch's zero-initialized output projection adds the
-    residual inside its own node.  The feedforward branch, norm included, is
-    one :func:`~vssenhance.tensor.recompute` node that keeps only ``mid``.
+    Layer norm acts over channels at each spatial position, and each
+    branch's zero-initialized output projection adds the residual inside its
+    own node.  The feedforward branch, norm included, is one
+    :func:`~vssenhance.tensor.recompute` node that keeps only ``mid``.
     """
-    if h_in.ndim != 3:
-        raise DimensionError(f"VSS block expects a (C, H, W) grid, got {h_in.shape}")
-    C, H, W = h_in.shape
-    if C != block.channels:
-        raise DimensionError(f"input has {C} channels, block expects {block.channels}")
-    tokens = h_in.reshape(C, H * W).transpose(1, 0)  # (L, C)
-
+    if H < 1 or W < 1 or tokens.shape != (H * W, block.channels):
+        raise DimensionError(
+            f"VSS block expects ({H * W}, {block.channels}) tokens for a {H}x{W} grid, "
+            f"got {tokens.shape}"
+        )
     mid = block.scan_project(block.ss2d(block.norm1(tokens), H, W), residual=tokens)
-    out = recompute(lambda mid: block.ffn(block.norm2(mid), residual=mid), [mid],
-                    block.norm2.parameters() + block.ffn.parameters())
-    return out.transpose(1, 0).reshape(C, H, W)
+    return recompute(lambda mid: block.ffn(block.norm2(mid), residual=mid), [mid],
+                     block.norm2.parameters() + block.ffn.parameters())

@@ -1,5 +1,7 @@
 """Shared test utilities: the central finite-difference gradient oracle."""
 
+from collections import Counter
+
 import numpy as np
 
 from vssenhance.ss2d import SS2D
@@ -77,6 +79,19 @@ def with_parameters(ts, C, d):
         head.w_b, head.w_c, head.w_delta, head.b_delta = (next(it) for _ in range(4))
     probe.a_log, probe.skip = next(it), next(it)
     return probe
+
+
+def graph_kinds(root: Tensor) -> Counter:
+    """How many interior nodes of each op the graph under ``root`` holds."""
+    kinds, seen, stack = Counter(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._grad_fn is None:
+            continue
+        seen.add(id(node))
+        kinds[node._grad_fn.__qualname__.split(".")[0]] += 1
+        stack.extend(node._parents)
+    return kinds
 
 
 def retained_arrays(root: Tensor) -> list:

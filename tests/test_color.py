@@ -31,24 +31,40 @@ def rng():
 class TestIlluminant:
     def test_uniform_gray(self):
         frame = np.full((3, 8, 8), 0.5)
-        est = estimate_illuminant(frame)
+        est = estimate_illuminant([frame])
         assert est.rgb == (0.5, 0.5, 0.5)
 
     def test_constant_channels(self):
         frame = np.stack([np.full((4, 4), v) for v in (0.2, 0.6, 0.8)])
-        assert estimate_illuminant(frame).rgb == (0.2, 0.6, 0.8)
+        assert estimate_illuminant([frame]).rgb == (0.2, 0.6, 0.8)
 
     def test_checkerboard_with_floor(self):
         r = np.indices((4, 4)).sum(axis=0) % 2
         frame = np.stack([r.astype(float), np.zeros((4, 4)), np.ones((4, 4))])
-        est = estimate_illuminant(frame)
+        est = estimate_illuminant([frame])
         assert est.rgb == (0.5, 1e-6, 1.0)
 
     def test_empty_frame_rejected(self):
         with pytest.raises(DimensionError):
-            estimate_illuminant(np.zeros((3, 0, 4)))
+            estimate_illuminant([np.zeros((3, 0, 4))])
         with pytest.raises(DimensionError):
-            estimate_illuminant(np.zeros((4, 4)))
+            estimate_illuminant([np.zeros((4, 4))])
+
+    def test_clip_is_the_mean_of_its_frame_means(self, rng):
+        # frames of different sizes weigh alike: each contributes its own means
+        frames = [rng.uniform(size=(3, 4, 6)), rng.uniform(size=(3, 5, 5)),
+                  np.zeros((3, 2, 2))]
+        want = np.stack([f.reshape(3, -1).mean(axis=1) for f in frames]).mean(axis=0)
+        assert estimate_illuminant(frames).rgb == tuple(np.maximum(want, 1e-6))
+        for frame in frames[:2]:
+            one = tuple(frame.reshape(3, -1).mean(axis=1))
+            assert estimate_illuminant([frame]).rgb == one
+
+    def test_every_frame_checked_and_an_empty_clip_rejected(self, rng):
+        with pytest.raises(DimensionError, match="non-empty"):
+            estimate_illuminant([rng.uniform(size=(3, 4, 4)), np.zeros((3, 4))])
+        with pytest.raises(DimensionError, match="at least one frame"):
+            estimate_illuminant([])
 
     def test_xyz_derivation(self):
         # white maps to the D65 white point of the working space
@@ -82,7 +98,7 @@ class TestChromaticAdaptation:
         # estimated gray-world and adapted toward equal-energy white
         base = rng.uniform(0.25, 0.75, size=(3, 32, 32))
         cast = srgb_encode(srgb_decode(base) * np.array([0.3, 0.5, 0.7])[:, None, None])
-        src = estimate_illuminant(cast)
+        src = estimate_illuminant([cast])
         before = cast.reshape(3, -1).mean(axis=1)
         assert before.max() / before.min() > 1.3  # the cast is strong
         out = chromatic_adapt(cast, src, Illuminant(rgb=D65_WHITE_RGB))
@@ -217,3 +233,12 @@ class TestSSIM:
         a = rng.uniform(size=(1, 20, 20))
         noisy = a + rng.normal(0, 0.2, size=a.shape)
         assert ssim(a, noisy) < ssim(a, a)
+
+
+@pytest.mark.parametrize("metric", [psnr, ssim])
+@pytest.mark.parametrize("peak", [math.nan, math.inf, 0.0])
+def test_peak_outside_zero_to_infinity_rejected(metric, peak):
+    # NaN passes a "peak <= 0" check and scores every frame NaN
+    a = np.full((3, 12, 12), 0.5)
+    with pytest.raises(DimensionError, match="peak must be positive and finite"):
+        metric(a, a, peak=peak)

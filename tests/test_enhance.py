@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from vssenhance import enhance
 from vssenhance.enhance import (
     CHARBONNIER_EPS,
     EnhanceNet,
@@ -21,7 +22,7 @@ from vssenhance.layers import load_checkpoint, save_checkpoint
 from vssenhance.optim import AdamW
 from vssenhance.tensor import ConfigurationError, ContractError, DimensionError, Tensor
 
-from helpers import check_gradients, retained_arrays
+from helpers import check_gradients, graph_kinds, perturbed, retained_arrays
 
 
 TINY = dict(
@@ -39,6 +40,21 @@ TINY = dict(
 @pytest.fixture
 def rng():
     return np.random.default_rng(555)
+
+
+def vss_blocks(net):
+    return [b for stage in [*net.encoder_stages, net.bottleneck, *net.decoder_stages]
+            for b in stage]
+
+
+def per_block_stage(blocks, feat):
+    """A stage as it was run before blocks took tokens: every block turns the
+    (C, H, W) map into tokens and back again."""
+    C, H, W = feat.shape
+    for block in blocks:
+        tokens = feat.reshape(C, H * W).transpose(1, 0)
+        feat = block(tokens, H, W).transpose(1, 0).reshape(C, H, W)
+    return feat
 
 
 def make_aligned(cfg, H, W, rng):
@@ -126,6 +142,50 @@ class TestEnhanceForward:
         assert raw.data.max() > 1.0
         assert clamped.data.max() <= 1.0
 
+    @pytest.mark.parametrize("H, W", [(16, 24), (32, 32)])
+    def test_stage_tokens_match_per_block_layout_changes(self, rng, monkeypatch, H, W):
+        # two blocks per stage, so tokens pass from block to block; every
+        # block perturbed, so none is the identity
+        cfg = EnhanceNetConfig(**{**TINY, "encoder_depths": (2, 2), "decoder_depths": (2, 2),
+                                  "bottleneck_depth": 2})
+        net = perturbed(EnhanceNet(cfg, rng), rng)
+        for block in vss_blocks(net):
+            perturbed(block, rng)
+        params = net.parameters() + [p for b in vss_blocks(net) for p in b.parameters()]
+        aligned = make_aligned(cfg, H, W, rng).data
+        center = rng.uniform(size=(3, H, W))
+        mix = rng.normal(size=(3, H, W))
+
+        def run():
+            leaves = [Tensor(aligned, requires_grad=True), Tensor(center, requires_grad=True)]
+            out = enhance_forward(*leaves, net)
+            (out * Tensor(mix)).sum().backward()
+            grads = [leaf.grad for leaf in leaves] + [p.grad for p in params]
+            for p in params:
+                p.grad = None
+            return out.data, grads
+
+        out, grads = run()
+        monkeypatch.setattr(enhance, "_run_stage", per_block_stage)
+        want_out, want_grads = run()
+        assert np.array_equal(out, want_out)
+        assert len(grads) == len(want_grads)
+        for got, want in zip(grads, want_grads):
+            assert np.array_equal(got, want)
+
+    def test_each_stage_changes_layout_once_each_way(self, rng):
+        # default depths: seven stages of two blocks.  One transpose into
+        # tokens and one out of them per stage, plus the aligned maps'
+        cfg = EnhanceNetConfig(input_frames=3, feature_channels=4, base_channels=4,
+                               state_dim=2)
+        net = EnhanceNet(cfg, rng)
+        aligned = make_aligned(cfg, 8, 8, rng)
+        aligned.requires_grad = True
+        out = enhance_forward(aligned, Tensor(rng.uniform(size=(3, 8, 8))), net)
+        loss = charbonnier(out, Tensor(np.zeros((3, 8, 8))))
+        stages = 2 * cfg.num_scales + 1
+        assert graph_kinds(loss)["transpose"] == 2 * stages + 1
+
     def test_gradients(self, rng):
         cfg = EnhanceNetConfig(
             input_frames=1, feature_channels=2, base_channels=2, state_dim=2,
@@ -170,6 +230,31 @@ class TestVideoEnhancer:
         want = model.net(T.stack(aligned, axis=1), frames[2])
         got = model(frames)
         assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
+
+    def test_parameter_list_is_unchanged(self, rng):
+        # checkpoints, AdamW's state and perfbench's seed-0 references key on
+        # this list, in this order.  The encoder and decoder stages are lists
+        # of lists, which named_parameters does not descend into
+        model = VideoEnhancer(EnhanceNetConfig(), rng)
+        net = model.net
+        parts = [("extractor", model.extractor, 12), ("pcd", model.pcd, 36),
+                 ("net.embed", net.embed, 2), ("net.downs", net.downs, 6),
+                 ("net.bottleneck", net.bottleneck, 56), ("net.ups", net.ups, 6),
+                 ("net.skip_projects", net.skip_projects, 6),
+                 ("net.out_project", net.out_project, 2)]
+        want = []
+        for prefix, part, count in parts:
+            if isinstance(part, list):
+                named = [item for i, m in enumerate(part)
+                         for item in m.named_parameters(f"{prefix}.{i}.")]
+            else:
+                named = list(part.named_parameters(f"{prefix}."))
+            assert len(named) == count, prefix
+            want += named
+        got = list(model.named_parameters())
+        assert len(got) == 126
+        assert [n for n, _ in got] == [n for n, _ in want]
+        assert all(p is q for (_, p), (_, q) in zip(got, want))
 
     def test_checkpoint_roundtrip(self, rng, tmp_path):
         cfg = EnhanceNetConfig(**TINY)

@@ -739,6 +739,18 @@ class TestCLI:
             assert 10.0 < float(row[1]) < 40.0
             assert -1.0 <= float(row[2]) <= 1.0
 
+    @pytest.mark.parametrize("peak", ["nan", "inf"])
+    def test_metrics_peak_must_be_finite(self, tmp_path, rng, capsys, peak):
+        frames = [rng.uniform(size=(3, 12, 12))]
+        write_clip(tmp_path / "ref", frames)
+        write_clip(tmp_path / "test", frames)
+        out = tmp_path / "metrics.csv"
+        assert main(["metrics", "--ref", str(tmp_path / "ref"), "--test", str(tmp_path / "test"),
+                     "--out", str(out), "--peak", peak]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "peak must be positive and finite" in err
+        assert not out.exists()
+
     def test_out_creates_missing_directories(self, tmp_path, rng):
         out = tmp_path / "sub" / "dir" / "out.csv"
         frames = [rng.uniform(size=(3, 12, 12))]

@@ -7,25 +7,12 @@ import vssenhance.tensor as T
 from vssenhance.tensor import DimensionError, Tensor, gelu, matmul
 from vssenhance.vss import VSSBlock, vss_forward
 
-from helpers import check_gradients
+from helpers import check_gradients, graph_kinds
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(2718)
-
-
-def node_kinds(root):
-    """The op names of the interior nodes of the graph under ``root``."""
-    kinds, seen, stack = set(), set(), [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or node._grad_fn is None:
-            continue
-        seen.add(id(node))
-        kinds.add(node._grad_fn.__qualname__.split(".")[0])
-        stack.extend(node._parents)
-    return kinds
 
 
 def randomize_projections(block, rng):
@@ -39,8 +26,8 @@ def randomize_projections(block, rng):
 class TestVSSForward:
     def test_identity_at_init_bitwise(self, rng):
         block = VSSBlock(channels=4, state_dim=3, rng=rng)
-        x = rng.normal(size=(4, 3, 5))
-        out = vss_forward(Tensor(x), block)
+        x = rng.normal(size=(3 * 5, 4))
+        out = vss_forward(Tensor(x), 3, 5, block)
         assert np.array_equal(out.data, x)
 
     def test_zero_input_zero_output(self, rng):
@@ -52,54 +39,59 @@ class TestVSSForward:
         block.ffn.expand.bias.data[:] = 0.0
         block.ffn.project.bias.data[:] = 0.0
         block.scan_project.bias.data[:] = 0.0
-        out = vss_forward(Tensor(np.zeros((3, 4, 4))), block)
-        assert np.array_equal(out.data, np.zeros((3, 4, 4)))
+        out = vss_forward(Tensor(np.zeros((16, 3))), 4, 4, block)
+        assert np.array_equal(out.data, np.zeros((16, 3)))
 
     def test_shape_preserved(self, rng):
         block = VSSBlock(channels=2, state_dim=2, rng=rng)
         randomize_projections(block, rng)
-        for shape in [(2, 1, 1), (2, 5, 3), (2, 2, 7)]:
-            out = vss_forward(Tensor(rng.normal(size=shape)), block)
-            assert out.shape == shape
+        for H, W in [(1, 1), (5, 3), (2, 7)]:
+            out = vss_forward(Tensor(rng.normal(size=(H * W, 2))), H, W, block)
+            assert out.shape == (H * W, 2)
 
     def test_channel_mismatch_rejected(self, rng):
         block = VSSBlock(channels=4, state_dim=2, rng=rng)
-        with pytest.raises(DimensionError):
-            vss_forward(Tensor(np.zeros((3, 2, 2))), block)
+        with pytest.raises(DimensionError, match=r"expects \(4, 4\) tokens"):
+            vss_forward(Tensor(np.zeros((4, 3))), 2, 2, block)
 
-    def test_non_grid_input_rejected(self, rng):
+    def test_non_grid_input_rejected(self, rng, monkeypatch):
+        # a (C, H, W) map, tokens of another grid, and an empty grid; each is
+        # rejected before any op runs
         block = VSSBlock(channels=4, state_dim=2, rng=rng)
-        with pytest.raises(DimensionError):
-            vss_forward(Tensor(np.zeros((4, 4))), block)  # tokens, not a grid
+        monkeypatch.setattr(T, "layer_norm", None)
+        for x, H, W in [(np.zeros((4, 2, 2)), 2, 2), (np.zeros((6, 4)), 2, 2),
+                        (np.zeros((0, 4)), 0, 3)]:
+            with pytest.raises(DimensionError, match="tokens for a"):
+                vss_forward(Tensor(x), H, W, block)
 
-    def test_one_layout_change_each_way(self, rng, monkeypatch):
-        # grid -> tokens on entry, tokens -> grid on exit, nothing in between
+    def test_no_layout_change_inside_a_block(self, rng, monkeypatch):
+        # blocks take and return tokens; a stage changes layout at its edges
         block = VSSBlock(channels=3, state_dim=2, rng=rng)
         calls = []
         transpose = T.transpose
         monkeypatch.setattr(
             T, "transpose", lambda a, *axes: calls.append(axes) or transpose(a, *axes)
         )
-        vss_forward(Tensor(rng.normal(size=(3, 4, 5))), block)
-        assert len(calls) == 2
+        out = vss_forward(Tensor(rng.normal(size=(20, 3)), requires_grad=True), 4, 5, block)
+        (out * out).sum().backward()
+        assert calls == []
 
     def test_matches_manual_composition(self, rng):
         # the four sub-operations applied one by one, sharing the block weights
         C, H, W = 4, 2, 2
         block = VSSBlock(channels=C, state_dim=2, rng=rng)
         randomize_projections(block, rng)
-        x = rng.normal(size=(C, H, W))
-        out = vss_forward(Tensor(x), block).data
+        x = rng.normal(size=(H * W, C))
+        out = vss_forward(Tensor(x), H, W, block).data
 
-        tokens = Tensor(x.reshape(C, H * W).T)
+        tokens = Tensor(x)
         normed = block.norm1(tokens)
         scanned = block.ss2d(normed, H, W)
         mid = matmul(scanned, block.scan_project.weight) + block.scan_project.bias + tokens
         normed2 = block.norm2(mid)
         hidden = gelu(matmul(normed2, block.ffn.expand.weight) + block.ffn.expand.bias)
         final = matmul(hidden, block.ffn.project.weight) + block.ffn.project.bias + mid
-        expected = final.data.T.reshape(C, H, W)
-        assert np.abs(out - expected).max() < 1e-12
+        assert np.abs(out - final.data).max() < 1e-12
 
     def test_residuals_add_inside_the_output_projections(self, rng, monkeypatch):
         # each branch's output projection is the node that adds its residual,
@@ -109,16 +101,16 @@ class TestVSSForward:
         C, H, W = 3, 4, 5
         block = VSSBlock(channels=C, state_dim=2, rng=rng)
         randomize_projections(block, rng)
-        f = Tensor(rng.normal(size=(C, H, W)), requires_grad=True)
-        out = vss_forward(f, block)
-        exit_node = out._parents[0]._parents[0]  # the transpose's input
+        f = Tensor(rng.normal(size=(H * W, C)), requires_grad=True)
+        out = vss_forward(f, H, W, block)
+        exit_node = out  # the feedforward branch's recompute node
         ffn_params = (block.ffn.project.weight, block.ffn.project.bias)
         mid = exit_node._parents[0]
         assert exit_node._parents[1:] == (block.norm2.gamma, block.norm2.beta,
                                           block.ffn.expand.weight, block.ffn.expand.bias,
                                           *ffn_params)
         assert mid._parents[1:3] == (block.scan_project.weight, block.scan_project.bias)
-        assert "add" not in node_kinds(out)
+        assert "add" not in graph_kinds(out)
 
         rebuilt = []
         walk = T._walk
@@ -130,7 +122,7 @@ class TestVSSForward:
                 assert root._parents[1:3] == ffn_params
                 assert root._parents[3]._grad_fn is None  # a leaf over mid's data
                 assert np.shares_memory(root._parents[3].data, mid.data)
-                assert "add" not in node_kinds(root)
+                assert "add" not in graph_kinds(root)
             return walk(root, g, leaf)
 
         loss = (out * out).sum()
@@ -142,8 +134,8 @@ class TestVSSForward:
         C, H, W = 4, 2, 3
         block = VSSBlock(channels=C, state_dim=2, rng=rng)
         randomize_projections(block, rng)
-        x = rng.normal(size=(C, H, W))
-        mix = rng.normal(size=(C, H, W))
+        x = rng.normal(size=(H * W, C))
+        mix = rng.normal(size=(H * W, C))
         arrays = [x] + [p.data.copy() for p in block.parameters()]
 
         def loss(ts):
@@ -154,15 +146,15 @@ class TestVSSForward:
                 for part in path:
                     obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
                 setattr(obj, leafname, t)
-            return (vss_forward(ts[0], probe) * Tensor(mix)).sum()
+            return (vss_forward(ts[0], H, W, probe) * Tensor(mix)).sum()
 
         check_gradients(loss, arrays, rtol=1e-4)
 
     def test_gradient_reaches_all_parameters(self, rng):
         block = VSSBlock(channels=3, state_dim=2, rng=rng)
         randomize_projections(block, rng)
-        f = Tensor(rng.normal(size=(3, 3, 3)), requires_grad=True)
-        out = vss_forward(f, block)
+        f = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+        out = vss_forward(f, 3, 3, block)
         (out * out).sum().backward()
         for name, p in block.named_parameters():
             assert p.grad is not None, name
