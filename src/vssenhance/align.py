@@ -117,12 +117,11 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
     and, when the coordinates need a gradient, forms the two (C, M)
     coordinate derivatives there, from the values ``f``.  The samples
     are written into ``out``, a (C, M) buffer whose old values are ignored,
-    if one is given.  SciPy's CSR kernel is imported here, on the first
-    call, so that a process that runs no model layer never loads SciPy.
+    if one is given.  SciPy's CSR and CSC kernels are loaded on the first
+    call, so that a process that runs no model layer never loads them.
     """
-    from scipy import sparse
-    from scipy.sparse import _sparsetools
-
+    csr_matvec = T._scipy_kernel("sparse._sparsetools", "csr_matvec")
+    csc_matvecs = T._scipy_kernel("sparse._sparsetools", "csc_matvecs")
     f = _wrap(f)
     if f.data.ndim != 3:
         raise DimensionError("bilinear_gather expects (C, H, W) values")
@@ -132,7 +131,7 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
     coord_grad = T.grad_enabled() and (ys_t.requires_grad or xs_t.requires_grad)
     iy, ry, my = _axis_corners(ys_t.data.reshape(-1), H)
     ix, rx, mx = _axis_corners(xs_t.data.reshape(-1), W)
-    # the index type scipy would pick, so that it keeps these arrays uncopied
+    # the kernels take int32 or intp indices, one type for both arrays
     index = np.int32 if max(4 * M, H * W) < 2**31 else np.intp
     cols = _at_corners(np.add, [i * W for i in iy], ix, index)
     indptr = np.arange(0, 4 * M + 1, 4, dtype=index)
@@ -140,23 +139,28 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
     def corners(fy, fx):  # fy * fx at each corner, in CSR entry order
         return _at_corners(np.multiply, fy, fx, np.float64)
 
-    def operator(data):  # the (M, H*W) CSR matrix holding ``data`` at the corners
-        return sparse.csr_matrix((data, cols, indptr), shape=(M, H * W))
-
     def apply(data, out=None):  # (C, M); a channel at a time, so nothing is transposed
         out = np.empty((C, M)) if out is None else out
         out.fill(0.0)
         for c, row in enumerate(f.data.reshape(C, H * W)):
-            # what ``operator(data) @ row`` runs, adding straight into out[c]
-            _sparsetools.csr_matvec(M, H * W, indptr, cols, data, row, out[c])
+            # the (M, H*W) CSR operator holding ``data`` at the corners times
+            # the channel, added straight into out[c]
+            csr_matvec(M, H * W, indptr, cols, data, row, out[c])
         return out
+
+    def apply_transpose(data, g):  # (C, H*W): g times the operator
+        # the same arrays read as CSC are the (H*W, M) transpose, applied to
+        # the C columns of g.T at once: what SciPy runs for ``g @ csr_matrix``
+        out = np.zeros((H * W, C))
+        csc_matvecs(H * W, M, C, indptr, cols, data, np.ascontiguousarray(g.T), out)
+        return out.T
 
     iy = ix = None  # read no more: free them before the (C, M) output exists
     out = apply(corners(ry, rx), out)  # backward rebuilds these weights
     y_shape, x_shape = ys_t.shape, xs_t.shape  # backward keeps no coordinates
 
     def grad_fn(g):
-        gf = (g @ operator(corners(ry, rx))).reshape(C, H, W)
+        gf = apply_transpose(corners(ry, rx), g).reshape(C, H, W)
         if not coord_grad:
             return gf, None, None
         # the weights' slopes along an axis are -near and far

@@ -11,7 +11,8 @@ import time
 from pathlib import Path
 
 from .align import FramePyramid
-from .color import D65_WHITE_RGB, Illuminant, chromatic_adapt, estimate_illuminant, psnr, ssim
+from .color import (D65_WHITE_RGB, Illuminant, check_peak, chromatic_adapt,
+                    estimate_illuminant, psnr, ssim)
 from .config import load_config
 from .enhance import TrainingDiverged, VideoEnhancer, temporal_window, training_step
 from .imageio import IngestionError, load_clip, write_image
@@ -180,6 +181,7 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    check_peak("psnr", args.peak)  # before either clip is decoded
     ref = load_clip(args.ref)
     test = load_clip(args.test)
     if len(ref) != len(test):

@@ -23,6 +23,7 @@ __all__ = [
     "estimate_illuminant",
     "adaptation_transform",
     "chromatic_adapt",
+    "check_peak",
     "psnr",
     "ssim",
 ]
@@ -129,14 +130,20 @@ def chromatic_adapt(frame: np.ndarray, src: Illuminant, dst: Illuminant) -> np.n
 PSNR_CHUNK = 1 << 16  # samples differenced at a time: no frame-sized temporary
 
 
+def check_peak(metric: str, peak: float) -> None:
+    """Raise ``DimensionError`` unless ``metric``'s peak value is positive
+    and finite."""
+    if not 0 < peak < math.inf:  # NaN fails both comparisons
+        raise DimensionError(f"{metric} peak must be positive and finite, got {peak!r}")
+
+
 def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     """10 log10(peak^2 / MSE); identical inputs report +infinity."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"psnr inputs differ in shape: {a.shape} vs {b.shape}")
-    if not 0 < peak < math.inf:  # NaN fails both comparisons
-        raise DimensionError(f"psnr peak must be positive and finite, got {peak!r}")
+    check_peak("psnr", peak)
     a, b = a.reshape(-1), b.reshape(-1)
     sse = 0.0
     for i in range(0, a.size, PSNR_CHUNK):
@@ -205,8 +212,7 @@ def ssim(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionError(f"ssim inputs differ in shape: {a.shape} vs {b.shape}")
-    if not 0 < peak < math.inf:  # NaN fails both comparisons
-        raise DimensionError(f"ssim peak must be positive and finite, got {peak!r}")
+    check_peak("ssim", peak)
     if a.ndim == 2:
         a = a[None]
         b = b[None]

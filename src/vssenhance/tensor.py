@@ -10,9 +10,14 @@ does the heavy lifting.  Gradients accumulate into ``.grad`` until explicitly ze
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
 import struct
+import sys
 from contextlib import contextmanager
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
@@ -376,6 +381,38 @@ def softplus(a) -> Tensor:
     return _node(data, (a,), grad_fn)
 
 
+@functools.cache
+def _scipy_kernel(module: str, name: str):
+    """``name`` from SciPy's compiled extension ``scipy.<module>``, loaded
+    from its own file on the first call rather than through SciPy's
+    packages: the model uses only ``erf`` (``special._special_ufuncs``) and
+    the sparse matrix-vector kernels (``sparse._sparsetools``), and
+    importing ``scipy.special`` and ``scipy.sparse`` for them loads about
+    320 modules and 20 MB.  ``find_spec`` locates SciPy without importing
+    it.  The module is registered under its full name, so a later
+    ``import scipy.special`` or ``scipy.sparse`` reuses it, and one already
+    imported is used as it is."""
+    fullname = f"scipy.{module}"
+    required = f"vssenhance needs SciPy >= 1.17 for {fullname}.{name}"
+    mod = sys.modules.get(fullname)
+    if mod is None:
+        spec = importlib.util.find_spec("scipy")
+        paths = []
+        if spec is not None:
+            base = os.path.join(spec.submodule_search_locations[0], *module.split("."))
+            paths = [base + s for s in EXTENSION_SUFFIXES if os.path.isfile(base + s)]
+        if not paths:
+            raise ImportError(f"{required}, but no file of that module was found")
+        loader = ExtensionFileLoader(fullname, paths[0])
+        mod = importlib.util.module_from_spec(importlib.util.spec_from_loader(fullname, loader))
+        loader.exec_module(mod)
+        sys.modules[fullname] = mod
+    try:
+        return getattr(mod, name)
+    except AttributeError:
+        raise ImportError(f"{required}, but the installed module has no {name}") from None
+
+
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -386,10 +423,9 @@ def gelu(a) -> Tensor:
     to zero (|x| below about 1.5e-162), where forward's CDF is exactly 1/2
     and the quotient would be 0/0 or, for subnormal x, inexact.
 
-    SciPy is imported here, on the first call, so that a process that runs
-    no model layer never loads it."""
-    from scipy.special import erf
-
+    SciPy's ``erf`` ufunc is loaded on the first call, so that a process
+    that runs no model layer never loads it."""
+    erf = _scipy_kernel("special._special_ufuncs", "erf")
     a = _wrap(a)
     x = a.data
     data = x * _INV_SQRT2  # x * (0.5 * (1.0 + erf(x / sqrt 2))), formed in place

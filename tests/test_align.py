@@ -108,6 +108,31 @@ class TestBilinearSample:
         assert np.shares_memory(out.data, buf)
         assert np.array_equal(out.data, want)
 
+    @pytest.mark.parametrize("H, W, M", [(64, 64, 9 * align.DCN_BAND), (23, 41, 700)])
+    def test_feature_gradient_is_the_csr_product_bitwise(self, rng, H, W, M):
+        # a deformable band's worth of samples at 64x64, and a non-square
+        # grid; positions reach past every edge and include whole numbers
+        from scipy.sparse import csr_matrix
+
+        C = 16
+        f = Tensor(rng.normal(size=(C, H, W)), requires_grad=True)
+        ys, xs = rng.uniform(-2.5, H + 1.5, size=M), rng.uniform(-2.5, W + 1.5, size=M)
+        ys[::7], xs[::5] = np.round(ys[::7]), np.round(xs[::5])
+        g = rng.normal(size=(C, M))
+        y0, x0 = np.floor(ys), np.floor(xs)
+        wy = ((1 - (ys - y0)) * ((y0 >= 0) & (y0 <= H - 1)), (ys - y0) * ((y0 >= -1) & (y0 <= H - 2)))
+        wx = ((1 - (xs - x0)) * ((x0 >= 0) & (x0 <= W - 1)), (xs - x0) * ((x0 >= -1) & (x0 <= W - 2)))
+        iy = [np.clip(y0 + d, 0, H - 1).astype(np.intp) for d in (0, 1)]
+        ix = [np.clip(x0 + d, 0, W - 1).astype(np.intp) for d in (0, 1)]
+        corners = ((0, 0), (0, 1), (1, 0), (1, 1))  # each row's entries in this order
+        w = np.stack([wy[a] * wx[b] for a, b in corners], axis=1).reshape(-1)
+        cols = np.stack([iy[a] * W + ix[b] for a, b in corners], axis=1).reshape(-1)
+        indptr = np.arange(0, 4 * M + 1, 4)
+        want = g @ csr_matrix((w, cols, indptr), shape=(M, H * W))
+        gf = bilinear_gather(f, ys, xs)._grad_fn(g)[0]
+        assert gf.shape == (C, H, W)
+        assert np.array_equal(gf.reshape(C, H * W), want)
+
     def test_backward_keeps_no_corner_reads(self, rng):
         C, M = 3, 10
         f = Tensor(rng.normal(size=(C, 4, 5)), requires_grad=True)

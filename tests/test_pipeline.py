@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vssenhance import cli
 from vssenhance.cli import main
 from vssenhance.config import (
     SEED_ENV_VAR,
@@ -740,16 +741,18 @@ class TestCLI:
             assert -1.0 <= float(row[2]) <= 1.0
 
     @pytest.mark.parametrize("peak", ["nan", "inf"])
-    def test_metrics_peak_must_be_finite(self, tmp_path, rng, capsys, peak):
-        frames = [rng.uniform(size=(3, 12, 12))]
+    def test_metrics_peak_must_be_finite(self, tmp_path, rng, capsys, monkeypatch, peak):
+        frames = [rng.uniform(size=(3, 12, 12)) for _ in range(3)]
         write_clip(tmp_path / "ref", frames)
         write_clip(tmp_path / "test", frames)
+        loads = []  # the peak is checked before either clip is decoded
+        monkeypatch.setattr(cli, "load_clip", lambda path: loads.append(path) or load_clip(path))
         out = tmp_path / "metrics.csv"
         assert main(["metrics", "--ref", str(tmp_path / "ref"), "--test", str(tmp_path / "test"),
                      "--out", str(out), "--peak", peak]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "peak must be positive and finite" in err
-        assert not out.exists()
+        assert err.startswith(f"error: psnr peak must be positive and finite, got {peak}")
+        assert loads == [] and not out.exists()
 
     def test_out_creates_missing_directories(self, tmp_path, rng):
         out = tmp_path / "sub" / "dir" / "out.csv"
@@ -796,12 +799,34 @@ cfg = EnhanceNetConfig(input_frames=3, feature_channels=4, base_channels=4, stat
 model = VideoEnhancer(cfg, np.random.default_rng(0))
 save_checkpoint(model, sys.argv[1])
 load_checkpoint(model, sys.argv[1])
-print(any(m.startswith("scipy") for m in sys.modules))
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
 with no_grad():
     model([Tensor(np.full((3, 8, 8), 0.5)) for _ in range(3)])
-print("scipy.special" in sys.modules, "scipy.sparse" in sys.modules)
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
-        assert run_python(code, str(tmp_path / "ckpt")).split() == ["False", "True", "True"]
+        # the first op loads SciPy's two compiled kernel modules from their
+        # files, and none of its packages (scipy, scipy.special, scipy.sparse)
+        assert run_python(code, str(tmp_path / "ckpt")).splitlines() == [
+            "[]", "['scipy.sparse._sparsetools', 'scipy.special._special_ufuncs']"]
+
+    def test_scipy_imports_after_the_first_op_with_the_same_erf(self):
+        code = """
+import sys
+import numpy as np
+from vssenhance.align import bilinear_gather
+from vssenhance.tensor import Tensor, _scipy_kernel, gelu
+x = np.concatenate([np.nextafter([1.0, 1.0, -1.0, -1.0], [0.0, 2.0, 0.0, -2.0]),
+                    [1.0, -1.0, 8.0, -8.0, 27.0, -27.0, 5e-324, -1e-310, np.inf, -np.inf,
+                     np.nan]])
+erf = _scipy_kernel("special._special_ufuncs", "erf")
+mine = erf(x)
+f = gelu(Tensor(np.linspace(-2.0, 2.0, 48).reshape(3, 4, 4)))
+bilinear_gather(f, np.array([0.5, 2.25]), np.array([1.5, -0.5]))
+import scipy.special, scipy.sparse
+print(scipy.special.erf is erf, scipy.special.erf(x).tobytes() == mine.tobytes(),
+      scipy.sparse.csr_matrix(np.eye(2)).nnz)
+"""
+        assert run_python(code).split() == ["True", "True", "2"]
 
     def test_metrics_command_loads_no_scipy(self, tmp_path, rng):
         frames = [rng.uniform(size=(3, 16, 16)) for _ in range(2)]

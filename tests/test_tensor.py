@@ -142,8 +142,30 @@ GELU_INPUTS = np.concatenate([
 ])
 
 
+# erf's edge cases: +-1 and the floats next to them, the points where it
+# saturates, subnormals, infinities and NaN
+ERF_EDGES = np.concatenate([
+    [1.0, -1.0], np.nextafter([1.0, 1.0, -1.0, -1.0], [0.0, 2.0, 0.0, -2.0]),
+    [8.0, -8.0, 27.0, -27.0, 5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf, np.nan],
+])
+
+
 class TestGelu:
     """Backward keeps no array: the CDF is recovered as output / input."""
+
+    def test_forward_is_the_scipy_erf_formula_bitwise(self):
+        # x * (0.5 * (1 + erf(x / sqrt 2))) in gelu's order, with
+        # scipy.special.erf: the erf gelu loads is SciPy's own ufunc
+        assert T._scipy_kernel("special._special_ufuncs", "erf") is erf
+        with np.errstate(invalid="ignore"):  # -inf * 0
+            want = ERF_EDGES * (0.5 * (erf(ERF_EDGES * (1.0 / np.sqrt(2.0))) + 1.0))
+            assert gelu(Tensor(ERF_EDGES)).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("module, name", [("special._special_ufuncs", "no_such_kernel"),
+                                              ("special._no_such_extension", "erf")])
+    def test_a_missing_kernel_names_the_scipy_required(self, module, name):
+        with pytest.raises(ImportError, match=r"needs SciPy >= 1\.17"):
+            T._scipy_kernel(module, name)
 
     def test_keeps_no_array(self, rng):
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)

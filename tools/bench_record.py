@@ -17,7 +17,8 @@ node whose backward holds that peak), each 1080p frame's row filter
 histogram and ``read_image`` time, the 640x360 window's
 stage times, wall time and peak RSS (``VmHWM``), the import footprint of
 ``vssenhance.cli`` in a fresh interpreter (wall time, ``VmHWM`` and the
-SciPy modules it loaded), the tier-1 wall time, the ids of the tests that
+SciPy modules it loaded) and the same after one GELU and one gather in that
+interpreter (``model_path``), the tier-1 wall time, the ids of the tests that
 failed or errored and the duration of ``test_06_toy_overfit`` go into
 ``BENCH_<tag>.json`` at the repository root, with the ``HEAD`` commit,
 whether the working tree differs from it and the line count of
@@ -298,19 +299,31 @@ def decode_1080p(bit_depth: int) -> dict:
             "read_ms": round(statistics.median(times), 1), "correct": correct}
 
 
-# run in a fresh interpreter: what every vssenhance command pays before main()
+# run in a fresh interpreter: what every vssenhance command pays before
+# main(), then what a model command's first op adds (one GELU, one gather)
 IMPORT_PROBE = """\
 import json, sys, time
+
+def footprint(start):
+    wall_ms = (time.perf_counter() - start) * 1e3
+    with open("/proc/self/status") as status:  # see vmhwm_mb
+        vmhwm_kb = int(status.read().split("VmHWM:")[1].split()[0])
+    return {
+        "wall_ms": round(wall_ms, 1),
+        "vmhwm_mb": round(vmhwm_kb / 1024, 1),
+        "scipy_modules": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    }
+
 start = time.perf_counter()
 import vssenhance.cli
-wall_ms = (time.perf_counter() - start) * 1e3
-with open("/proc/self/status") as status:  # see vmhwm_mb
-    vmhwm_kb = int(status.read().split("VmHWM:")[1].split()[0])
-print(json.dumps({
-    "wall_ms": round(wall_ms, 1),
-    "vmhwm_mb": round(vmhwm_kb / 1024, 1),
-    "scipy_modules": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-}))
+record = {"import_footprint": footprint(start)}
+import numpy as np
+from vssenhance.align import bilinear_gather
+from vssenhance.tensor import Tensor, gelu
+start = time.perf_counter()
+bilinear_gather(gelu(Tensor(np.ones((2, 4, 4)))), np.array([1.5]), np.array([2.5]))
+record["model_path"] = footprint(start)
+print(json.dumps(record))
 """
 
 
@@ -323,8 +336,9 @@ def src_env() -> dict:
 
 def import_footprint() -> dict:
     """Wall time and peak RSS of ``import vssenhance.cli`` in a fresh
-    interpreter, and the SciPy modules that import loads."""
-    print("running: import of vssenhance.cli", flush=True)
+    interpreter and the SciPy modules that import loads (``import_footprint``),
+    then the same after one tiny GELU and bilinear gather (``model_path``)."""
+    print("running: import of vssenhance.cli and one model op", flush=True)
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=ROOT, env=src_env(),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -389,7 +403,7 @@ def main(argv=None) -> int:
         "decode_1080p": decode_1080p(16),
         "decode_1080p_rgb8": decode_1080p(8),
         "window_640x360": cold_window_probe(),
-        "import_footprint": import_footprint(),
+        **import_footprint(),
         "tier1": tier1(),
     }
     out = ROOT / f"BENCH_{args.tag}.json"
