@@ -12,13 +12,11 @@ from .align import (
     FramePyramid,
     PCDAlign,
     bilinear_gather,
-    bilinear_sample,
     deformable_conv2d,
     pcd_align,
     resize_bilinear,
 )
 from .color import (
-    AdaptationTransform,
     Illuminant,
     chromatic_adapt,
     estimate_illuminant,
@@ -32,7 +30,6 @@ from .enhance import (
     TrainingDiverged,
     VideoEnhancer,
     charbonnier,
-    enhance_forward,
     temporal_window,
     training_step,
 )
@@ -40,7 +37,7 @@ from .imageio import IngestionError, VideoClip, load_clip, read_image, write_ima
 from .layers import Module, load_checkpoint, save_checkpoint
 from .optim import AdamW
 from .seeding import derive_rng
-from .ss2d import SS2D, SelectiveHead, cross_merge, cross_scan, ss2d_forward
+from .ss2d import SS2D, SelectiveHead, cross_merge, cross_scan
 from .tensor import (
     ConfigurationError,
     ContractError,
@@ -53,6 +50,6 @@ from .tensor import (
     no_grad,
     save_tensor,
 )
-from .vss import VSSBlock, vss_forward
+from .vss import VSSBlock
 
 __version__ = "0.1.0"

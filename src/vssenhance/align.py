@@ -30,7 +30,6 @@ __all__ = [
     "FramePyramid",
     "FeatureExtractor",
     "PCDAlign",
-    "bilinear_sample",
     "bilinear_gather",
     "deformable_conv2d",
     "resize_bilinear",
@@ -71,9 +70,6 @@ class FramePyramid:
     def block(self, n: int) -> "FramePyramid":
         """Frame n's (C, H, W) pyramid out of a window pyramid."""
         return FramePyramid([f[:, n] for f in self.levels])
-
-    def shapes(self):
-        return [f.shape for f in self.levels]
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +165,6 @@ def bilinear_gather(f: Tensor, ys, xs, out: np.ndarray | None = None) -> Tensor:
         return gf, gy.reshape(y_shape), gx.reshape(x_shape)
 
     return _node(out, (f, ys_t, xs_t), grad_fn)
-
-
-def bilinear_sample(f: Tensor, y: float, x: float) -> Tensor:
-    """Interpolated (C,) read of one continuous position of (C, H, W) values."""
-    return bilinear_gather(f, np.array([float(y)]), np.array([float(x)])).reshape(f.shape[0])
 
 
 def _resize_matrix(n_out: int, n_in: int) -> np.ndarray:
@@ -278,7 +269,7 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor,
     bufs, base = band_buffers(), _tap_positions(k, rows, W)
     with T.no_grad():
         for n in range(N):
-            block = _read_in_place(f4[:, n])
+            block = T._leaf_over(f4[:, n])  # a view: the gather reads it by channel rows
             for band in bands:
                 m = band.stop - band.start
                 bilinear_gather(block, *positions(n, band, *base), out=bufs[m])
@@ -293,7 +284,7 @@ def deformable_conv2d(f: Tensor, offsets: Tensor, w: Tensor,
         gw = np.zeros(w.shape)
         bufs, base = band_buffers(), _tap_positions(k, rows, W)
         for n in range(N):
-            block = _read_in_place(f4[:, n])
+            block = T._leaf_over(f4[:, n])  # a view: the gather reads it by channel rows
             g_block = g_off[:, n].reshape(kk, 2, M)
             for band in bands:
                 buf = bufs[band.stop - band.start]
@@ -324,15 +315,6 @@ def _tap_positions(k: int, H: int, W: int) -> tuple[np.ndarray, np.ndarray]:
     base_y = taps[:, 0:1] + py.reshape(1, H * W)
     base_x = taps[:, 1:2] + px.reshape(1, H * W)
     return base_y.astype(np.float64), base_x.astype(np.float64)
-
-
-def _read_in_place(values: np.ndarray) -> Tensor:
-    """A constant Tensor over ``values``, a block of a window's features,
-    without the contiguous copy the constructor would make: only
-    ``bilinear_gather`` reads it, a channel row at a time."""
-    t = Tensor(())
-    t.data = values
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +392,16 @@ def _offset_field(conv_a: Conv2d, conv_b: Conv2d, head: Conv2d, parts: list[Tens
 def pcd_align(
     neighbor: FramePyramid, reference: FramePyramid, weights: PCDAlign
 ) -> Tensor:
-    """Align ``neighbor`` features onto the one-frame ``reference``, returning
-    a map at the finest (level 1) resolution.
-
-    A one-frame ``neighbor`` gives a (C, H, W) map.  A window pyramid gives
-    (C, N, H, W), every block aligned in one pass; the reference's share of
-    the two convolutions that read it (``off_a``, ``cas_a``) runs once.
+    """Align the window pyramid ``neighbor``'s (C, N, H, W) features onto
+    the one-frame ``reference``, returning the (C, N, H, W) map at the finest
+    (level 1) resolution, every block aligned in one pass; the reference's
+    share of the two convolutions that read it (``off_a``, ``cas_a``) runs
+    once.  A single pair aligns as ``FramePyramid.stack([pyramid])``.
     """
-    single = neighbor.levels[0].ndim == 3
-    if single:
-        neighbor = FramePyramid.stack([neighbor])
-    shapes = [s[:1] + s[2:] for s in neighbor.shapes()]
-    if shapes != reference.shapes():
-        raise DimensionError(f"pyramid shapes differ: {shapes} vs {reference.shapes()}")
+    shapes = [[f.shape for f in p.levels] for p in (neighbor, reference)]
+    if [s[:1] + s[2:] for s in shapes[0]] != shapes[1]:  # so a (C, H, W) neighbor fails
+        raise DimensionError(f"pcd_align needs a (C, N, H, W) window pyramid whose blocks "
+                             f"match the (C, H, W) reference, got {shapes[0]} and {shapes[1]}")
     # Window-sized maps are released as soon as they are read, so that the
     # batch never holds much more at a time than one frame's pass did.
     n_levels = len(neighbor.levels)
@@ -452,5 +431,4 @@ def pcd_align(
     cas_offsets = _offset_field(weights.cas_a, weights.cas_b, weights.cas_head,
                                 [aligned, reference.levels[0]])
     cas = weights.cas_dcn
-    out = deformable_conv2d(aligned, cas_offsets, cas.weight, cas.bias)
-    return out.reshape(out.shape[0], *out.shape[2:]) if single else out
+    return deformable_conv2d(aligned, cas_offsets, cas.weight, cas.bias)

@@ -8,6 +8,7 @@ import ctypes
 import functools
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .align import FramePyramid
@@ -21,10 +22,11 @@ from .optim import AdamW
 from .seeding import derive_rng
 from .tensor import ConfigurationError, ContractError, DimensionError, Tensor, no_grad
 
-# library errors a user can cause (bad input, config, checkpoint, divergence):
-# reported as one ``error:`` line and exit code 1 instead of a traceback
+# errors a user can cause (bad input, config, checkpoint, divergence, an
+# output path that cannot be created): reported as one ``error:`` line and
+# exit code 1 instead of a traceback
 USER_ERRORS = (ConfigurationError, ContractError, DimensionError, IngestionError,
-               TrainingDiverged)
+               TrainingDiverged, OSError)
 
 
 # glibc's mallopt parameters (malloc.h) and the values the CLI sets
@@ -147,6 +149,9 @@ def cmd_enhance(args) -> int:
             return _fail(f"no checkpoint found under {ckpt}")
         ckpt = candidates[-1].parent
     clip = load_clip(args.input)
+    shared = sorted(stem for stem, n in Counter(p.stem for p in clip.paths).items() if n > 1)
+    if shared:  # every output is <stem>.png
+        return _fail(f"frames that share a stem would write the same output file: {shared}")
 
     model = VideoEnhancer(cfg.model, derive_rng(0, "model"))
     load_checkpoint(model, ckpt)

@@ -18,7 +18,6 @@ from .tensor import DimensionError
 
 __all__ = [
     "Illuminant",
-    "AdaptationTransform",
     "D65_WHITE_RGB",
     "estimate_illuminant",
     "adaptation_transform",
@@ -79,18 +78,6 @@ class Illuminant:
         self.xyz = tuple(RGB_TO_XYZ @ linear)
 
 
-@dataclass
-class AdaptationTransform:
-    """3x3 map in linear RGB taking source-adapted colors to the destination."""
-
-    matrix: np.ndarray
-
-    def apply(self, linear_rgb: np.ndarray) -> np.ndarray:
-        """Apply to (3, ...) linear RGB data."""
-        flat = linear_rgb.reshape(3, -1)
-        return (self.matrix @ flat).reshape(linear_rgb.shape)
-
-
 def estimate_illuminant(frames) -> Illuminant:
     """Gray-world estimate over a clip's (3, H, W) frames: the mean of each
     frame's per-channel means, floored at 1e-6."""
@@ -105,20 +92,20 @@ def estimate_illuminant(frames) -> Illuminant:
     return Illuminant(rgb=tuple(np.maximum(np.stack(means).mean(axis=0), _CHANNEL_FLOOR)))
 
 
-def adaptation_transform(src: Illuminant, dst: Illuminant) -> AdaptationTransform:
-    """Bradford transform scaling cone responses from ``src`` to ``dst``."""
+def adaptation_transform(src: Illuminant, dst: Illuminant) -> np.ndarray:
+    """The 3x3 map in linear RGB taking ``src``-adapted colors to ``dst``: a
+    Bradford transform scaling cone responses from one white to the other."""
     src_cone = BRADFORD @ np.asarray(src.xyz)
     dst_cone = BRADFORD @ np.asarray(dst.xyz)
     cat = BRADFORD_INV @ np.diag(dst_cone / src_cone) @ BRADFORD
-    return AdaptationTransform(matrix=XYZ_TO_RGB @ cat @ RGB_TO_XYZ)
+    return XYZ_TO_RGB @ cat @ RGB_TO_XYZ
 
 
 def chromatic_adapt(frame: np.ndarray, src: Illuminant, dst: Illuminant) -> np.ndarray:
     """Re-render ``frame`` (encoded, (3, H, W), values in [0, 1]) from the
     source illuminant to the destination; clipping happens only at the end."""
-    transform = adaptation_transform(src, dst)
     linear = srgb_decode(np.asarray(frame, dtype=np.float64))
-    adapted = transform.apply(linear)
+    adapted = (adaptation_transform(src, dst) @ linear.reshape(3, -1)).reshape(linear.shape)
     return np.clip(srgb_encode(adapted), 0.0, 1.0)
 
 

@@ -3,7 +3,8 @@
 A U-shaped encoder/decoder in which every stage is a run of VSS blocks:
 concatenated aligned features are embedded to the base width, downsampled
 through stride-2 convolutions (channels doubling per scale), mirrored back up
-with transposed convolutions and skip concatenations, and projected to RGB.
+with transposed convolutions, joined with the encoder's skip maps by a 1x1
+convolution over both, and projected to RGB.
 The projection is zero-initialized and added to the center frame, so an
 untrained network is an exact pass-through.
 """
@@ -27,7 +28,6 @@ __all__ = [
     "VideoEnhancer",
     "TrainingDiverged",
     "charbonnier",
-    "enhance_forward",
     "training_step",
     "temporal_window",
 ]
@@ -113,64 +113,60 @@ class EnhanceNet(Module):
 
         self.out_project = Conv2d(c0, 3, 3, rng, zero_init=True)
 
-    def __call__(self, aligned, center_rgb, clamp_output: bool = False) -> Tensor:
-        return enhance_forward(aligned, center_rgb, self, clamp_output=clamp_output)
+    def __call__(self, aligned: Tensor, center_rgb: Tensor,
+                 clamp_output: bool = False) -> Tensor:
+        """Enhance one frame from its window of aligned feature maps.
 
+        ``aligned`` is (C, N, H, W), block n the aligned map of window frame n,
+        with N = ``input_frames``; the output is the zero-initialized RGB
+        projection plus the center frame, cropped back to the input resolution
+        after reflection padding to a multiple of 2^S.
+        Clamping to [0, 1] is inference-only behavior.
+        """
+        cfg = self.cfg
+        if aligned.ndim != 4:
+            raise DimensionError(f"aligned maps must be (C, N, H, W), got {aligned.shape}")
+        C, N, H, W = aligned.shape
+        if N != cfg.input_frames:
+            raise DimensionError(f"expected {cfg.input_frames} aligned maps, got {N}")
+        if center_rgb.shape != (3, H, W):
+            raise DimensionError(
+                f"center frame must be (3, {H}, {W}), got {center_rgb.shape}"
+            )
 
-def enhance_forward(aligned: Tensor, center_rgb: Tensor, net: EnhanceNet,
-                    clamp_output: bool = False) -> Tensor:
-    """Enhance one frame from its window of aligned feature maps.
+        # the frames' channel blocks side by side, in window order
+        x = aligned.transpose(1, 0, 2, 3).reshape(N * C, H, W)
+        multiple = 1 << cfg.num_scales
+        pad_b = (-H) % multiple
+        pad_r = (-W) % multiple
+        # reflection when it fits; edge replication keeps tiny inputs legal
+        pad_mode = "reflect" if (pad_b < H and pad_r < W) else "edge"
+        x = pad2d_edges(x, 0, pad_b, 0, pad_r, mode=pad_mode)
 
-    ``aligned`` is (C, N, H, W), block n the aligned map of window frame n,
-    with N = ``input_frames``; the output is the zero-initialized RGB
-    projection plus the center frame, cropped back to the input resolution
-    after reflection padding to a multiple of 2^S.
-    Clamping to [0, 1] is inference-only behavior.
-    """
-    cfg = net.cfg
-    if aligned.ndim != 4:
-        raise DimensionError(f"aligned maps must be (C, N, H, W), got {aligned.shape}")
-    C, N, H, W = aligned.shape
-    if N != cfg.input_frames:
-        raise DimensionError(f"expected {cfg.input_frames} aligned maps, got {N}")
-    if center_rgb.shape != (3, H, W):
-        raise DimensionError(
-            f"center frame must be (3, {H}, {W}), got {center_rgb.shape}"
-        )
+        feat = self.embed(x)
+        del x  # window-sized: not needed past the embedding
+        skips = []
+        for stage, down in zip(self.encoder_stages, self.downs):
+            feat = _run_stage(stage, feat)
+            skips.append(feat)
+            feat = down(feat)
 
-    # the frames' channel blocks side by side, in window order
-    x = aligned.transpose(1, 0, 2, 3).reshape(N * C, H, W)
-    multiple = 1 << cfg.num_scales
-    pad_b = (-H) % multiple
-    pad_r = (-W) % multiple
-    # reflection when it fits; edge replication keeps tiny inputs legal
-    pad_mode = "reflect" if (pad_b < H and pad_r < W) else "edge"
-    x = pad2d_edges(x, 0, pad_b, 0, pad_r, mode=pad_mode)
+        feat = _run_stage(self.bottleneck, feat)
 
-    feat = net.embed(x)
-    del x  # window-sized: not needed past the embedding
-    skips = []
-    for stage, down in zip(net.encoder_stages, net.downs):
-        feat = _run_stage(stage, feat)
-        skips.append(feat)
-        feat = down(feat)
+        for up, project, stage, skip in zip(
+            self.ups, self.skip_projects, self.decoder_stages, reversed(skips)
+        ):
+            feat = up(feat)
+            feat = project([feat, skip])
+            feat = _run_stage(stage, feat)
 
-    feat = _run_stage(net.bottleneck, feat)
-
-    for up, project, stage, skip in zip(
-        net.ups, net.skip_projects, net.decoder_stages, reversed(skips)
-    ):
-        feat = up(feat)
-        feat = project([feat, skip])
-        feat = _run_stage(stage, feat)
-
-    residual = net.out_project(feat)
-    if pad_b or pad_r:
-        residual = residual[:, :H, :W]
-    out = residual + center_rgb
-    if clamp_output:
-        out = T.clip(out, 0.0, 1.0)
-    return out
+        residual = self.out_project(feat)
+        if pad_b or pad_r:
+            residual = residual[:, :H, :W]
+        out = residual + center_rgb
+        if clamp_output:
+            out = T.clip(out, 0.0, 1.0)
+        return out
 
 
 class VideoEnhancer(Module):

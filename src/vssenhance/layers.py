@@ -150,8 +150,9 @@ def save_checkpoint(module: Module, directory) -> None:
 def load_checkpoint(module: Module, directory) -> None:
     """Load parameters saved by :func:`save_checkpoint` into ``module`` in place.
 
-    Every tensor is read and shape-checked before any parameter is assigned,
-    so a checkpoint that fails to load leaves ``module`` unchanged.
+    Every tensor is read, shape-checked and checked to hold only finite
+    values before any parameter is assigned, so a checkpoint that fails to
+    load leaves ``module`` unchanged.
     """
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
@@ -191,6 +192,8 @@ def load_checkpoint(module: Module, directory) -> None:
             raise ContractError(
                 f"parameter {name}: checkpoint shape {tensor.shape}, model {expect}"
             )
+        if not np.isfinite(tensor.data).all():
+            raise ContractError(f"parameter {name}: {fname} holds NaN or infinite values")
         loaded[name] = tensor.data
     for name, data in loaded.items():
         params[name].data = data

@@ -15,8 +15,8 @@ Each sequence runs through the selective scan (Mamba's selective SSM): per
 step, zero-order-hold terms a_bar = exp(delta*a) and u = (a_bar - 1)/a * b * x
 from input-dependent B, C and delta, then h_t = a_bar_t * h_{t-1} + u_t, read
 out as y_t = C_t h_t.  ``_scan_chunks`` evaluates it in chunks of
-``SCAN_CHUNK`` steps, each chunk one ``linear_recurrence``, and
-``ss2d_forward`` runs the whole path in pieces of ``SCAN_PIECE`` steps.
+``SCAN_CHUNK`` steps, each chunk one ``linear_recurrence``, and an
+``SS2D`` call runs the whole path in pieces of ``SCAN_PIECE`` steps.
 
 The merge scatters each processed sequence back through the inverse of its
 traversal permutation and sums the four results, so identity processing
@@ -25,7 +25,6 @@ returns exactly 4x the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -106,25 +105,16 @@ def cross_merge(seqs: Tensor, H: int, W: int, steps: slice = slice(None),
     return _node(_add_columns(seqs.data, rows, out), (seqs,), lambda g: (g[rows],))
 
 
-@dataclass
 class SelectiveHead(Module):
     """Projection weights that map input features to (B_t, C_t, delta_t)."""
 
-    w_b: Tensor  # (C_feat, d)
-    w_c: Tensor  # (C_feat, d)
-    w_delta: Tensor  # (C_feat, 1)
-    b_delta: Tensor  # (1,)
-
-    @staticmethod
-    def init(feat_dim: int, state_dim: int, rng: np.random.Generator) -> "SelectiveHead":
+    def __init__(self, feat_dim: int, state_dim: int, rng: np.random.Generator):
         scale = 1.0 / np.sqrt(feat_dim)
-        bias = float(np.log(np.expm1(DELTA_FLOOR)))  # softplus(bias) == DELTA_FLOOR
-        return SelectiveHead(
-            w_b=Tensor(rng.normal(0.0, scale, size=(feat_dim, state_dim)), requires_grad=True),
-            w_c=Tensor(rng.normal(0.0, scale, size=(feat_dim, state_dim)), requires_grad=True),
-            w_delta=Tensor(rng.normal(0.0, scale, size=(feat_dim, 1)), requires_grad=True),
-            b_delta=Tensor(np.array([bias]), requires_grad=True),
-        )
+        self.w_b = param(rng.normal(0.0, scale, size=(feat_dim, state_dim)))  # (C_feat, d)
+        self.w_c = param(rng.normal(0.0, scale, size=(feat_dim, state_dim)))  # (C_feat, d)
+        self.w_delta = param(rng.normal(0.0, scale, size=(feat_dim, 1)))  # (C_feat, 1)
+        # softplus(b_delta) == DELTA_FLOOR
+        self.b_delta = param(np.array([float(np.log(np.expm1(DELTA_FLOOR)))]))  # (1,)
 
 
 class SS2D(Module):
@@ -138,7 +128,7 @@ class SS2D(Module):
     def __init__(self, channels: int, state_dim: int, rng: np.random.Generator):
         self.channels = channels
         self.state_dim = state_dim
-        self.heads = [SelectiveHead.init(channels, state_dim, rng) for _ in DIRECTIONS]
+        self.heads = [SelectiveHead(channels, state_dim, rng) for _ in DIRECTIONS]
         # log-magnitude parameterization keeps the diagonal strictly negative
         self.a_log = param(
             rng.uniform(np.log(0.5), np.log(8.0), size=(channels, state_dim))
@@ -146,7 +136,109 @@ class SS2D(Module):
         self.skip = param(np.ones(channels))
 
     def __call__(self, tokens: Tensor, H: int, W: int) -> Tensor:
-        return ss2d_forward(tokens, H, W, self)
+        """cross-scan -> per-direction selective scan and skip term -> cross-merge,
+        on the row-major (H*W, C) tokens of an H x W grid, as one graph node.
+
+        The directions travel as one stack, and all four run through the
+        chunked scan at once; per-channel state transitions are shared across
+        directions while each direction's head supplies its own B/C/delta.
+
+        The node's parents are ``tokens`` and the 18 parameters (each head's
+        ``w_b``, ``w_c``, ``w_delta``, ``b_delta``, then ``a_log`` and ``skip``).
+        Forward runs with graph building off, in pieces of ``SCAN_PIECE``
+        sequence steps: each piece's (P, 4, C) stack is gathered by
+        ``cross_scan``, its B, C and Δ projected, its chunks scanned from the
+        state the previous piece left, its skip term added, and the result
+        scatter-added into the (H*W, C) output by ``cross_merge``.  So no
+        (H*W, 4, C) array is formed, and the output equals the whole-stack
+        composition's within 1e-12 (bitwise for one piece: a token's four terms
+        then add in direction order).  The node keeps only the (4, C, d) state
+        entering each scan chunk.  Backward walks the same pieces in reverse
+        (activation checkpointing): each rebuilds its stack as a gather node on
+        the tokens, recomputes its B, C and Δ, runs the scan's adjoint over its
+        chunks from the kept states, carrying the state's gradient into the
+        piece before, and takes its stack's gradient back to the tokens through
+        the rebuilt gather.  The tokens' gradient adds up piece by piece in one
+        (H*W, C) array, and each parameter's across pieces, so no array larger
+        than a piece's stack outlives a piece, and the gradients equal the
+        whole-stack composition's within 1e-12 (bitwise but for ``skip``'s for
+        one piece).
+        """
+        tokens = _wrap(tokens)
+        heads = [(h.w_b, h.w_c, h.w_delta, h.b_delta) for h in self.heads]
+        params = (*(p for head in heads for p in head), self.a_log, self.skip)
+        _check_grid(tokens, H, W)
+        L, C, d, R = H * W, tokens.shape[1], self.state_dim, len(DIRECTIONS)
+        if C != self.channels:
+            raise DimensionError(f"tokens have {C} channels, SS2D expects {self.channels}")
+        parents = (tokens, *params)
+        keep = grad_enabled() and any(t.requires_grad for t in parents)
+        out, states, h, piece = np.zeros((L, C)), [], None, SCAN_PIECE
+        with _grad_mode(False):
+            a_neg = -np.exp(self.a_log.data)  # (C, d), strictly negative
+            for t0 in range(0, L, piece):
+                steps = slice(t0, min(t0 + piece, L))
+                seqs = cross_scan(tokens, H, W, steps)
+                P = seqs.shape[0]
+                b, c, delta = _projections(seqs.data, heads)
+                y, h = _scan_chunks(softplus(delta).data.reshape(P, R, 1, 1), a_neg,
+                                    b.reshape(P, R, 1, d), c.reshape(P, R, 1, d),
+                                    seqs.data.reshape(P, R, C, 1), h, states if keep else None)
+                y = y.reshape(P, R, C)
+                y += seqs.data * self.skip.data  # the skip term x * D
+                cross_merge(Tensor(y), H, W, steps, out)
+        if not keep:
+            return Tensor(out)
+
+        def piece_grad(g, steps, carry, a_neg):
+            """One piece's share of the gradients, and the carry into the piece
+            before it."""
+            with _grad_mode(True):
+                seqs = cross_scan(Tensor(tokens.data, requires_grad=True), H, W, steps)
+            x, scatter = seqs.data, seqs._grad_fn  # the gather's adjoint, run last
+            del seqs
+            P = x.shape[0]
+            b, c, pre = _projections(x, heads)
+            with _grad_mode(True):
+                delta = softplus(Tensor(pre, requires_grad=True))
+            chunks = slice(steps.start // SCAN_CHUNK, -(-steps.stop // SCAN_CHUNK))
+            g_y = g[traversal_permutations(H, W)[steps]]  # the merge's adjoint, (P, 4, C)
+            g_delta, g_a, g_b, g_c, g_x, carry = _selective_scan_bwd(
+                g_y, delta.data.reshape(P, R, 1, 1), a_neg, b.reshape(P, R, 1, d),
+                c.reshape(P, R, 1, d), x.reshape(P, R, C, 1), states[chunks], carry)
+            del b, c
+            g_skip = np.einsum("prc,prc->c", g_y, x)
+            # the stack's gradient, in g_y's buffer, summed in a fixed order (skip
+            # term, then the Δ, B and C projections, then x): another order
+            # changes its last bits
+            g_seqs = g_y
+            g_seqs *= params[-1].data
+            w_b, w_c, w_delta, _ = zip(*heads)
+            g_pre = delta._grad_fn(g_delta.reshape(P, R, 1))[0]
+            gd = _head_projection_bwd(x, w_delta, R, g_pre, g_seqs)  # w_delta, then b_delta
+            gb = _head_projection_bwd(x, w_b, 0, g_b.reshape(P, R, d), g_seqs)
+            gc = _head_projection_bwd(x, w_c, 0, g_c.reshape(P, R, d), g_seqs)
+            g_seqs += g_x.reshape(P, R, C)
+            del x, g_x, g_b, g_c
+            (g_tokens,) = scatter(g_seqs)
+            per_head = [(gb[r], gc[r], gd[r], gd[R + r]) for r in range(R)]
+            return [g_tokens, *(gr for head in per_head for gr in head), g_a, g_skip], carry
+
+        def grad_fn(g):
+            a_neg = -np.exp(params[-2].data)
+            grads, carry = None, None
+            for t0 in reversed(range(0, L, piece)):
+                share, carry = piece_grad(g, slice(t0, min(t0 + piece, L)), carry, a_neg)
+                if grads is None:
+                    grads = share
+                else:
+                    for acc, gp in zip(grads, share):
+                        acc += gp
+                del share  # before the next piece's working set
+            grads[-2] *= a_neg  # through a = -exp(a_log)
+            return tuple(grads)
+
+        return _node(out, parents, grad_fn)
 
 
 def sequential_recurrence_data(a: np.ndarray, u: np.ndarray, reverse: bool = False) -> np.ndarray:
@@ -312,20 +404,15 @@ def _selective_scan_bwd(g, delta, a, b, c, x, states, carry=None):
     return g_delta, g_a, g_b, g_c, g_x, carry
 
 
-def _head_projection(x: Tensor, weights, biases=()) -> Tensor:
+def _head_projection(x: np.ndarray, weights, biases=()) -> np.ndarray:
     """``out[:, r] = x[:, r] @ weights[r] (+ biases[r])`` for each direction
-    r of the (L, R, C) stack ``x``, as one node whose GEMMs are R matmuls' own."""
+    r of the (L, R, C) stack ``x``; its adjoint is :func:`_head_projection_bwd`."""
     out = np.empty(x.shape[:2] + weights[0].shape[1:])
     for r, w in enumerate(weights):
-        np.matmul(x.data[:, r], w.data, out=out[:, r])
+        np.matmul(x[:, r], w.data, out=out[:, r])
         if biases:
             out[:, r] += biases[r].data
-
-    def grad_fn(g):
-        gx = np.zeros(x.shape)
-        return (gx, *_head_projection_bwd(x.data, weights, len(biases), g, gx))
-
-    return _node(out, (x, *weights, *biases), grad_fn)
+    return out
 
 
 def _head_projection_bwd(x: np.ndarray, weights, n_bias: int, g: np.ndarray, gx: np.ndarray):
@@ -341,116 +428,9 @@ def _head_projection_bwd(x: np.ndarray, weights, n_bias: int, g: np.ndarray, gx:
     return gw + [g[:, r].sum(axis=0) for r in range(n_bias)]
 
 
-def _projections(seqs: Tensor, heads):
-    """B, C and the pre-softplus Δ of the (L, 4, C) stack, one node each;
-    ``heads`` holds each direction's (w_b, w_c, w_delta, b_delta)."""
+def _projections(seqs: np.ndarray, heads):
+    """B, C and the pre-softplus Δ of the (L, 4, C) stack; ``heads`` holds
+    each direction's (w_b, w_c, w_delta, b_delta)."""
     w_b, w_c, w_delta, b_delta = zip(*heads)
     return (_head_projection(seqs, w_b), _head_projection(seqs, w_c),
             _head_projection(seqs, w_delta, b_delta))
-
-
-def ss2d_forward(tokens: Tensor, H: int, W: int, weights: SS2D) -> Tensor:
-    """cross-scan -> per-direction selective scan and skip term -> cross-merge,
-    on the row-major (H*W, C) tokens of an H x W grid, as one graph node.
-
-    The directions travel as one stack, and all four run through the
-    chunked scan at once; per-channel state transitions are shared across
-    directions while each direction's head supplies its own B/C/delta.
-
-    The node's parents are ``tokens`` and the 18 parameters (each head's
-    ``w_b``, ``w_c``, ``w_delta``, ``b_delta``, then ``a_log`` and ``skip``).
-    Forward runs with graph building off, in pieces of ``SCAN_PIECE``
-    sequence steps: each piece's (P, 4, C) stack is gathered by
-    ``cross_scan``, its B, C and Δ projected, its chunks scanned from the
-    state the previous piece left, its skip term added, and the result
-    scatter-added into the (H*W, C) output by ``cross_merge``.  So no
-    (H*W, 4, C) array is formed, and the output equals the whole-stack
-    composition's within 1e-12 (bitwise for one piece: a token's four terms
-    then add in direction order).  The node keeps only the (4, C, d) state
-    entering each scan chunk.  Backward walks the same pieces in reverse
-    (activation checkpointing): each rebuilds its stack as a gather node on
-    the tokens, recomputes its B, C and Δ, runs the scan's adjoint over its
-    chunks from the kept states, carrying the state's gradient into the
-    piece before, and takes its stack's gradient back to the tokens through
-    the rebuilt gather.  The tokens' gradient adds up piece by piece in one
-    (H*W, C) array, and each parameter's across pieces, so no array larger
-    than a piece's stack outlives a piece, and the gradients equal the
-    whole-stack composition's within 1e-12 (bitwise but for ``skip``'s for
-    one piece).
-    """
-    tokens = _wrap(tokens)
-    heads = [(h.w_b, h.w_c, h.w_delta, h.b_delta) for h in weights.heads]
-    params = (*(p for head in heads for p in head), weights.a_log, weights.skip)
-    _check_grid(tokens, H, W)
-    L, C, d, R = H * W, tokens.shape[1], weights.state_dim, len(DIRECTIONS)
-    if C != weights.channels:
-        raise DimensionError(f"tokens have {C} channels, SS2D expects {weights.channels}")
-    parents = (tokens, *params)
-    keep = grad_enabled() and any(t.requires_grad for t in parents)
-    out, states, h, piece = np.zeros((L, C)), [], None, SCAN_PIECE
-    with _grad_mode(False):
-        a_neg = -np.exp(weights.a_log.data)  # (C, d), strictly negative
-        for t0 in range(0, L, piece):
-            steps = slice(t0, min(t0 + piece, L))
-            seqs = cross_scan(tokens, H, W, steps)
-            P = seqs.shape[0]
-            b, c, delta = _projections(seqs, heads)
-            y, h = _scan_chunks(softplus(delta).data.reshape(P, R, 1, 1), a_neg,
-                                b.data.reshape(P, R, 1, d), c.data.reshape(P, R, 1, d),
-                                seqs.data.reshape(P, R, C, 1), h, states if keep else None)
-            y = y.reshape(P, R, C)
-            y += seqs.data * weights.skip.data  # the skip term x * D
-            cross_merge(Tensor(y), H, W, steps, out)
-    if not keep:
-        return Tensor(out)
-
-    def piece_grad(g, steps, carry, a_neg):
-        """One piece's share of the gradients, and the carry into the piece
-        before it."""
-        with _grad_mode(True):
-            seqs = cross_scan(Tensor(tokens.data, requires_grad=True), H, W, steps)
-        x, scatter = seqs.data, seqs._grad_fn  # the gather's adjoint, run last
-        del seqs
-        P = x.shape[0]
-        with _grad_mode(False):
-            b, c, pre = (t.data for t in _projections(Tensor(x), heads))
-        with _grad_mode(True):
-            delta = softplus(Tensor(pre, requires_grad=True))
-        chunks = slice(steps.start // SCAN_CHUNK, -(-steps.stop // SCAN_CHUNK))
-        g_y = g[traversal_permutations(H, W)[steps]]  # the merge's adjoint, (P, 4, C)
-        g_delta, g_a, g_b, g_c, g_x, carry = _selective_scan_bwd(
-            g_y, delta.data.reshape(P, R, 1, 1), a_neg, b.reshape(P, R, 1, d),
-            c.reshape(P, R, 1, d), x.reshape(P, R, C, 1), states[chunks], carry)
-        del b, c
-        g_skip = np.einsum("prc,prc->c", g_y, x)
-        # the stack's gradient, in g_y's buffer, summed in a fixed order (skip
-        # term, then the Δ, B and C projections, then x): another order
-        # changes its last bits
-        g_seqs = g_y
-        g_seqs *= params[-1].data
-        w_b, w_c, w_delta, _ = zip(*heads)
-        g_pre = delta._grad_fn(g_delta.reshape(P, R, 1))[0]
-        gd = _head_projection_bwd(x, w_delta, R, g_pre, g_seqs)  # w_delta, then b_delta
-        gb = _head_projection_bwd(x, w_b, 0, g_b.reshape(P, R, d), g_seqs)
-        gc = _head_projection_bwd(x, w_c, 0, g_c.reshape(P, R, d), g_seqs)
-        g_seqs += g_x.reshape(P, R, C)
-        del x, g_x, g_b, g_c
-        (g_tokens,) = scatter(g_seqs)
-        per_head = [(gb[r], gc[r], gd[r], gd[R + r]) for r in range(R)]
-        return [g_tokens, *(gr for head in per_head for gr in head), g_a, g_skip], carry
-
-    def grad_fn(g):
-        a_neg = -np.exp(params[-2].data)
-        grads, carry = None, None
-        for t0 in reversed(range(0, L, piece)):
-            share, carry = piece_grad(g, slice(t0, min(t0 + piece, L)), carry, a_neg)
-            if grads is None:
-                grads = share
-            else:
-                for acc, gp in zip(grads, share):
-                    acc += gp
-            del share  # before the next piece's working set
-        grads[-2] *= a_neg  # through a = -exp(a_log)
-        return tuple(grads)
-
-    return _node(out, parents, grad_fn)

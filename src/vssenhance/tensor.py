@@ -278,6 +278,14 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _leaf_over(data: np.ndarray, requires_grad: bool = False) -> Tensor:
+    """A leaf Tensor over ``data`` as it is, a view included, without the
+    contiguous copy the constructor would make."""
+    leaf = Tensor((), requires_grad=requires_grad)
+    leaf.data = data
+    return leaf
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], grad_fn) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
@@ -983,13 +991,8 @@ def recompute(fn, inputs, params=()) -> Tensor:
 
         for n in range(N):
             cut = (slice(None), slice(n, n + 1)) if N > 1 else ...
-            leaves = []
-            for t, is_blocked in zip(inputs, blocked):
-                # a view of the block, without the contiguous copy the
-                # constructor would make
-                leaf = Tensor((), requires_grad=t.requires_grad)
-                leaf.data = t.data[cut] if is_blocked else t.data
-                leaves.append(leaf)
+            leaves = [_leaf_over(t.data[cut] if is_blocked else t.data, t.requires_grad)
+                      for t, is_blocked in zip(inputs, blocked)]
             with _grad_mode(True):
                 rebuilt = fn(*leaves)
             slot = {id(t): i for i, t in enumerate((*leaves, *params))}

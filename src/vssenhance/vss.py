@@ -38,23 +38,19 @@ class VSSBlock(Module):
         self.ffn = FeedForward(channels, rng)
 
     def __call__(self, tokens: Tensor, H: int, W: int) -> Tensor:
-        return vss_forward(tokens, H, W, self)
+        """The two pre-norm residual branches on the row-major (H*W, C) tokens
+        of an H x W grid, returning tokens of the same shape.
 
-
-def vss_forward(tokens: Tensor, H: int, W: int, block: VSSBlock) -> Tensor:
-    """The two pre-norm residual branches on the row-major (H*W, C) tokens
-    of an H x W grid, returning tokens of the same shape.
-
-    Layer norm acts over channels at each spatial position, and each
-    branch's zero-initialized output projection adds the residual inside its
-    own node.  The feedforward branch, norm included, is one
-    :func:`~vssenhance.tensor.recompute` node that keeps only ``mid``.
-    """
-    if H < 1 or W < 1 or tokens.shape != (H * W, block.channels):
-        raise DimensionError(
-            f"VSS block expects ({H * W}, {block.channels}) tokens for a {H}x{W} grid, "
-            f"got {tokens.shape}"
-        )
-    mid = block.scan_project(block.ss2d(block.norm1(tokens), H, W), residual=tokens)
-    return recompute(lambda mid: block.ffn(block.norm2(mid), residual=mid), [mid],
-                     block.norm2.parameters() + block.ffn.parameters())
+        Layer norm acts over channels at each spatial position, and each
+        branch's zero-initialized output projection adds the residual inside
+        its own node.  The feedforward branch, norm included, is one
+        :func:`~vssenhance.tensor.recompute` node that keeps only ``mid``.
+        """
+        if H < 1 or W < 1 or tokens.shape != (H * W, self.channels):
+            raise DimensionError(
+                f"VSS block expects ({H * W}, {self.channels}) tokens for a {H}x{W} grid, "
+                f"got {tokens.shape}"
+            )
+        mid = self.scan_project(self.ss2d(self.norm1(tokens), H, W), residual=tokens)
+        return recompute(lambda mid: self.ffn(self.norm2(mid), residual=mid), [mid],
+                         self.norm2.parameters() + self.ffn.parameters())

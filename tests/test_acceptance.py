@@ -27,14 +27,13 @@ from vssenhance.color import (
 from vssenhance.enhance import (
     EnhanceNetConfig,
     VideoEnhancer,
-    enhance_forward,
     training_step,
 )
 from vssenhance.imageio import write_image
 from vssenhance.optim import AdamW
-from vssenhance.ss2d import SS2D, _scan_chunks, cross_merge, cross_scan, ss2d_forward
+from vssenhance.ss2d import SS2D, _scan_chunks, cross_merge, cross_scan
 from vssenhance.tensor import Tensor, conv2d, layer_norm, matmul, no_grad
-from vssenhance.vss import VSSBlock, vss_forward
+from vssenhance.vss import VSSBlock
 
 from helpers import check_gradients, with_parameters
 
@@ -165,7 +164,7 @@ def test_04_gradient_suite():
             lambda ts: (conv2d(ts[0], ts[1], stride=2, pad=1) * Tensor(cmix)).sum(),
             [rng.normal(size=(2, 4, 5)), rng.normal(size=(3, 2, 3, 3))],
         )
-        # bilinear_sample (gather form), off-integer coordinates
+        # bilinear_gather, off-integer coordinates
         gmix = rng.normal(size=(2, 6))
         ys = rng.uniform(0.25, 3.65, size=6).round(2) + 0.13
         xs = rng.uniform(0.25, 3.65, size=6).round(2) + 0.17
@@ -187,7 +186,7 @@ def test_04_gradient_suite():
             ],
             rtol=1e-3,
         )
-        # ss2d_forward, gradients to input and all branch weights, on a grid
+        # SS2D, gradients to input and all branch weights, on a grid
         # whose scan crosses a chunk edge (L = 72)
         C, H, W, d = 2, 9, 8, 2
         ss2d = SS2D(channels=C, state_dim=d, rng=rng)
@@ -198,13 +197,13 @@ def test_04_gradient_suite():
 
         def ss2d_loss(ts):
             tokens = ts[0].reshape(C, H * W).transpose(1, 0)
-            out = ss2d_forward(tokens, H, W, with_parameters(ts[1:], C, d))
+            out = with_parameters(ts[1:], C, d)(tokens, H, W)
             out = out.transpose(1, 0).reshape(C, H, W)
             return (out * Tensor(ssmix)).sum()
 
         check_gradients(ss2d_loss, ss2d_arrays)
 
-        # vss_forward, gradients to input and every block parameter
+        # a VSS block, gradients to input and every block parameter
         C, H, W = 4, 2, 3
         block = VSSBlock(channels=C, state_dim=2, rng=rng)
         block.scan_project.weight.data = rng.normal(0, 0.3, size=(C, C))
@@ -224,11 +223,11 @@ def test_04_gradient_suite():
                 for part in path:
                     obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
                 setattr(obj, leaf, t)
-            return (vss_forward(ts[0], H, W, probe) * Tensor(vmix)).sum()
+            return (probe(ts[0], H, W) * Tensor(vmix)).sum()
 
         check_gradients(vss_loss, vss_arrays)
 
-        # enhance_forward, gradients to the aligned features and center frame
+        # EnhanceNet, gradients to the aligned features and center frame
         cfg = EnhanceNetConfig(
             input_frames=1, feature_channels=2, base_channels=2, state_dim=2,
             num_scales=1, encoder_depths=(1,), decoder_depths=(1,), bottleneck_depth=1,
@@ -242,7 +241,7 @@ def test_04_gradient_suite():
         emix = rng.normal(size=(3, 4, 4))
         check_gradients(
             lambda ts: (
-                enhance_forward(ts[0].reshape(2, 1, 4, 4), ts[1], net) * Tensor(emix)
+                net(ts[0].reshape(2, 1, 4, 4), ts[1]) * Tensor(emix)
             ).sum(),
             [rng.normal(size=(2, 4, 4)), rng.uniform(size=(3, 4, 4))],
         )
@@ -358,8 +357,7 @@ def test_08_chromatic_adaptation():
 
         src = Illuminant(rgb=(0.3, 0.5, 0.7))
         dst = Illuminant(rgb=D65_WHITE_RGB)
-        t = adaptation_transform(src, dst)
-        mapped = t.apply(srgb_decode(np.asarray(src.rgb)).reshape(3, 1))[:, 0]
+        mapped = adaptation_transform(src, dst) @ srgb_decode(np.asarray(src.rgb))
         assert np.abs(mapped - srgb_decode(np.asarray(dst.rgb))).max() < 1e-6
 
         base = rng.uniform(0.25, 0.75, size=(3, 32, 32))
@@ -379,16 +377,16 @@ def test_09_linear_time_scan():
         samples = [[], []]
         with no_grad():
             for (H, W), tok in zip(grids, inputs):
-                ss2d_forward(tok, H, W, ss2d)  # warm-up: permutation cache, allocator
+                ss2d(tok, H, W)  # warm-up: permutation cache, allocator
             # the sizes take turns, so a slow spell of the host hits both
             for _ in range(15):
                 for times, (H, W), tok in zip(samples, grids, inputs):
                     t0 = time.perf_counter()
-                    ss2d_forward(tok, H, W, ss2d)
+                    ss2d(tok, H, W)
                     times.append(time.perf_counter() - t0)
         small, large = (float(np.median(t)) for t in samples)
         ratio = large / small
-        print(f"    ss2d_forward: {large * 1e3:.1f} / {small * 1e3:.1f} ms, ratio {ratio:.2f}")
+        print(f"    SS2D call: {large * 1e3:.1f} / {small * 1e3:.1f} ms, ratio {ratio:.2f}")
         assert 5.0 <= ratio <= 13.0, f"ratio {ratio:.2f} outside linear band"
 
 

@@ -10,7 +10,6 @@ from vssenhance.align import (
     FramePyramid,
     PCDAlign,
     bilinear_gather,
-    bilinear_sample,
     deformable_conv2d,
     pcd_align,
     resize_bilinear,
@@ -33,34 +32,42 @@ def fmap(arr) -> Tensor:
     return Tensor(np.asarray(arr, dtype=np.float64))
 
 
+def align_pair(nbr: FramePyramid, ref: FramePyramid, pcd: PCDAlign) -> Tensor:
+    """One-frame pyramid ``nbr`` aligned onto ``ref``: block 0 of a one-frame window."""
+    return pcd_align(FramePyramid.stack([nbr]), ref, pcd)[:, 0]
+
+
+def sample(f: Tensor, y: float, x: float) -> np.ndarray:
+    """The (C,) bilinear read of one position: a gather of one sample."""
+    return bilinear_gather(f, np.array([float(y)]), np.array([float(x)])).data[:, 0]
+
+
 class TestBilinearSample:
     def test_integer_coordinates_exact(self, rng):
         f = fmap(rng.normal(size=(3, 4, 5)))
         for y in range(4):
             for x in range(5):
-                v = bilinear_sample(f, float(y), float(x))
-                assert np.array_equal(v.data, f.data[:, y, x])
+                assert np.array_equal(sample(f, y, x), f.data[:, y, x])
 
     def test_midpoint_of_four_values(self):
         f = fmap(np.array([[[0.0, 0.0], [0.0, 4.0]]]))
-        v = bilinear_sample(f, 0.5, 0.5)
-        assert np.allclose(v.data, [1.0])
+        assert np.allclose(sample(f, 0.5, 0.5), [1.0])
 
     def test_far_out_of_bounds_is_zero(self, rng):
         f = fmap(rng.normal(size=(2, 3, 3)))
-        assert np.array_equal(bilinear_sample(f, -5.0, -5.0).data, np.zeros(2))
+        assert np.array_equal(sample(f, -5.0, -5.0), np.zeros(2))
 
     def test_partial_out_of_bounds(self):
         # half a pixel above the top edge: the two valid corners carry 0.5
         f = fmap(np.full((1, 2, 2), 2.0))
-        assert np.allclose(bilinear_sample(f, -0.5, 0.0).data, [1.0])
+        assert np.allclose(sample(f, -0.5, 0.0), [1.0])
 
     def test_linear_along_each_axis(self, rng):
         f = fmap(rng.normal(size=(1, 4, 4)))
-        v0 = bilinear_sample(f, 1.0, 2.0).data[0]
-        v1 = bilinear_sample(f, 2.0, 2.0).data[0]
+        v0 = sample(f, 1.0, 2.0)[0]
+        v1 = sample(f, 2.0, 2.0)[0]
         for t in (0.25, 0.5, 0.75):
-            vt = bilinear_sample(f, 1.0 + t, 2.0).data[0]
+            vt = sample(f, 1.0 + t, 2.0)[0]
             assert abs(vt - ((1 - t) * v0 + t * v1)) < 1e-12
 
     def test_gradients_values_and_coords(self, rng):
@@ -291,7 +298,7 @@ class TestDeformableConv:
         out = deformable_conv2d(f, offsets, w).data
         for i in range(5):
             for j in range(5):
-                v = bilinear_sample(f, i + off_y[i, j], j + off_x[i, j]).data
+                v = sample(f, i + off_y[i, j], j + off_x[i, j])
                 assert np.allclose(out[:, i, j], v, atol=1e-12)
 
     def test_one_sample_buffer_and_no_transpose(self, rng, monkeypatch):
@@ -525,7 +532,7 @@ class TestPyramid:
         window = ex(T.stack(frames, axis=1))
         for n, frame in enumerate(frames):
             single = ex(frame)
-            assert window.block(n).shapes() == single.shapes()
+            assert [f.shape for f in window.block(n).levels] == [f.shape for f in single.levels]
             for a, b in zip(window.block(n).levels, single.levels):
                 assert np.array_equal(a.data, b.data)
         stacked = FramePyramid.stack([ex(frame) for frame in frames])
@@ -549,7 +556,7 @@ class TestPCDAlign:
         pcd = PCDAlign(C, rng)
         nbr = self.make_pyramid(rng.normal(size=(C, 8, 8)))
         ref = self.make_pyramid(rng.normal(size=(C, 8, 8)))
-        out = pcd_align(nbr, ref, pcd).data
+        out = align_pair(nbr, ref, pcd).data
 
         # independent reduction: replace every deformable step with conv2d
         def plain_conv(conv, x):
@@ -699,22 +706,32 @@ class TestPCDAlign:
         C = 3
         pcd = PCDAlign(C, rng)
         ref = self.make_pyramid(rng.normal(size=(C, 8, 8)))
-        out1 = pcd_align(ref, ref, pcd).data
-        out2 = pcd_align(ref, ref, pcd).data
+        out1 = align_pair(ref, ref, pcd).data
+        out2 = align_pair(ref, ref, pcd).data
         assert np.array_equal(out1, out2)
 
     def test_output_resolution_is_level_one(self, rng):
         pcd = PCDAlign(2, rng)
         nbr = self.make_pyramid(rng.normal(size=(2, 11, 7)))
         ref = self.make_pyramid(rng.normal(size=(2, 11, 7)))
-        assert pcd_align(nbr, ref, pcd).shape == (2, 11, 7)
+        assert align_pair(nbr, ref, pcd).shape == (2, 11, 7)
 
     def test_shape_mismatch_rejected(self, rng):
         pcd = PCDAlign(2, rng)
         nbr = self.make_pyramid(rng.normal(size=(2, 8, 8)))
         ref = self.make_pyramid(rng.normal(size=(2, 6, 6)))
         with pytest.raises(DimensionError):
-            pcd_align(nbr, ref, pcd)
+            pcd_align(FramePyramid.stack([nbr]), ref, pcd)
+
+    def test_one_frame_neighbor_rejected(self, rng, monkeypatch):
+        # only a (C, N, H, W) window aligns, and the check runs before any op
+        pcd = PCDAlign(2, rng)
+        ref = self.make_pyramid(rng.normal(size=(2, 8, 8)))
+        monkeypatch.setattr(T, "recompute", None)
+        with pytest.raises(DimensionError, match=r"\(C, N, H, W\) window"):
+            pcd_align(ref, ref, pcd)
+        with pytest.raises(DimensionError, match=r"\(C, N, H, W\) window"):
+            pcd_align(FramePyramid.stack([ref]), FramePyramid.stack([ref]), pcd)
 
     def test_toy_training_improves_alignment(self, rng):
         # neighbor = reference shifted by (0, 2); 200 steps should cut the
@@ -736,7 +753,7 @@ class TestPCDAlign:
         first_loss = None
         for step in range(200):
             opt.zero_grad()
-            out = pcd_align(nbr_pyr, ref_pyr, pcd)
+            out = align_pair(nbr_pyr, ref_pyr, pcd)
             err = out - target
             loss = (err * err + 1e-8).sqrt().mean()
             if first_loss is None:
@@ -753,7 +770,7 @@ class TestPCDAlign:
             head.weight.data = rng.normal(0, 0.01, size=head.weight.shape)
         nbr = self.make_pyramid(rng.normal(size=(C, 8, 8)))
         ref = self.make_pyramid(rng.normal(size=(C, 8, 8)))
-        out = pcd_align(nbr, ref, pcd)
+        out = align_pair(nbr, ref, pcd)
         (out * out).sum().backward()
         for name, p in pcd.named_parameters():
             assert p.grad is not None, name
@@ -835,7 +852,7 @@ class TestWindowBatch:
         batched_grads = grads((batched * Tensor(mix)).sum())
 
         pyramids = [extractor(frame) for frame in frames]
-        pairs = T.stack([pcd_align(p, pyramids[N // 2], pcd) for p in pyramids], axis=1)
+        pairs = T.stack([align_pair(p, pyramids[N // 2], pcd) for p in pyramids], axis=1)
         pair_grads = grads((pairs * Tensor(mix)).sum())
 
         assert all(np.any(head.weight.data) for head in pcd.off_head + [pcd.cas_head])

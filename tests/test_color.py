@@ -82,9 +82,8 @@ class TestChromaticAdaptation:
     def test_transform_maps_white_to_white(self):
         src = Illuminant(rgb=(0.3, 0.5, 0.7))
         dst = Illuminant(rgb=D65_WHITE_RGB)
-        t = adaptation_transform(src, dst)
-        mapped = t.apply(srgb_decode(np.asarray(src.rgb)).reshape(3, 1))
-        assert np.abs(mapped[:, 0] - srgb_decode(np.asarray(dst.rgb))).max() < 1e-9
+        mapped = adaptation_transform(src, dst) @ srgb_decode(np.asarray(src.rgb))
+        assert np.abs(mapped - srgb_decode(np.asarray(dst.rgb))).max() < 1e-9
 
     def test_source_pixel_becomes_destination_illuminant(self):
         src = Illuminant(rgb=(0.35, 0.55, 0.75))

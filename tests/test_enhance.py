@@ -13,7 +13,6 @@ from vssenhance.enhance import (
     TrainingDiverged,
     VideoEnhancer,
     charbonnier,
-    enhance_forward,
     temporal_window,
     training_step,
 )
@@ -95,14 +94,14 @@ class TestEnhanceForward:
         net = EnhanceNet(cfg, rng)
         aligned = make_aligned(cfg, 8, 8, rng)
         center = rng.uniform(size=(3, 8, 8))
-        out = enhance_forward(aligned, Tensor(center), net)
+        out = net(aligned, Tensor(center))
         assert np.array_equal(out.data, center)
 
     def test_shape_contract(self, rng):
         cfg = EnhanceNetConfig(**{**TINY, "input_frames": 5})
         net = EnhanceNet(cfg, rng)
         aligned = make_aligned(cfg, 8, 8, rng)
-        out = enhance_forward(aligned, Tensor(rng.uniform(size=(3, 8, 8))), net)
+        out = net(aligned, Tensor(rng.uniform(size=(3, 8, 8))))
         assert out.shape == (3, 8, 8)
 
     def test_frames_enter_in_window_order(self, rng):
@@ -112,7 +111,7 @@ class TestEnhanceForward:
         maps = [Tensor(rng.normal(size=(cfg.feature_channels, 8, 8))) for _ in range(3)]
         embed, seen = net.embed, []
         net.embed = lambda x: seen.append(x.data) or embed(x)
-        enhance_forward(T.stack(maps, axis=1), Tensor(rng.uniform(size=(3, 8, 8))), net)
+        net(T.stack(maps, axis=1), Tensor(rng.uniform(size=(3, 8, 8))))
         assert np.array_equal(seen[0], np.concatenate([m.data for m in maps]))
 
     def test_padding_handles_odd_sizes(self, rng):
@@ -121,7 +120,7 @@ class TestEnhanceForward:
         # exercise the network body so padding geometry actually matters
         net.out_project.weight.data = rng.normal(0, 0.01, size=net.out_project.weight.shape)
         aligned = make_aligned(cfg, 7, 9, rng)
-        out = enhance_forward(aligned, Tensor(rng.uniform(size=(3, 7, 9))), net)
+        out = net(aligned, Tensor(rng.uniform(size=(3, 7, 9))))
         assert out.shape == (3, 7, 9)
         assert np.isfinite(out.data).all()
 
@@ -129,7 +128,7 @@ class TestEnhanceForward:
         cfg = EnhanceNetConfig(**TINY)
         net = EnhanceNet(cfg, rng)
         with pytest.raises(DimensionError):
-            enhance_forward(make_aligned(cfg, 8, 8, rng)[:, :-1], Tensor(np.zeros((3, 8, 8))), net)
+            net(make_aligned(cfg, 8, 8, rng)[:, :-1], Tensor(np.zeros((3, 8, 8))))
 
     def test_clamp_only_when_asked(self, rng):
         cfg = EnhanceNetConfig(**TINY)
@@ -137,8 +136,8 @@ class TestEnhanceForward:
         net.out_project.bias.data[:] = 5.0  # force out-of-range output
         aligned = make_aligned(cfg, 8, 8, rng)
         center = Tensor(rng.uniform(size=(3, 8, 8)))
-        raw = enhance_forward(aligned, center, net)
-        clamped = enhance_forward(aligned, center, net, clamp_output=True)
+        raw = net(aligned, center)
+        clamped = net(aligned, center, clamp_output=True)
         assert raw.data.max() > 1.0
         assert clamped.data.max() <= 1.0
 
@@ -158,7 +157,7 @@ class TestEnhanceForward:
 
         def run():
             leaves = [Tensor(aligned, requires_grad=True), Tensor(center, requires_grad=True)]
-            out = enhance_forward(*leaves, net)
+            out = net(*leaves)
             (out * Tensor(mix)).sum().backward()
             grads = [leaf.grad for leaf in leaves] + [p.grad for p in params]
             for p in params:
@@ -181,7 +180,7 @@ class TestEnhanceForward:
         net = EnhanceNet(cfg, rng)
         aligned = make_aligned(cfg, 8, 8, rng)
         aligned.requires_grad = True
-        out = enhance_forward(aligned, Tensor(rng.uniform(size=(3, 8, 8))), net)
+        out = net(aligned, Tensor(rng.uniform(size=(3, 8, 8))))
         loss = charbonnier(out, Tensor(np.zeros((3, 8, 8))))
         stages = 2 * cfg.num_scales + 1
         assert graph_kinds(loss)["transpose"] == 2 * stages + 1
@@ -201,7 +200,7 @@ class TestEnhanceForward:
         mix = rng.normal(size=(3, 4, 4))
         check_gradients(
             lambda ts: (
-                enhance_forward(ts[0].reshape(2, 1, 4, 4), ts[1], net) * Tensor(mix)
+                net(ts[0].reshape(2, 1, 4, 4), ts[1]) * Tensor(mix)
             ).sum(),
             [aligned, center],
             rtol=1e-4,
@@ -219,14 +218,15 @@ class TestVideoEnhancer:
     def test_window_is_aligned_onto_its_center_frame(self, rng):
         # one window pass equals aligning each frame's own pyramid onto the
         # center frame's, then the net on the maps in window order
-        from vssenhance.align import pcd_align
+        from vssenhance.align import FramePyramid, pcd_align
 
         from helpers import perturbed
 
         model = perturbed(VideoEnhancer(EnhanceNetConfig(**{**TINY, "input_frames": 5}), rng), rng)
         frames = [Tensor(rng.uniform(size=(3, 8, 8))) for _ in range(5)]
         pyramids = [model.extractor(frame) for frame in frames]
-        aligned = [pcd_align(p, pyramids[2], model.pcd) for p in pyramids]
+        aligned = [pcd_align(FramePyramid.stack([p]), pyramids[2], model.pcd)[:, 0]
+                   for p in pyramids]
         want = model.net(T.stack(aligned, axis=1), frames[2])
         got = model(frames)
         assert np.abs(got.data - want.data).max() <= 1e-12 * np.abs(want.data).max()

@@ -594,6 +594,81 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "manifest.txt:3:" in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_enhance_non_finite_checkpoint_fails(self, tmp_path, rng, capsys, value):
+        # a NaN or inf in the last tensor: no parameter is assigned, and
+        # enhance stops with the parameter's name instead of writing frames
+        from vssenhance.enhance import VideoEnhancer
+        from vssenhance.layers import load_checkpoint
+        from vssenhance.tensor import ContractError, load_tensor, save_tensor
+
+        config, low_dir, _, ckpt = self._setup_run(tmp_path, rng)
+        config.write_text(config.read_text().replace("steps = 2", "steps = 0"))
+        assert main(["train", "--config", str(config)]) == 0
+        step = ckpt / "step-000000"
+        name, fname = (step / "manifest.txt").read_text().splitlines()[-1].split("\t")[:2]
+        bad = load_tensor(step / fname).data.copy()
+        bad.reshape(-1)[0] = value
+        save_tensor(bad, step / fname)
+
+        model = VideoEnhancer(load_config(config).model, rng)
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(ContractError, match=re.escape(name)):
+            load_checkpoint(model, step)
+        assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
+
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["enhance", "--config", str(config),
+                     "--input", str(low_dir), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert name in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_enhance_frames_sharing_a_stem_fail_before_loading(self, tmp_path, rng, capsys,
+                                                               monkeypatch):
+        # a.png and a.ppm would both be written as a.png
+        config, _, _, _ = self._setup_run(tmp_path, rng)
+        config.write_text(config.read_text().replace("steps = 2", "steps = 0"))
+        assert main(["train", "--config", str(config)]) == 0
+        clip = tmp_path / "clip"
+        frames = [rng.uniform(size=(3, 8, 8)) for _ in range(4)]
+        write_clip(clip, frames, names=["a.png", "a.ppm", "b.png", "c.png"])
+        loads = []
+        monkeypatch.setattr(cli, "load_checkpoint", lambda *a: loads.append(a))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["enhance", "--config", str(config),
+                     "--input", str(clip), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert "['a']" in err
+        assert loads == [] and not out.exists()
+
+    @staticmethod
+    def assert_path_error(code, capsys, path):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert str(path) in err and "Traceback" not in err
+
+    def test_train_checkpoint_dir_that_is_a_file_fails(self, tmp_path, rng, capsys):
+        config, _, _, ckpt = self._setup_run(tmp_path, rng)
+        ckpt.write_text("not a directory")
+        self.assert_path_error(main(["train", "--config", str(config)]), capsys, ckpt)
+
+    def test_enhance_output_that_is_a_file_fails(self, tmp_path, rng, capsys):
+        config, low_dir, _, _ = self._setup_run(tmp_path, rng)
+        config.write_text(config.read_text().replace("steps = 2", "steps = 0"))
+        assert main(["train", "--config", str(config)]) == 0
+        out = tmp_path / "o"
+        out.write_text("not a directory")
+        capsys.readouterr()
+        code = main(["enhance", "--config", str(config),
+                     "--input", str(low_dir), "--output", str(out)])
+        self.assert_path_error(code, capsys, out)
+
     def test_train_unpaired_frames_fail_listing_orphans(self, tmp_path, rng, capsys):
         config, low_dir, gt_dir, _ = self._setup_run(tmp_path, rng)
         (gt_dir / "0003.png").rename(gt_dir / "0009.png")
@@ -753,6 +828,16 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith(f"error: psnr peak must be positive and finite, got {peak}")
         assert loads == [] and not out.exists()
+
+    def test_metrics_out_under_a_file_fails(self, tmp_path, rng, capsys):
+        frames = [rng.uniform(size=(3, 12, 12))]
+        write_clip(tmp_path / "ref", frames)
+        write_clip(tmp_path / "test", frames)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        code = main(["metrics", "--ref", str(tmp_path / "ref"), "--test", str(tmp_path / "test"),
+                     "--out", str(blocker / "m.csv")])
+        self.assert_path_error(code, capsys, blocker)
 
     def test_out_creates_missing_directories(self, tmp_path, rng):
         out = tmp_path / "sub" / "dir" / "out.csv"

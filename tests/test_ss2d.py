@@ -14,11 +14,11 @@ from vssenhance.ss2d import (
     SCAN_PIECE,
     SS2D,
     _head_projection,
+    _head_projection_bwd,
     cross_merge,
     cross_scan,
     linear_recurrence,
     sequential_recurrence_data,
-    ss2d_forward,
     traversal_permutations,
 )
 from vssenhance.tensor import (
@@ -29,11 +29,13 @@ from vssenhance.tensor import (
     no_grad,
     save_tensor,
     softplus,
+    stack,
 )
 
 from helpers import (
     assert_matches_composition,
     check_gradients,
+    finite_difference,
     perturbed,
     retained_arrays,
     with_parameters,
@@ -216,7 +218,7 @@ class TestStepRanges:
 
 
 class TestSkipMerge:
-    """``ss2d_forward`` adds the skip term y + x * D and merges the four
+    """An ``SS2D`` call adds the skip term y + x * D and merges the four
     directions inside its one node."""
 
     H, W, C, D = 3, 4, 2, 2
@@ -233,14 +235,14 @@ class TestSkipMerge:
         return total
 
     def skip_only(self, ts):
-        """ss2d_forward on tokens ``ts[0]`` with skip ``ts[1]`` and every C
+        """An SS2D call on tokens ``ts[0]`` with skip ``ts[1]`` and every C
         projection zero, so the scan reads out exactly 0."""
         weights = perturbed(SS2D(channels=self.C, state_dim=self.D,
                                  rng=np.random.default_rng(5)), np.random.default_rng(6))
         for head in weights.heads:
             head.w_c = Tensor(np.zeros_like(head.w_c.data), requires_grad=True)
         weights.skip = ts[1]
-        return ss2d_forward(ts[0], self.H, self.W, weights)
+        return weights(ts[0], self.H, self.W)
 
     def test_matches_composition(self, rng):
         L = self.H * self.W
@@ -272,8 +274,8 @@ class TestSkipMerge:
 
 
 class TestHeadProjection:
-    """B, C and delta: each one node over the (L, 4, C) stack, direction r
-    projected by head r's weights."""
+    """B, C and delta of the (L, 4, C) stack, direction r projected by head
+    r's weights, and ``_head_projection_bwd``, their adjoint."""
 
     @staticmethod
     def arrays(rng, L, C, n, bias):
@@ -284,22 +286,31 @@ class TestHeadProjection:
     def test_forward_bitwise_equal_to_per_direction_matmul(self, rng, n, bias):
         x, *rest = self.arrays(rng, 13, 5, n, bias)
         ws, bs = rest[:4], rest[4:]
-        out = _head_projection(Tensor(x), [Tensor(w) for w in ws], [Tensor(b) for b in bs])
+        out = _head_projection(x, [Tensor(w) for w in ws], [Tensor(b) for b in bs])
         assert out.shape == (13, 4, n)
         for r in range(4):
             col = Tensor(np.ascontiguousarray(x[:, r]))
             want = matmul(col, Tensor(ws[r]), bias=Tensor(bs[r]) if bias else None)
-            assert np.array_equal(out.data[:, r], want.data)
+            assert np.array_equal(out[:, r], want.data)
 
     @pytest.mark.parametrize("n, bias", [(3, False), (1, True)])
     def test_gradients(self, rng, n, bias):
         arrays = self.arrays(rng, 6, 3, n, bias)
-        mix = Tensor(rng.normal(size=(6, 4, n)))
+        mix = rng.normal(size=(6, 4, n))
 
-        def loss(ts):
-            return (_head_projection(ts[0], ts[1:5], ts[5:]) * mix).sum()
+        def loss(arrays):
+            x, *rest = arrays
+            ws, bs = [Tensor(w) for w in rest[:4]], [Tensor(b) for b in rest[4:]]
+            return float((_head_projection(x, ws, bs) * mix).sum())
 
-        check_gradients(loss, arrays)
+        gx = np.zeros(arrays[0].shape)
+        grads = [gx, *_head_projection_bwd(arrays[0], [Tensor(w) for w in arrays[1:5]],
+                                           len(arrays) - 5, mix, gx)]
+        assert len(grads) == len(arrays)
+        for j, (a, got) in enumerate(zip(arrays, grads)):
+            fd = finite_difference(lambda v: loss(arrays[:j] + [v] + arrays[j + 1:]), a)
+            assert got.shape == a.shape
+            assert np.abs(got - fd).max() <= 1e-6 * np.abs(fd).max() + 1e-9, j
 
 
 class TestSS2DParameters:
@@ -347,7 +358,7 @@ class TestSS2DForward:
         with pytest.raises(DimensionError):
             ss2d(Tensor(rng.normal(size=(11, 3))), 3, 4)
         with pytest.raises(DimensionError):
-            ss2d_forward(Tensor(rng.normal(size=(0, 3))), 0, 4, ss2d)
+            ss2d(Tensor(rng.normal(size=(0, 3))), 0, 4)
 
     def test_channel_mismatch_rejected(self, rng):
         ss2d = SS2D(channels=3, state_dim=2, rng=rng)
@@ -418,7 +429,7 @@ class TestSS2DForward:
 
         def loss(ts):
             tok = ts[0].reshape(C, H * W).transpose(1, 0)
-            out = ss2d_forward(tok, H, W, with_parameters(ts[1:], C, d))
+            out = with_parameters(ts[1:], C, d)(tok, H, W)
             out = out.transpose(1, 0).reshape(C, H, W)
             return (out * Tensor(mix)).sum()
 
@@ -447,16 +458,16 @@ class TestSS2DForward:
 
 def chain_ss2d(tokens, H, W, weights):
     """The unfused composition the SS2D node replaces, from public ops: the
-    projections, the ZOH terms, one recurrence over all L steps, the
-    readout, then the skip term and the merge."""
+    per-direction projections, the ZOH terms, one recurrence over all L
+    steps, the readout, then the skip term and the merge."""
     seqs = cross_scan(tokens, H, W)
     L, R, C = seqs.shape
     d, heads = weights.state_dim, weights.heads
     a_neg = -weights.a_log.exp()
-    b = _head_projection(seqs, [h.w_b for h in heads])
-    c = _head_projection(seqs, [h.w_c for h in heads])
-    delta = softplus(_head_projection(seqs, [h.w_delta for h in heads],
-                                      [h.b_delta for h in heads]))
+    pairs = [(seqs[:, r], head) for r, head in enumerate(heads)]
+    b = stack([matmul(x, h.w_b) for x, h in pairs], axis=1)
+    c = stack([matmul(x, h.w_c) for x, h in pairs], axis=1)
+    delta = softplus(stack([matmul(x, h.w_delta, bias=h.b_delta) for x, h in pairs], axis=1))
     a_bar = (delta.reshape(L, R, 1, 1) * a_neg).exp()
     u = (a_bar - 1.0) / a_neg * b.reshape(L, R, 1, d) * seqs.reshape(L, R, C, 1)
     h = linear_recurrence(a_bar.reshape(L, R * C * d), u.reshape(L, R * C * d))
@@ -475,7 +486,7 @@ def node_arrays(rng, H, W, C=C_NODE, d=D_NODE):
 
 def node(ts, H, W):
     C, d = ts[0].shape[1], ts[1].shape[1]
-    return ss2d_forward(ts[0], H, W, with_parameters(ts[1:], C, d))
+    return with_parameters(ts[1:], C, d)(ts[0], H, W)
 
 
 def assert_agrees_with_chain(rng, H, W, C, d):
@@ -512,7 +523,7 @@ def assert_backward_under_no_grad_is_bitwise_equal(rng, H, W):
 
 
 class TestSS2DNode:
-    """``ss2d_forward`` is one node over the tokens and the 18 parameters that
+    """An ``SS2D`` call is one node over the tokens and the 18 parameters that
     keeps the chunk states and rebuilds the stack, B, C and Δ in backward."""
 
     H, W = 9, 8  # L = 72: two scan chunks

@@ -13,7 +13,7 @@ import pytest
 
 from vssenhance import align
 from vssenhance.align import DCN_BAND, PCDAlign, deformable_conv2d
-from vssenhance.ss2d import SCAN_PIECE, SS2D, ss2d_forward
+from vssenhance.ss2d import SCAN_PIECE, SS2D
 from vssenhance.tensor import Tensor, no_grad
 
 from helpers import perturbed
@@ -83,7 +83,7 @@ def test_ss2d_transient_is_piece_sized(rng):
         assert H * W >= 2 * SCAN_PIECE
         tokens = Tensor(rng.normal(size=(H * W, C)))
         with no_grad():
-            sizes.append(transient_bytes(lambda: ss2d_forward(tokens, H, W, weights)))
+            sizes.append(transient_bytes(lambda: weights(tokens, H, W)))
     small, large = sizes
     # the whole (L, 4, C) stack alone would be 4x the small grid's
     assert large <= 1.1 * small
@@ -100,7 +100,7 @@ def test_ss2d_backward_transient_is_piece_sized(rng):
     for H, W in ((64, 128), (128, 256)):
         assert H * W >= 2 * SCAN_PIECE
         tokens = Tensor(rng.normal(size=(H * W, C)), requires_grad=True)
-        sizes.append(backward_transient_bytes(lambda: ss2d_forward(tokens, H, W, weights), rng))
+        sizes.append(backward_transient_bytes(lambda: weights(tokens, H, W), rng))
     small, large = sizes
     # the whole rebuilt (L, 4, C) stack alone would be 4x the small grid's
     assert large <= 1.1 * small

@@ -5,7 +5,7 @@ import pytest
 
 import vssenhance.tensor as T
 from vssenhance.tensor import DimensionError, Tensor, gelu, matmul
-from vssenhance.vss import VSSBlock, vss_forward
+from vssenhance.vss import VSSBlock
 
 from helpers import check_gradients, graph_kinds
 
@@ -27,7 +27,7 @@ class TestVSSForward:
     def test_identity_at_init_bitwise(self, rng):
         block = VSSBlock(channels=4, state_dim=3, rng=rng)
         x = rng.normal(size=(3 * 5, 4))
-        out = vss_forward(Tensor(x), 3, 5, block)
+        out = block(Tensor(x), 3, 5)
         assert np.array_equal(out.data, x)
 
     def test_zero_input_zero_output(self, rng):
@@ -39,20 +39,20 @@ class TestVSSForward:
         block.ffn.expand.bias.data[:] = 0.0
         block.ffn.project.bias.data[:] = 0.0
         block.scan_project.bias.data[:] = 0.0
-        out = vss_forward(Tensor(np.zeros((16, 3))), 4, 4, block)
+        out = block(Tensor(np.zeros((16, 3))), 4, 4)
         assert np.array_equal(out.data, np.zeros((16, 3)))
 
     def test_shape_preserved(self, rng):
         block = VSSBlock(channels=2, state_dim=2, rng=rng)
         randomize_projections(block, rng)
         for H, W in [(1, 1), (5, 3), (2, 7)]:
-            out = vss_forward(Tensor(rng.normal(size=(H * W, 2))), H, W, block)
+            out = block(Tensor(rng.normal(size=(H * W, 2))), H, W)
             assert out.shape == (H * W, 2)
 
     def test_channel_mismatch_rejected(self, rng):
         block = VSSBlock(channels=4, state_dim=2, rng=rng)
         with pytest.raises(DimensionError, match=r"expects \(4, 4\) tokens"):
-            vss_forward(Tensor(np.zeros((4, 3))), 2, 2, block)
+            block(Tensor(np.zeros((4, 3))), 2, 2)
 
     def test_non_grid_input_rejected(self, rng, monkeypatch):
         # a (C, H, W) map, tokens of another grid, and an empty grid; each is
@@ -62,7 +62,7 @@ class TestVSSForward:
         for x, H, W in [(np.zeros((4, 2, 2)), 2, 2), (np.zeros((6, 4)), 2, 2),
                         (np.zeros((0, 4)), 0, 3)]:
             with pytest.raises(DimensionError, match="tokens for a"):
-                vss_forward(Tensor(x), H, W, block)
+                block(Tensor(x), H, W)
 
     def test_no_layout_change_inside_a_block(self, rng, monkeypatch):
         # blocks take and return tokens; a stage changes layout at its edges
@@ -72,7 +72,7 @@ class TestVSSForward:
         monkeypatch.setattr(
             T, "transpose", lambda a, *axes: calls.append(axes) or transpose(a, *axes)
         )
-        out = vss_forward(Tensor(rng.normal(size=(20, 3)), requires_grad=True), 4, 5, block)
+        out = block(Tensor(rng.normal(size=(20, 3)), requires_grad=True), 4, 5)
         (out * out).sum().backward()
         assert calls == []
 
@@ -82,7 +82,7 @@ class TestVSSForward:
         block = VSSBlock(channels=C, state_dim=2, rng=rng)
         randomize_projections(block, rng)
         x = rng.normal(size=(H * W, C))
-        out = vss_forward(Tensor(x), H, W, block).data
+        out = block(Tensor(x), H, W).data
 
         tokens = Tensor(x)
         normed = block.norm1(tokens)
@@ -102,7 +102,7 @@ class TestVSSForward:
         block = VSSBlock(channels=C, state_dim=2, rng=rng)
         randomize_projections(block, rng)
         f = Tensor(rng.normal(size=(H * W, C)), requires_grad=True)
-        out = vss_forward(f, H, W, block)
+        out = block(f, H, W)
         exit_node = out  # the feedforward branch's recompute node
         ffn_params = (block.ffn.project.weight, block.ffn.project.bias)
         mid = exit_node._parents[0]
@@ -146,7 +146,7 @@ class TestVSSForward:
                 for part in path:
                     obj = obj[int(part)] if part.isdigit() else getattr(obj, part)
                 setattr(obj, leafname, t)
-            return (vss_forward(ts[0], H, W, probe) * Tensor(mix)).sum()
+            return (probe(ts[0], H, W) * Tensor(mix)).sum()
 
         check_gradients(loss, arrays, rtol=1e-4)
 
@@ -154,7 +154,7 @@ class TestVSSForward:
         block = VSSBlock(channels=3, state_dim=2, rng=rng)
         randomize_projections(block, rng)
         f = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
-        out = vss_forward(f, 3, 3, block)
+        out = block(f, 3, 3)
         (out * out).sum().backward()
         for name, p in block.named_parameters():
             assert p.grad is not None, name

@@ -23,6 +23,10 @@ failed or errored and the duration of ``test_06_toy_overfit`` go into
 ``BENCH_<tag>.json`` at the repository root, with the ``HEAD`` commit,
 whether the working tree differs from it and the line count of
 ``src/vssenhance/*.py`` (``src_lines``).
+Before each perfbench run and each fresh-interpreter probe, the
+``__pycache__`` directories under ``src/``, ``perfbench/`` and ``tools/`` are
+deleted, so the run compiles this repository's modules as a fresh checkout
+does, while installed packages keep their own bytecode.
 To record another commit, run the script from a checkout of it.  Run it on
 an otherwise idle machine: the numbers are single runs.
 """
@@ -34,6 +38,7 @@ import json
 import os
 import re
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -63,11 +68,21 @@ DECODE_SIZE = (1080, 1920)
 DECODE_REPEATS = 3  # read_image calls; the time is their median
 
 
+def run_fresh(cmd: list[str], env: dict | None = None, **kwargs):
+    """``subprocess.run`` in the repository root, output captured, after
+    deleting the bytecode that earlier test, CLI or probe runs cached in
+    this repository's ``__pycache__`` directories (git tracks none of them)."""
+    for tree in ("src", "perfbench", "tools"):
+        for cache in list((ROOT / tree).rglob("__pycache__")):
+            shutil.rmtree(cache, ignore_errors=True)
+    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, **kwargs)
+
+
 def bench_run(workload: str, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(SECONDS), "--trace", str(trace)]
     print("running:", " ".join(cmd[1:]), flush=True)
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = run_fresh(cmd)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr[-4000:])
@@ -166,8 +181,7 @@ def cold_window_probe() -> dict:
     h, w = COLD_WINDOW_SIZE
     print(f"running: one cold {w}x{h} inference window in a fresh process", flush=True)
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", COLD_WINDOW_PROBE], cwd=ROOT,
-                          capture_output=True, text=True, check=True)
+    proc = run_fresh([sys.executable, "-c", COLD_WINDOW_PROBE], check=True)
     wall_s = time.perf_counter() - start
     return {"size": [h, w], "frames": 5, **json.loads(proc.stdout.splitlines()[-1]),
             "wall_s": round(wall_s, 2)}
@@ -339,8 +353,7 @@ def import_footprint() -> dict:
     interpreter and the SciPy modules that import loads (``import_footprint``),
     then the same after one tiny GELU and bilinear gather (``model_path``)."""
     print("running: import of vssenhance.cli and one model op", flush=True)
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=ROOT, env=src_env(),
-                          capture_output=True, text=True, check=True)
+    proc = run_fresh([sys.executable, "-c", IMPORT_PROBE], src_env(), check=True)
     return json.loads(proc.stdout)
 
 
